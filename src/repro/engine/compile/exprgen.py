@@ -55,7 +55,22 @@ class KernelDecline(Exception):
 
     Callers catch this and fall back to the interpreted operator tree, so
     raising it is always safe — never an error surfaced to users.
+    ``reason`` is one of :attr:`REASONS` and is what
+    ``Executor.kernel_report()["declined_by_reason"]`` counts by.
     """
+
+    #: ``index-select``: the interpreted planner would answer a Select from
+    #: an index scan (rows in index order); ``join-shape``: outer/cross
+    #: join, a side that is not a Select chain over a leaf, or a condition
+    #: that is neither equi nor band; ``expression``: something is not
+    #: provably batch-compilable, or output names collide; ``bare-leaf``:
+    #: the Select/Project/Aggregate stack sits on something that is not a
+    #: scan or join with a batch source.
+    REASONS = ("index-select", "join-shape", "expression", "bare-leaf")
+
+    def __init__(self, detail: str = "", reason: str = "expression"):
+        super().__init__(detail)
+        self.reason = reason
 
 
 class SourceBuilder:

@@ -20,19 +20,26 @@ Fusable shapes — everything else falls back to the interpreted tree:
   equi-join or the band-join (range probe) shape.
 
 Equivalence contract: a kernel produces *exactly* the rows, in exactly
-the order, that the interpreted operators it replaces would produce —
-including the transient-grid probe order of
-:class:`~repro.engine.operators.joins.RangeProbeJoinOp` and its
-index-advisor probe statistics.  To keep plan *choice* identical too, the
-compiler declines whenever the interpreted planner would have used an
-index (matched index scans, covered band probes), whenever an expression
-is not provably batch-compilable, and for order-pathological shapes like
-duplicate aggregate output names.
+the order, that the interpreted operators it replaces would produce, and
+feeds the index advisor the same probe statistics.  Plan *choice* stays
+identical too.  A band join follows the interpreted planner's own rule:
+when a registered range-capable index covers probe columns of the inner
+table the kernel probes that index
+(:class:`~repro.engine.operators.joins.IndexProbeJoinOp`'s loop: candidates
+in the index's ``range_search`` order, every bound re-checked, the inner
+side's Select predicates folded into the residual, the index re-resolved
+per execution), otherwise it builds
+:class:`~repro.engine.operators.joins.RangeProbeJoinOp`'s transient grid.
+The compiler declines — with a reason, see :class:`KernelDecline` —
+whenever the interpreted planner would answer a Select from an index
+scan, whenever an expression is not provably batch-compilable, and for
+order-pathological shapes like duplicate aggregate output names.
 
 ``SharedScan`` leaves become kernel inputs served by the tick pipeline's
-shared materializations; ``EffectSink`` fusion composes unchanged because
-a kernel is wrapped in the same :class:`BatchBridgeOp` boundary the batch
-path uses.
+shared materializations.  A :class:`KernelOp` is a batch operator like any
+other: the physical planner tries it first at every node of a batch tree,
+so it can be the root under a :class:`BatchBridgeOp` or a child of
+interpreted batch operators, and ``EffectSink`` fusion composes unchanged.
 """
 
 from __future__ import annotations
@@ -60,18 +67,18 @@ from repro.engine.expressions import (
     resolve_batch_column,
 )
 from repro.engine.operators.batch_ops import (
-    BatchBridgeOp,
     BatchOperator,
     BatchTableScanOp,
     _fold_values,
 )
+from repro.engine.operators.joins import band_probe_candidates
 from repro.engine.optimizer.mqo import SharedScan, fingerprint_plan
 from repro.engine.optimizer.physical import (
     _extract_equi_keys,
     _extract_range_probe,
-    inner_scan_info,
     match_band_index,
 )
+from repro.engine.table import Table
 
 __all__ = ["KernelLowering", "KernelOp", "KernelProgram"]
 
@@ -90,7 +97,7 @@ class KernelProgram:
     """
 
     source: str
-    fn: Callable[[list[ColumnBatch], Any], ColumnBatch]
+    fn: Callable[..., ColumnBatch]
     names: tuple[str, ...]
     n_inputs: int
     uses_hook: bool
@@ -100,9 +107,11 @@ class KernelProgram:
 class KernelOp(BatchOperator):
     """Batch operator that runs a compiled kernel over its input batches.
 
-    Lives inside the standard :class:`BatchBridgeOp` boundary, so the
-    executor, shared-subplan materialization, effect-sink fusion and
-    ``explain`` all treat it like any other batch subtree.
+    A regular member of a batch tree, so the executor, shared-subplan
+    materialization, effect-sink fusion and ``explain`` all treat it like
+    any other batch operator.  ``index_probe`` — ``(inner table, index
+    name, probe columns)`` — is set for a band kernel that probes a
+    persistent index; the index is resolved per execution, never captured.
     """
 
     def __init__(
@@ -111,19 +120,30 @@ class KernelOp(BatchOperator):
         program: KernelProgram,
         children: tuple[BatchOperator, ...],
         stats_hook: Callable[[int, float, int], None] | None = None,
+        index_probe: tuple[Table, str, tuple[str, ...]] | None = None,
     ):
         super().__init__(schema, program.names, children)
         self.program = program
         self.stats_hook = stats_hook
+        self.index_probe = index_probe
 
     def execute(self) -> ColumnBatch:
         inputs = [child.execute() for child in self.children]
-        return self.program.fn(inputs, self.stats_hook)
+        if self.index_probe is None:
+            return self.program.fn(inputs, self.stats_hook)
+        table = self.index_probe[0]
+        # Same table version as the inner input batch above: nothing
+        # mutates the table between the two snapshot reads.
+        probe = (band_probe_candidates(*self.index_probe), table.batch_positions())
+        return self.program.fn(inputs, self.stats_hook, probe)
 
     def label(self) -> str:
+        probe = ""
+        if self.index_probe is not None:
+            probe = f", probes {self.index_probe[0].name}.{self.index_probe[1]}"
         return (
             f"CompiledKernel({self.program.fused_nodes} nodes fused, "
-            f"{len(self.children)} input(s))"
+            f"{len(self.children)} input(s){probe})"
         )
 
 
@@ -178,6 +198,10 @@ class _Pipeline:
     hook: Callable[[int, float, int], None] | None
     signature: str
     fused_nodes: int
+    #: Set when a band core probes a persistent index (IndexProbeJoinOp's
+    #: loop) instead of building the transient grid (RangeProbeJoinOp's):
+    #: ``(inner table, index name, probe columns in the table's names)``.
+    index_probe: tuple[Table, str, tuple[str, ...]] | None = None
 
 
 def _conjuncts_of(predicate: Expression) -> list[Expression]:
@@ -205,40 +229,51 @@ def _side_filters(selects: list[Select]) -> list[Expression]:
     return out
 
 
-def _index_declines(planner: Any, selects: list[Select], leaf: LogicalPlan) -> bool:
-    """Whether the interpreted planner would index-scan this Select-over-scan.
+def _decline_if_index_scan(planner: Any, selects: list[Select], leaf: LogicalPlan) -> None:
+    """Decline when the interpreted planner would index-scan this Select-over-scan.
 
-    Mirrors ``_lower_select`` / ``_lower_batch`` exactly: only the Select
-    node *directly* above a ``TableScan`` is eligible, and only with
-    ``use_indexes`` on.  When it matches, the interpreted path produces
-    rows in index order, so the kernel must decline to stay equivalent.
+    Mirrors ``_lower_select`` / ``_lower_batch_node`` exactly: only the
+    Select node *directly* above a ``TableScan`` is eligible, and only
+    with ``use_indexes`` on.  When it matches, the interpreted path
+    produces rows in index order, so the kernel must decline to stay
+    equivalent.
     """
     if not planner.use_indexes or not selects or not isinstance(leaf, TableScan):
-        return False
-    innermost = selects[-1]
-    return planner._match_index(leaf.table_name, innermost.predicate) is not None
+        return
+    if planner._match_index(leaf.table_name, selects[-1].predicate) is not None:
+        raise KernelDecline("index scan preferred", "index-select")
 
 
-def _leaf_batch_op(leaf: LogicalPlan, planner: Any) -> BatchOperator | None:
+def _leaf_batch_op(leaf: LogicalPlan, planner: Any) -> BatchOperator:
     """Build the batch source operator for a pipeline leaf."""
+    op: BatchOperator | None = None
     if isinstance(leaf, TableScan):
-        if not planner.catalog.has_table(leaf.table_name):
-            return None
-        table = planner.catalog.table(leaf.table_name)
-        return BatchTableScanOp(table, leaf.output_schema(planner.catalog), leaf.alias)
-    if isinstance(leaf, SharedScan):
+        if planner.catalog.has_table(leaf.table_name):
+            table = planner.catalog.table(leaf.table_name)
+            op = BatchTableScanOp(table, leaf.output_schema(planner.catalog), leaf.alias)
+    else:  # SharedScan
         if planner.shared_lowering is not None:
             op = planner.shared_lowering.batch_source(leaf)
-            if op is not None:
-                return op
-        # No shared materialization available: serve the consumer's own
-        # equivalent source subtree, like the interpreted fallback does.
-        return planner._lower_batch(leaf.source)
-    return None
+        if op is None:
+            # No shared materialization available: serve the consumer's own
+            # equivalent source subtree, like the interpreted fallback does.
+            op = planner._lower_batch(leaf.source)
+    if op is None:
+        raise KernelDecline("leaf has no batch source", "bare-leaf")
+    return op
 
 
-def _analyze(plan: LogicalPlan, planner: Any) -> _Pipeline | None:
-    """Match *plan* against the fusable pipeline grammar, or ``None``."""
+def _require_batch(expressions: Sequence[Expression], names: Sequence[str]) -> None:
+    for expression in expressions:
+        if not batch_supported(expression, names):
+            raise KernelDecline(repr(expression))
+
+
+def _analyze(plan: LogicalPlan, planner: Any) -> _Pipeline:
+    """Match *plan* against the fusable pipeline grammar.
+
+    Raises :class:`KernelDecline` (with its reason) for everything else.
+    """
     catalog = planner.catalog
 
     stack: list[LogicalPlan] = []
@@ -247,164 +282,127 @@ def _analyze(plan: LogicalPlan, planner: Any) -> _Pipeline | None:
         stack.append(node)
         node = node.child
 
-    leaf_ops: list[BatchOperator] = []
-    hook = None
-    fused = len(stack)
-
     if isinstance(node, (TableScan, SharedScan)):
-        if not stack:
-            return None  # bare leaf: nothing to fuse
-        selects_above = [n for n in stack if isinstance(n, Select)]
-        if (
-            selects_above
-            and isinstance(stack[-1], Select)
-            and _index_declines(planner, [stack[-1]], node)
-        ):
-            return None
+        if isinstance(stack[-1], Select):
+            _decline_if_index_scan(planner, [stack[-1]], node)
         leaf = _leaf_batch_op(node, planner)
-        if leaf is None:
-            return None
-        leaf_ops.append(leaf)
-        core: Any = _ScanCore()
-        names: tuple[str, ...] = tuple(leaf.names)
-        fused += 1
+        pipeline = _Pipeline(_ScanCore(), [], [leaf], tuple(leaf.names), None, "", 1)
     elif isinstance(node, Join):
-        join = node
-        if join.how != "inner" or join.condition is None:
-            return None
-        left_selects, left_leaf = _strip_selects(join.left)
-        right_selects, right_leaf = _strip_selects(join.right)
-        if not isinstance(left_leaf, (TableScan, SharedScan)):
-            return None
-        if not isinstance(right_leaf, (TableScan, SharedScan)):
-            return None
-        if _index_declines(planner, left_selects, left_leaf):
-            return None
-        if _index_declines(planner, right_selects, right_leaf):
-            return None
-        left_op = _leaf_batch_op(left_leaf, planner)
-        right_op = _leaf_batch_op(right_leaf, planner)
-        if left_op is None or right_op is None:
-            return None
-        leaf_ops.extend([left_op, right_op])
-        left_names = tuple(left_op.names)
-        right_names = tuple(right_op.names)
-        left_filters = _side_filters(left_selects)
-        right_filters = _side_filters(right_selects)
-        for conjunct in left_filters:
-            if not batch_supported(conjunct, left_names):
-                return None
-        for conjunct in right_filters:
-            if not batch_supported(conjunct, right_names):
-                return None
-        conjuncts = _conjuncts_of(join.condition)
-        left_schema = join.left.output_schema(catalog)
-        right_schema = join.right.output_schema(catalog)
-        combined = left_names + right_names
-        equi = _extract_equi_keys(conjuncts, left_schema, right_schema)
-        if equi:
-            left_keys, right_keys, residual = equi
-            if not all(batch_supported(k, left_names) for k in left_keys):
-                return None
-            if not all(batch_supported(k, right_names) for k in right_keys):
-                return None
-            if not all(batch_supported(r, combined) for r in residual):
-                return None
-            core = _EquiCore(left_filters, right_filters, left_keys, right_keys, residual)
-        else:
-            probe = _extract_range_probe(conjuncts, left_schema, right_schema)
-            if not probe:
-                return None
-            dimensions, residual = probe
-            if (
-                planner.use_indexes
-                and match_band_index(catalog, join.right, dimensions) is not None
-            ):
-                return None  # the interpreted path would probe a real index
-            for column, low, high in dimensions:
-                # RangeProbeJoinOp reads probe coordinates by exact key.
-                if column not in right_names:
-                    return None
-                if not batch_supported(low, left_names):
-                    return None
-                if not batch_supported(high, left_names):
-                    return None
-            if not all(batch_supported(r, combined) for r in residual):
-                return None
-            core = _BandCore(left_filters, right_filters, list(dimensions), residual)
-            hook = _band_hook(planner, join.right, dimensions)
-        names = combined
-        fused += 1 + len(left_selects) + len(right_selects)
+        pipeline = _analyze_join(node, planner)
     else:
-        return None
+        raise KernelDecline(type(node).__name__, "bare-leaf")
+    pipeline.fused_nodes += len(stack)
 
-    stages: list[Any] = []
+    names = pipeline.out_names
+    stages = pipeline.stages
     for node in reversed(stack):
         if isinstance(node, Select):
             conjuncts = _conjuncts_of(node.predicate)
-            if not all(batch_supported(c, names) for c in conjuncts):
-                return None
+            _require_batch(conjuncts, names)
             stages.append(_FilterStage(conjuncts))
         elif isinstance(node, Project):
-            if not all(batch_supported(e, names) for _, e in node.projections):
-                return None
+            _require_batch([e for _, e in node.projections], names)
             stages.append(_ProjectStage(tuple(node.projections)))
             names = tuple(n for n, _ in node.projections)
         else:  # Aggregate
             try:
                 child_schema = node.child.output_schema(catalog)
                 resolved = [child_schema.resolve(g) for g in node.group_by]
-            except SchemaError:
-                return None
+            except SchemaError as exc:
+                raise KernelDecline(str(exc)) from None
             group_columns = []
             for resolved_name in resolved:
                 batch_name = resolve_batch_column(resolved_name, names)
                 if batch_name is None:
-                    return None
+                    raise KernelDecline(resolved_name)
                 group_columns.append(batch_name)
-            for spec in node.aggregates:
-                if spec.argument is not None and not batch_supported(spec.argument, names):
-                    return None
+            _require_batch(
+                [s.argument for s in node.aggregates if s.argument is not None], names
+            )
             out = tuple(node.group_by) + tuple(s.name for s in node.aggregates)
             if len(set(out)) != len(out):
-                return None  # colliding output names corrupt any columnar layout
+                # Colliding output names corrupt any columnar layout.
+                raise KernelDecline(f"duplicate output names {out}")
             stages.append(
                 _AggStage(tuple(node.group_by), tuple(group_columns), tuple(node.aggregates))
             )
             names = out
 
-    pipeline = _Pipeline(
-        core=core,
-        stages=stages,
-        leaf_ops=leaf_ops,
-        out_names=names,
-        hook=hook,
-        signature="",
-        fused_nodes=fused,
-    )
+    pipeline.out_names = names
     pipeline.signature = _signature(pipeline)
     return pipeline
 
 
-def _band_hook(
-    planner: Any,
-    inner_plan: LogicalPlan,
-    dimensions: Sequence[tuple[str, Expression, Expression]],
-) -> Callable[[int, float, int], None] | None:
-    """Replicate ``PhysicalPlanner._attach_band_hook`` for a fused band join."""
-    if planner.index_advisor is None:
-        return None
-    info = inner_scan_info(planner.catalog, inner_plan)
-    if info is None:
-        return None
-    table, _, _ = info
-    try:
-        columns = tuple(
-            table.schema.resolve(column.split(".")[-1]) for column, _, _ in dimensions
-        )
-    except SchemaError:
-        return None
-    return planner.index_advisor.make_hook(table.name, columns)
+def _analyze_join(join: Join, planner: Any) -> _Pipeline:
+    """The stage-less pipeline of a join core and its sides' Select chains."""
+    catalog = planner.catalog
+    if join.how != "inner" or join.condition is None:
+        raise KernelDecline(f"{join.how} join", "join-shape")
+    left_selects, left_leaf = _strip_selects(join.left)
+    right_selects, right_leaf = _strip_selects(join.right)
+    for leaf in (left_leaf, right_leaf):
+        if not isinstance(leaf, (TableScan, SharedScan)):
+            raise KernelDecline(f"join side over {type(leaf).__name__}", "join-shape")
+    conjuncts = _conjuncts_of(join.condition)
+    left_schema = join.left.output_schema(catalog)
+    right_schema = join.right.output_schema(catalog)
+    equi = _extract_equi_keys(conjuncts, left_schema, right_schema)
+    probe = None if equi else _extract_range_probe(conjuncts, left_schema, right_schema)
+    if not equi and not probe:
+        raise KernelDecline("neither equi nor band", "join-shape")
+    # The interpreted planner's band-join rule: a registered index covering
+    # probe columns is probed (the inner side's own operator tree, index
+    # scans included, is bypassed); otherwise the transient grid.
+    matched = (
+        match_band_index(catalog, join.right, probe[0])
+        if probe and planner.use_indexes
+        else None
+    )
+    _decline_if_index_scan(planner, left_selects, left_leaf)
+    if matched is None:
+        _decline_if_index_scan(planner, right_selects, right_leaf)
+    left_op = _leaf_batch_op(left_leaf, planner)
+    right_op = _leaf_batch_op(right_leaf, planner)
+    left_names = tuple(left_op.names)
+    right_names = tuple(right_op.names)
+    combined = left_names + right_names
+    left_filters = _side_filters(left_selects)
+    right_filters = _side_filters(right_selects)
+    _require_batch(left_filters, left_names)
+    hook = None
+    index_probe = None
+    if equi:
+        left_keys, right_keys, residual = equi
+        _require_batch(right_filters, right_names)
+        _require_batch(left_keys, left_names)
+        _require_batch(right_keys, right_names)
+        core: Any = _EquiCore(left_filters, right_filters, left_keys, right_keys, residual)
+    else:
+        dimensions, residual = probe
+        for column, low, high in dimensions:
+            # The probe loops read inner coordinates by exact key.
+            if column not in right_names:
+                raise KernelDecline(column)
+            _require_batch([low, high], left_names)
+        if matched is not None:
+            table, index_name, _alias, folded = matched
+            try:
+                base_columns = tuple(
+                    table.schema.resolve(column.split(".")[-1]) for column, _, _ in dimensions
+                )
+            except SchemaError as exc:
+                raise KernelDecline(str(exc)) from None
+            index_probe = (table, index_name, base_columns)
+            # As _try_index_probe_join folds them: the inner side's Select
+            # predicates run as residuals on every re-checked candidate.
+            residual = list(residual) + [c for p in folded for c in _conjuncts_of(p)]
+            right_filters = []
+        _require_batch(right_filters, right_names)
+        core = _BandCore(left_filters, right_filters, list(dimensions), residual)
+        hook = planner.band_hook(join.right, dimensions)
+    _require_batch(residual, combined)
+    fused = 1 + len(left_selects) + len(right_selects)
+    return _Pipeline(core, [], [left_op, right_op], combined, hook, "", fused, index_probe)
 
 
 def _signature(pipeline: _Pipeline) -> str:
@@ -430,6 +428,7 @@ def _signature(pipeline: _Pipeline) -> str:
         parts.append(
             ";".join(f"{c}>={lo!r}&<={hi!r}" for c, lo, hi in core.dimensions)
         )
+        parts.append("grid" if pipeline.index_probe is None else "index")
     for stage in pipeline.stages:
         if isinstance(stage, _FilterStage):
             parts.append("σ" + ";".join(repr(c) for c in stage.conjuncts))
@@ -698,8 +697,29 @@ class _Codegen:
         self.emit_filters(pair, core.residual)
         return pair
 
+    def _emit_side_selection(self, ctx: _BatchCtx, filters: list[Expression]) -> str:
+        """Bind a band-join side's surviving indices (its Select chain applied)."""
+        sel = self.b.temp("_sel")
+        source = f"_in{ctx.input_idx}.indices()"
+        if not filters:
+            self.line(f"{sel} = {source}")
+            return sel
+        self.head_line(f"{sel} = []")
+        self.head_line(f"{sel}a = {sel}.append")
+        self.line(f"for {ctx.index_var} in {source}:")
+        self.indent += 1
+        self.emit_filters(ctx, filters)
+        self.line(f"{sel}a({ctx.index_var})")
+        self.indent = 1
+        return sel
+
     def _emit_band_core(self, core: _BandCore) -> _PairCtx:
-        """Replicates ``RangeProbeJoinOp._produce`` including probe stats."""
+        """The band join's loop nest, probe statistics included.
+
+        Replicates ``IndexProbeJoinOp._produce`` when the core probes a
+        persistent index and ``RangeProbeJoinOp._produce`` (transient
+        grid) otherwise; the outer probe loop is the same in both.
+        """
         dims = core.dimensions
         nd = len(dims)
         left_ctx = _BatchCtx(tuple(self.p.leaf_ops[0].names), 0, "_i", self)
@@ -707,87 +727,18 @@ class _Codegen:
         self.head_line("_np = 0")
         self.head_line("_ws = 0.0")
         self.head_line("_wc = 0")
-
-        lsel = self.b.temp("_ls")
-        if core.left_filters:
-            self.head_line(f"{lsel} = []")
-            self.head_line(f"{lsel}a = {lsel}.append")
-            self.line("for _i in _in0.indices():")
-            self.indent += 1
-            self.emit_filters(left_ctx, core.left_filters)
-            self.line(f"{lsel}a(_i)")
-            self.indent = 1
+        lsel = self._emit_side_selection(left_ctx, core.left_filters)
+        probes_index = self.p.index_probe is not None
+        if probes_index:
+            self.head_line("_cand, _pos = __probe")
         else:
-            self.line(f"{lsel} = _in0.indices()")
+            cell, grid, gget = self._emit_transient_grid(core, lsel, left_ctx, right_ctx)
 
-        rsel = self.b.temp("_rs")
-        if core.right_filters:
-            self.head_line(f"{rsel} = []")
-            self.head_line(f"{rsel}a = {rsel}.append")
-            self.line("for _j in _in1.indices():")
-            self.indent += 1
-            self.emit_filters(right_ctx, core.right_filters)
-            self.line(f"{rsel}a(_j)")
-            self.indent = 1
-        else:
-            self.line(f"{rsel} = _in1.indices()")
-
-        self.line(f"if {lsel} and {rsel}:")
-        self.indent = 2
-
-        # Cell size from the probe-width sample (zero-width probes excluded).
-        widths = self.b.temp("_w")
-        self.line(f"{widths} = []")
-        self.line(f"for _i in {lsel}[:32]:")
-        self.indent = 3
-        wgen = self.gen(left_ctx)
-        for _, low_expr, high_expr in dims:
-            low = self.b.temp("_lo")
-            high = self.b.temp("_hi")
-            self.line(f"{low} = {wgen.value(low_expr)}")
-            self.line(f"{high} = {wgen.value(high_expr)}")
-            self.line(
-                f"if {low} is not None and {high} is not None and {high} > {low}: "
-                f"{widths}.append(float({high}) - float({low}))"
-            )
-        self.indent = 2
-        cell = self.b.temp("_cs")
-        self.line(f"{cell} = (sum({widths}) / len({widths})) if {widths} else 1.0")
-
-        # Transient grid over the right side, insertion in right-row order.
-        grid = self.b.temp("_grid")
-        gget = self.b.temp("_gget")
-        self.line(f"{grid} = {{}}")
-        self.line(f"{gget} = {grid}.get")
-        self.line(f"for _j in {rsel}:")
-        self.indent = 3
-        coord_vars = []
-        for column, _, _ in dims:
-            var = self.b.temp("_x")
-            self.line(f"{var} = {right_ctx.fragment(column)}")
-            self.line(f"if {var} is None: continue")
-            self.line(f"{var} = float({var})")
-            coord_vars.append(var)
-        cell_key = (
-            "("
-            + ", ".join(f"int({v} // {cell})" for v in coord_vars)
-            + ("," if nd == 1 else "")
-            + ")"
-        )
-        bucket = self.b.temp("_bkt")
-        self.line(f"{bucket} = {gget}({cell_key})")
-        self.line(f"if {bucket} is None:")
-        self.indent = 4
-        self.line(f"{bucket} = {grid}[{cell_key}] = []")
-        self.indent = 3
-        self.line(f"{bucket}.append((" + ", ".join(coord_vars) + ", _j))")
-        self.indent = 2
-
-        # Probe loop: left rows in order; cells row-major within a probe box.
+        # Probe loop: left rows in order.
         self.line(f"for _i in {lsel}:")
-        self.indent = 3
+        self.indent += 1
         pgen = self.gen(left_ctx)
-        lo_f, hi_f, lo_c, hi_c = [], [], [], []
+        lo_f, hi_f = [], []
         for _, low_expr, high_expr in dims:
             low = self.b.temp("_lo")
             high = self.b.temp("_hi")
@@ -804,48 +755,123 @@ class _Codegen:
         for lof, hif in zip(lo_f, hi_f):
             self.line(f"_ws += {hif} - {lof}")
         self.line(f"_wc += {nd}")
-        for lof, hif in zip(lo_f, hi_f):
-            lcv = self.b.temp("_lc")
-            hcv = self.b.temp("_hc")
-            self.line(f"{lcv} = int({lof} // {cell})")
-            self.line(f"{hcv} = int({hif} // {cell})")
-            lo_c.append(lcv)
-            hi_c.append(hcv)
-        box = self.b.temp("_bx")
-        self.line(
-            f"{box} = " + " * ".join(f"({h} - {l} + 1)" for l, h in zip(lo_c, hi_c))
-        )
-        cells = self.b.temp("_cl")
-        self.line(f"if {box} <= len({grid}):")
-        self.indent = 4
-        gen_tuple = "(" + ", ".join(f"_d{d}" for d in range(nd)) + ("," if nd == 1 else "") + ")"
-        gen_loops = " ".join(
-            f"for _d{d} in range({lo_c[d]}, {hi_c[d]} + 1)" for d in range(nd)
-        )
-        self.line(f"{cells} = ({gen_tuple} {gen_loops})")
-        self.indent = 3
-        self.line("else:")
-        self.indent = 4
-        in_range = " and ".join(
-            f"{lo_c[d]} <= _ck[{d}] <= {hi_c[d]}" for d in range(nd)
-        )
-        self.line(f"{cells} = [_ck for _ck in {grid} if {in_range}]")
-        self.indent = 3
-        self.line(f"for _ck in {cells}:")
-        self.indent = 4
-        probe_bucket = self.b.temp("_pb")
-        self.line(f"{probe_bucket} = {gget}(_ck)")
-        self.line(f"if {probe_bucket} is None: continue")
-        self.line(f"for _e in {probe_bucket}:")
-        self.indent = 5
-        bounds_check = " and ".join(
-            f"{lo_f[d]} <= _e[{d}] <= {hi_f[d]}" for d in range(nd)
-        )
-        self.line(f"if not ({bounds_check}): continue")
-        self.line(f"_j = _e[{nd}]")
+
+        if probes_index:
+            # Candidates in the index's own order; it may cover only some
+            # dimensions and over-approximate, so every bound is re-checked.
+            bounds = ", ".join(f"({lof}, {hif})" for lof, hif in zip(lo_f, hi_f))
+            self.line(f"for _rid in _cand(({bounds},)):")
+            self.indent += 1
+            self.line("_j = _pos[_rid]")
+            for (column, _, _), lof, hif in zip(dims, lo_f, hi_f):
+                var = self.b.temp("_x")
+                self.line(f"{var} = {right_ctx.fragment(column)}")
+                self.line(f"if {var} is None or {var} < {lof} or {var} > {hif}: continue")
+        else:
+            # Cells row-major within the probe box; a box wider than the
+            # populated area scans the occupied cells instead.
+            lo_c, hi_c = [], []
+            for lof, hif in zip(lo_f, hi_f):
+                lcv = self.b.temp("_lc")
+                hcv = self.b.temp("_hc")
+                self.line(f"{lcv} = int({lof} // {cell})")
+                self.line(f"{hcv} = int({hif} // {cell})")
+                lo_c.append(lcv)
+                hi_c.append(hcv)
+            box = self.b.temp("_bx")
+            self.line(
+                f"{box} = " + " * ".join(f"({h} - {l} + 1)" for l, h in zip(lo_c, hi_c))
+            )
+            cells = self.b.temp("_cl")
+            gen_tuple = (
+                "(" + ", ".join(f"_d{d}" for d in range(nd)) + ("," if nd == 1 else "") + ")"
+            )
+            gen_loops = " ".join(
+                f"for _d{d} in range({lo_c[d]}, {hi_c[d]} + 1)" for d in range(nd)
+            )
+            in_range = " and ".join(
+                f"{lo_c[d]} <= _ck[{d}] <= {hi_c[d]}" for d in range(nd)
+            )
+            self.line(f"if {box} <= len({grid}):")
+            self.line(f"    {cells} = ({gen_tuple} {gen_loops})")
+            self.line("else:")
+            self.line(f"    {cells} = [_ck for _ck in {grid} if {in_range}]")
+            self.line(f"for _ck in {cells}:")
+            self.indent += 1
+            probe_bucket = self.b.temp("_pb")
+            self.line(f"{probe_bucket} = {gget}(_ck)")
+            self.line(f"if {probe_bucket} is None: continue")
+            self.line(f"for _e in {probe_bucket}:")
+            self.indent += 1
+            bounds_check = " and ".join(
+                f"{lo_f[d]} <= _e[{d}] <= {hi_f[d]}" for d in range(nd)
+            )
+            self.line(f"if not ({bounds_check}): continue")
+            self.line(f"_j = _e[{nd}]")
         pair = _PairCtx(left_ctx, right_ctx)
         self.emit_filters(pair, core.residual)
         return pair
+
+    def _emit_transient_grid(
+        self, core: _BandCore, lsel: str, left_ctx: _BatchCtx, right_ctx: _BatchCtx
+    ) -> tuple[str, str, str]:
+        """Build RangeProbeJoinOp's per-execution grid over the right side.
+
+        Leaves the emitter inside ``if <both sides non-empty>:`` and returns
+        the ``(cell size, grid, grid.get)`` variable names.
+        """
+        dims = core.dimensions
+        rsel = self._emit_side_selection(right_ctx, core.right_filters)
+        self.line(f"if {lsel} and {rsel}:")
+        self.indent += 1
+        base = self.indent
+
+        # Cell size from the probe-width sample (zero-width probes excluded).
+        widths = self.b.temp("_w")
+        self.line(f"{widths} = []")
+        self.line(f"for _i in {lsel}[:32]:")
+        self.indent += 1
+        wgen = self.gen(left_ctx)
+        for _, low_expr, high_expr in dims:
+            low = self.b.temp("_lo")
+            high = self.b.temp("_hi")
+            self.line(f"{low} = {wgen.value(low_expr)}")
+            self.line(f"{high} = {wgen.value(high_expr)}")
+            self.line(
+                f"if {low} is not None and {high} is not None and {high} > {low}: "
+                f"{widths}.append(float({high}) - float({low}))"
+            )
+        self.indent = base
+        cell = self.b.temp("_cs")
+        self.line(f"{cell} = (sum({widths}) / len({widths})) if {widths} else 1.0")
+
+        # Insertion in right-row order.
+        grid = self.b.temp("_grid")
+        gget = self.b.temp("_gget")
+        self.line(f"{grid} = {{}}")
+        self.line(f"{gget} = {grid}.get")
+        self.line(f"for _j in {rsel}:")
+        self.indent += 1
+        coord_vars = []
+        for column, _, _ in dims:
+            var = self.b.temp("_x")
+            self.line(f"{var} = {right_ctx.fragment(column)}")
+            self.line(f"if {var} is None: continue")
+            self.line(f"{var} = float({var})")
+            coord_vars.append(var)
+        cell_key = (
+            "("
+            + ", ".join(f"int({v} // {cell})" for v in coord_vars)
+            + ("," if len(dims) == 1 else "")
+            + ")"
+        )
+        bucket = self.b.temp("_bkt")
+        self.line(f"{bucket} = {gget}({cell_key})")
+        self.line(f"if {bucket} is None:")
+        self.line(f"    {bucket} = {grid}[{cell_key}] = []")
+        self.line(f"{bucket}.append((" + ", ".join(coord_vars) + ", _j))")
+        self.indent = base
+        return cell, grid, gget
 
     # -- stages ------------------------------------------------------------------------------
 
@@ -1130,7 +1156,7 @@ class _Codegen:
         if scan_ctx is not None:
             self._patch_scan_header(scan_ctx)
         source = (
-            "def __kernel(__inputs, __hook=None):\n"
+            "def __kernel(__inputs, __hook=None, __probe=None):\n"
             + "\n".join(self.head + self.lines)
             + "\n"
         )
@@ -1157,52 +1183,55 @@ class KernelLowering:
     """The planner-side hook that serves fused kernels during lowering.
 
     Installed on :class:`PhysicalPlanner` (``kernel_lowering`` attribute)
-    by the executor when compilation is enabled; :meth:`lower` is called
-    for every plan the planner lowers, returning a bridged kernel or
-    ``None`` to continue with the interpreted paths.  Programs are cached
-    in the executor-owned ``cache`` dict, keyed by the MQO fingerprint
-    plus the structural signature, and dropped with the plan cache on
-    catalog-shape changes.
+    by the executor when compilation is enabled; :meth:`lower` is offered
+    every Select/Project/Aggregate/Join the planner lowers to batch form
+    and returns a :class:`KernelOp`, or ``None`` to continue with the
+    interpreted operators.  Programs are cached in the executor-owned
+    ``cache`` dict, keyed by the MQO fingerprint plus the structural
+    signature, and dropped with the plan cache on catalog-shape changes.
+
+    A plan outside the fusable grammar is a *decline*, counted by reason.
+    Anything else that goes wrong in analysis or codegen also falls back
+    to the interpreted operators, but is counted as an *error*: it is a
+    compiler bug, not an unfusable plan.
     """
 
     def __init__(self, cache: dict[Any, KernelProgram] | None = None):
         self.cache: dict[Any, KernelProgram] = cache if cache is not None else {}
         self.compiled = 0
         self.hits = 0
-        self.declined = 0
+        self.declined_by_reason = dict.fromkeys(KernelDecline.REASONS, 0)
+        self.errors = 0
 
-    def lower(self, plan: LogicalPlan, planner: Any) -> BatchBridgeOp | None:
+    @property
+    def declined(self) -> int:
+        return sum(self.declined_by_reason.values())
+
+    def lower(self, plan: LogicalPlan, planner: Any) -> KernelOp | None:
         if not isinstance(plan, (Select, Project, Aggregate, Join)):
             return None
         try:
             pipeline = _analyze(plan, planner)
-        except (KernelDecline, Exception):
-            pipeline = None
-        if pipeline is None:
-            self.declined += 1
+            key = self._cache_key(plan, pipeline)
+            program = self.cache.get(key)
+            if program is None:
+                program = self.cache[key] = _Codegen(pipeline).compile()
+                self.compiled += 1
+            else:
+                self.hits += 1
+        except KernelDecline as decline:
+            self.declined_by_reason[decline.reason] += 1
             return None
-        key = self._cache_key(plan, pipeline)
-        program = self.cache.get(key) if key is not None else None
-        if program is None:
-            try:
-                program = _Codegen(pipeline).compile()
-            except Exception:
-                self.declined += 1
-                return None
-            if key is not None:
-                self.cache[key] = program
-            self.compiled += 1
-        else:
-            self.hits += 1
-        schema = plan.output_schema(planner.catalog)
-        op = KernelOp(schema, program, tuple(pipeline.leaf_ops), pipeline.hook)
-        return BatchBridgeOp(op, schema)
-
-    def _cache_key(self, plan: LogicalPlan, pipeline: _Pipeline) -> tuple | None:
-        try:
-            fingerprint, aliases = fingerprint_plan(plan)
         except Exception:
+            self.errors += 1
             return None
+        schema = plan.output_schema(planner.catalog)
+        return KernelOp(
+            schema, program, tuple(pipeline.leaf_ops), pipeline.hook, pipeline.index_probe
+        )
+
+    def _cache_key(self, plan: LogicalPlan, pipeline: _Pipeline) -> tuple:
+        fingerprint, aliases = fingerprint_plan(plan)
         renames = tuple(
             tuple(sorted(node.alias_renames.items()))
             for node in plan.walk()

@@ -347,16 +347,22 @@ class Executor:
         self._tick_pipeline = None
         self._shared_results.clear()
 
-    def kernel_report(self) -> dict[str, int]:
-        """Kernel-compilation counters (all zero when compilation is off)."""
-        lowering = self._kernel_lowering
-        if lowering is None:
-            return {"compiled": 0, "hits": 0, "declined": 0, "cached": 0}
+    def kernel_report(self) -> dict[str, Any]:
+        """Kernel-compilation counters (all zero when compilation is off).
+
+        ``declined`` counts plans outside the fusable grammar and is the
+        sum of ``declined_by_reason``; ``errors`` counts analysis/codegen
+        failures that were *not* a decline — compiler bugs that fell back
+        to the interpreted operators.
+        """
+        lowering = self._kernel_lowering or KernelLowering()
         return {
             "compiled": lowering.compiled,
             "hits": lowering.hits,
             "declined": lowering.declined,
             "cached": len(self._kernels),
+            "declined_by_reason": dict(lowering.declined_by_reason),
+            "errors": lowering.errors,
         }
 
     # -- incremental registration ----------------------------------------------------

@@ -11,6 +11,7 @@ NPCs will move continuously to a nearby location" (Section 4.1).
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.engine.table import RowId, Table, TableIndex
@@ -78,23 +79,27 @@ class GridIndex(TableIndex):
         bounds = [(k, k) for k in key]
         yield from self.range_search(bounds)
 
-    def range_search(self, bounds: Sequence[tuple[Any, Any]]) -> Iterator[RowId]:
-        """Yield row ids inside the axis-aligned box given by *bounds*.
+    def range_search(self, bounds: Sequence[tuple[Any, Any]]) -> list[RowId]:
+        """Row ids inside the axis-aligned box given by *bounds*.
 
         Unbounded sides fall back to the observed cell extent in that
-        dimension.  Candidate cells are enumerated and their contents
-        returned; rows near cell borders are included because callers
-        re-check the exact predicate (the engine always applies a residual
-        filter above an index scan).
+        dimension.  Candidate cells are enumerated row-major (last
+        dimension fastest) and their contents returned in set order; rows
+        near cell borders are included because callers re-check the exact
+        predicate (the engine always applies a residual filter above an
+        index scan).  Eager on purpose: band joins call this once per
+        probe, and a list filled by ``extend`` costs a fraction of a
+        generator resumed per row.
         """
-        if not self._cells:
-            return
+        cells = self._cells
+        if not cells:
+            return []
         lows, highs = [], []
         for dim, (low, high) in enumerate(bounds):
             if low is None or high is None:
                 # Only unbounded sides need the occupied extent; computing
                 # it eagerly costs O(cells) per dimension per probe.
-                dim_cells = [cell[dim] for cell in self._cells]
+                dim_cells = [cell[dim] for cell in cells]
             low_cell = int(float(low) // self.cell_size) if low is not None else min(dim_cells)
             high_cell = int(float(high) // self.cell_size) if high is not None else max(dim_cells)
             lows.append(low_cell)
@@ -102,22 +107,20 @@ class GridIndex(TableIndex):
         box_cells = 1
         for lo, hi in zip(lows, highs):
             box_cells *= max(0, hi - lo + 1)
-        if box_cells <= len(self._cells):
+        out: list[RowId] = []
+        if box_cells <= len(cells):
             # Enumerate the candidate cells of the query box directly.
-            def cells_in_box(dim: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-                if dim == len(lows):
-                    yield prefix
-                    return
-                for c in range(lows[dim], highs[dim] + 1):
-                    yield from cells_in_box(dim + 1, prefix + (c,))
-
-            for cell in cells_in_box(0, ()):
-                yield from self._cells.get(cell, ())
+            get = cells.get
+            for cell in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+                bucket = get(cell)
+                if bucket:
+                    out.extend(bucket)
         else:
             # Query box larger than the populated area: scan populated cells.
-            for cell, rowids in self._cells.items():
+            for cell, rowids in cells.items():
                 if all(lo <= c <= hi for c, lo, hi in zip(cell, lows, highs)):
-                    yield from rowids
+                    out.extend(rowids)
+        return out
 
     def cell_count(self) -> int:
         return len(self._cells)

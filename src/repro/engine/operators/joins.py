@@ -17,8 +17,9 @@ small cross products in effect computation.  The planner chooses between:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
+from repro.engine.errors import CatalogError
 from repro.engine.expressions import Expression
 from repro.engine.operators.base import PhysicalOperator
 from repro.engine.schema import Schema
@@ -33,6 +34,7 @@ __all__ = [
     "BandJoinOp",
     "CrossJoinOp",
     "IndexProbeJoinOp",
+    "band_probe_candidates",
 ]
 
 
@@ -395,12 +397,12 @@ class IndexProbeJoinOp(PhysicalOperator):
     and may over-approximate near cell borders, so every fetched row is
     re-checked against *all* bounds before the residual runs.
 
-    The index is re-resolved by name on every execution: plans can outlive
-    the index they were built against (an incremental view's frozen full
-    plan, a cached plan raced by the advisor's eviction), so a missing
-    name degrades to any other covering index
-    (:meth:`Table.find_index_covering`) and, failing that, to scanning the
-    table's row ids per probe — slower, never wrong.
+    The index is re-resolved on every execution
+    (:func:`band_probe_candidates`), so a plan that outlives its index
+    degrades instead of failing.  The compiled band kernel
+    (:mod:`repro.engine.compile.kernels`) runs this same loop over column
+    lists; this operator is the interpreted reference it must match row
+    for row.
     """
 
     def __init__(
@@ -425,9 +427,6 @@ class IndexProbeJoinOp(PhysicalOperator):
         self._base_columns = [
             table.schema.resolve(column.split(".")[-1]) for column, _, _ in self.dimensions
         ]
-        #: Probe-dimension position per base column (to order ``range_search``
-        #: bounds for whichever index :meth:`_resolve_index` returns).
-        self._dim_by_column = {c: i for i, c in enumerate(self._base_columns)}
         #: ``(output name, stored name)`` pairs, precomputed so the hot
         #: loop merges fetched rows without per-row string work.
         self._output_columns = [
@@ -437,23 +436,8 @@ class IndexProbeJoinOp(PhysicalOperator):
         #: See :attr:`RangeProbeJoinOp.stats_hook`.
         self.stats_hook: Callable[[int, float, int], None] | None = None
 
-    def _resolve_index(self):
-        """The named index, any other covering one, or ``None`` (degraded)."""
-        from repro.engine.errors import CatalogError
-
-        try:
-            return self.table.index(self.index_name)
-        except CatalogError:
-            covering = self.table.find_index_covering(self._base_columns)
-            return None if covering is None else covering[1]
-
     def _produce(self) -> Iterator[dict[str, Any]]:
-        index = self._resolve_index()
-        index_dims = (
-            None
-            if index is None
-            else [self._dim_by_column[c.split(".")[-1]] for c in index.columns]
-        )
+        candidates = band_probe_candidates(self.table, self.index_name, self._base_columns)
         get_row = self.table.get
         dims = self.dimensions
         base_columns = self._base_columns
@@ -478,11 +462,7 @@ class IndexProbeJoinOp(PhysicalOperator):
             for lo, hi in bounds:
                 width_sum += hi - lo
                 width_count += 1
-            if index is not None:
-                rowids: Iterator[Any] = index.range_search([bounds[i] for i in index_dims])
-            else:
-                rowids = self.table.row_ids()
-            for rowid in rowids:
+            for rowid in candidates(bounds):
                 inner_row = get_row(rowid)
                 ok = True
                 for column, (lo, hi) in zip(base_columns, bounds):
@@ -505,6 +485,35 @@ class IndexProbeJoinOp(PhysicalOperator):
             f"{lo!r}<={c}<={hi!r}" for c, lo, hi in self.dimensions
         )
         return f"IndexProbeJoin({self.table.name}.{self.index_name}, {pairs})"
+
+
+def band_probe_candidates(
+    table: "Table", index_name: str, base_columns: Sequence[str]
+) -> Callable[[Sequence[tuple[float, float]]], Iterable[Any]]:
+    """Resolve a band join's index now; return its per-probe candidate source.
+
+    The returned callable maps one probe's per-dimension ``(low, high)``
+    bounds (in *base_columns* order) to candidate row ids, in the index's
+    own ``range_search`` order.  Plans can outlive the index they were
+    built against (an incremental view's frozen full plan, a cached plan
+    raced by the advisor's eviction), so a missing name degrades to any
+    other covering index (:meth:`Table.find_index_covering`) and, failing
+    that, to every row id per probe — slower, never wrong.  Candidates may
+    over-approximate; callers re-check all bounds.
+    """
+    try:
+        index = table.index(index_name)
+    except CatalogError:
+        covering = table.find_index_covering(base_columns)
+        if covering is None:
+            return lambda bounds: table.row_ids()
+        index = covering[1]
+    position = {column: i for i, column in enumerate(base_columns)}
+    index_dims = [position[c.split(".")[-1]] for c in index.columns]
+    search = index.range_search
+    if index_dims == list(range(len(base_columns))):
+        return search
+    return lambda bounds: search([bounds[i] for i in index_dims])
 
 
 def _product(ranges: Sequence[range]) -> Iterator[tuple[int, ...]]:

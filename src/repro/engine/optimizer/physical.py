@@ -5,15 +5,18 @@ The physical planner chooses operator implementations:
 * a maximal batch-capable subtree (scans, filters, projections, hash and
   nested-loop joins, aggregation with compilable expressions) lowers to
   the columnar batch path (:mod:`repro.engine.operators.batch_ops`),
-  bridged back to row dicts at its root by :class:`BatchBridgeOp`,
+  bridged back to row dicts at its root by :class:`BatchBridgeOp`; with
+  kernel compilation on, every node of that subtree is first offered to
+  the kernel compiler, so a fused kernel is just another batch operator —
+  the root of the subtree or a child of interpreted batch operators,
 * selections directly above a base-table scan use an index
   (:class:`IndexRangeScanOp` / :class:`IndexEqualityScanOp`) when one covers
   the predicate columns, keeping the rest as a residual filter — index
   scans win over the batch path because they skip rows entirely,
 * joins become hash joins (equi conjuncts), range-probe joins (the
-  Figure 2 "units within range" shape), or nested-loop joins; the
-  grid-accelerated range-probe join stays on the row path, where it beats
-  a batch nested loop,
+  Figure 2 "units within range" shape), or nested-loop joins; a
+  range-probe join is columnar only as a compiled kernel — interpreted,
+  the grid-accelerated row operators beat a batch nested loop,
 * everything else lowers one-to-one on the row path, with children again
   free to choose the batch path below.
 """
@@ -182,15 +185,33 @@ class PhysicalPlanner:
         self.shared_lowering: Any = None
         #: Set by the executor when kernel compilation is enabled: an
         #: object with ``lower(plan, planner)`` returning a fused-kernel
-        #: operator for fusable pipelines, or ``None`` to continue with
-        #: the interpreted paths below.  Checked on every recursive
-        #: ``lower`` call, so unfusable roots can still get fused
+        #: batch operator for fusable pipelines, or ``None`` to continue
+        #: with the interpreted batch operators.  Consulted at every node
+        #: :meth:`_lower_batch` visits, so unfusable roots still get fused
         #: subtrees.
         self.kernel_lowering: Any = None
+        #: ``id(plan) -> (plan, batch operator | None)`` for the nodes
+        #: :meth:`_lower_batch` already visited during the outermost
+        #: :meth:`lower` call in progress.  A node whose ancestor failed to
+        #: batch is offered again when the row path recurses into it; the
+        #: memo answers that from the first visit, so each node is analysed
+        #: (and counted by the kernel compiler) once per lowering.  The
+        #: plan reference pins the id.
+        self._batch_memo: dict[int, tuple[LogicalPlan, BatchOperator | None]] = {}
+        self._lower_depth = 0
 
     # -- entry point ------------------------------------------------------------------
 
     def lower(self, plan: LogicalPlan) -> PhysicalOperator:
+        self._lower_depth += 1
+        try:
+            return self._lower(plan)
+        finally:
+            self._lower_depth -= 1
+            if not self._lower_depth:
+                self._batch_memo.clear()
+
+    def _lower(self, plan: LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, ShardedScan):
             # Expand into Select-over-TableScan first so index matching,
             # batching and kernels all apply to the shard slice unchanged.
@@ -205,10 +226,6 @@ class PhysicalPlanner:
                 plan.exclude_shard,
                 plan.output_schema(self.catalog),
             )
-        if self.kernel_lowering is not None:
-            fused = self.kernel_lowering.lower(plan, self)
-            if fused is not None:
-                return fused
         if self.use_batch:
             batched = self._lower_batch(plan)
             if batched is not None:
@@ -278,8 +295,9 @@ class PhysicalPlanner:
         """Find an index covering the predicate's constant bounds, if any.
 
         Pure decision, no operator construction — shared by the row path
-        (:meth:`_try_index_scan`) and the batch path (which *declines* when
-        an index applies, since an index scan skips rows entirely).
+        (:meth:`_try_index_scan`) and the batch path and kernel compiler
+        (which *decline* when an index applies, since an index scan skips
+        rows entirely).
         Returns ``(index_name, per-column (low, high) bounds)``.
         """
         table = self.catalog.table(table_name)
@@ -370,7 +388,7 @@ class PhysicalPlanner:
                 op = RangeProbeJoinOp(
                     self.lower(plan.left), self.lower(plan.right), dimensions, schema, residual=residual
                 )
-                self._attach_band_hook(op, plan.right, dimensions)
+                op.stats_hook = self.band_hook(plan.right, dimensions)
                 return op
         return NestedLoopJoinOp(
             self.lower(plan.left), self.lower(plan.right), plan.condition, schema, how=plan.how
@@ -414,41 +432,60 @@ class PhysicalPlanner:
             residual=residual,
             alias=alias,
         )
-        self._attach_band_hook(op, plan.right, dimensions)
+        op.stats_hook = self.band_hook(plan.right, dimensions)
         return op
 
-    def _attach_band_hook(
+    def band_hook(
         self,
-        op: PhysicalOperator,
         inner_plan: LogicalPlan,
         dimensions: Sequence[tuple[str, Expression, Expression]],
-    ) -> None:
-        """Wire a lowered band join's probe statistics to the index advisor."""
+    ) -> Any:
+        """The advisor's probe-statistics hook for a band join over
+        *inner_plan* (shared by the row operators and the band kernel), or
+        ``None`` without an advisor or a base-table inner side."""
         if self.index_advisor is None:
-            return
+            return None
         info = inner_scan_info(self.catalog, inner_plan)
         if info is None:
-            return
+            return None
         table, _, _ = info
         try:
             columns = tuple(
                 table.schema.resolve(column.split(".")[-1]) for column, _, _ in dimensions
             )
         except SchemaError:
-            return
-        op.stats_hook = self.index_advisor.make_hook(table.name, columns)
+            return None
+        return self.index_advisor.make_hook(table.name, columns)
 
     # -- batch (columnar) lowering ----------------------------------------------------
 
     def _lower_batch(self, plan: LogicalPlan) -> BatchOperator | None:
         """Lower *plan* to a batch operator tree, or ``None`` to stay on rows.
 
+        A fused kernel wins where the kernel compiler accepts the subtree;
+        otherwise the node lowers to its interpreted batch operator over
+        children lowered the same way.
+        """
+        memo = self._batch_memo.get(id(plan))
+        if memo is not None and memo[0] is plan:
+            return memo[1]
+        op = None
+        if self.kernel_lowering is not None:
+            op = self.kernel_lowering.lower(plan, self)
+        if op is None:
+            op = self._lower_batch_node(plan)
+        self._batch_memo[id(plan)] = (plan, op)
+        return op
+
+    def _lower_batch_node(self, plan: LogicalPlan) -> BatchOperator | None:
+        """The interpreted batch operator for *plan*'s root node.
+
         The decision is made entirely at plan time: every expression is
         checked with :func:`batch_supported` against the child's *batch*
         column names (which equal the row dicts' keys), so a chosen batch
         plan cannot fail to compile at runtime.  Nodes that decline —
-        index-friendly selections, range-probe joins, sorts, limits — keep
-        the whole subtree above them on the row path, while their children
+        index-friendly selections, range-probe joins no kernel took, sorts,
+        limits — put their ancestors on the row path, while their children
         may still batch independently via :meth:`lower`.
         """
         if isinstance(plan, SharedScan):
@@ -518,7 +555,7 @@ class PhysicalPlanner:
                 left, right, left_keys, right_keys, schema, residual=residual, how=plan.how
             )
         if plan.how == "inner" and _extract_range_probe(conjuncts, left_schema, right_schema):
-            # The grid-accelerated RangeProbeJoinOp (row path) beats a
+            # Interpreted, the grid/index-probing row operators beat a
             # batch nested loop on the Figure-2 band-join shape.
             return None
         if not batch_supported(plan.condition, combined_names):

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Se
 
 from repro.engine.errors import CatalogError, ExecutionError, SchemaError
 from repro.engine.schema import Column, Schema
+from repro.engine.types import coerce_value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.engine.batch import ColumnBatch
@@ -72,6 +73,7 @@ class Table:
         self._frozen = False
         self._version = 0
         self._batch_cache: "tuple[int, ColumnBatch] | None" = None
+        self._positions_cache: tuple[int, dict[RowId, int]] | None = None
         # Change log for incremental execution: entries are
         # ``(version, rowid, old)`` where ``old`` is the row *before* the
         # mutation (a copy) or ``_NOT_PRESENT`` for inserts.  ``None`` until
@@ -169,6 +171,20 @@ class Table:
         batch = ColumnBatch.from_rows(self.schema.names, self._rows.values())
         self._batch_cache = (self._version, batch)
         return batch
+
+    def batch_positions(self) -> dict[RowId, int]:
+        """Row id → physical position in the current :meth:`to_batch` snapshot.
+
+        What lets a columnar consumer follow an index (which speaks row
+        ids) into the snapshot's column lists.  Cached per :attr:`version`
+        like the snapshot itself.
+        """
+        cached = self._positions_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        positions = dict(zip(self._rows, range(len(self._rows))))
+        self._positions_cache = (self._version, positions)
+        return positions
 
     def get(self, rowid: RowId) -> dict[str, Any]:
         """Return the row stored under *rowid* — a shared, read-only reference.
@@ -431,15 +447,11 @@ class Table:
         self._check_writable()
         row = self.get(rowid)
         old = dict(row)
-        resolved_changes = {}
-        for name, value in changes.items():
-            column = self.schema.column(name)
-            resolved_changes[column.name] = value
-        for name, value in resolved_changes.items():
-            column = self.schema.column(name)
-            from repro.engine.types import coerce_value
-
-            row[name] = coerce_value(column.dtype, value)
+        # Resolve every name before touching the row: an unknown column
+        # must not leave it half-written.
+        resolved = [(self.schema.column(name), value) for name, value in changes.items()]
+        for column, value in resolved:
+            row[column.name] = coerce_value(column.dtype, value)
         if self.key is not None:
             key_col = self.schema.resolve(self.key)
             if old[key_col] != row[key_col]:

@@ -62,9 +62,13 @@ class ExecutionMode(enum.Enum):
     INTERPRETED = "interpreted"
 
 
-@dataclass
+@dataclass(slots=True)
 class TickReport:
-    """Timings and counters for one tick (also consumed by benchmarks)."""
+    """Timings and counters for one tick (also consumed by benchmarks).
+
+    Slotted: ``GameWorld.reports`` keeps one per tick for the life of the
+    world, so a report's footprint is the world's per-tick memory growth.
+    """
 
     tick: int
     effect_step_seconds: float = 0.0
@@ -246,6 +250,8 @@ class GameWorld:
         self.metrics = None
 
         self._next_ids: dict[str, int] = {decl.name: 0 for decl in self.program.classes}
+        #: ``(class, attribute) -> state table`` (fixed once schemas exist).
+        self._attribute_tables: dict[tuple[str, str], str] = {}
         self._enabled_scripts: list[str] = [script.name for script in self.program.scripts]
         self.tick_count = 0
         #: Combined effects of the most recent tick (debug inspection).
@@ -870,19 +876,37 @@ class GameWorld:
     # -- update application ------------------------------------------------------------------------------
 
     def _apply_updates(self, updates: Sequence[StateUpdate]) -> None:
-        for update in updates:
-            generated = self._generated(update.class_name)
-            table_name = self._table_for_attribute(generated, update.attribute)
-            table = self.catalog.table(table_name)
-            table.update_by_key(update.object_id, {update.attribute: update.value})
+        """Write each changed row once.
 
-    def _table_for_attribute(self, generated: GeneratedSchema, attribute: str) -> str:
-        for table_name, schema in generated.state_tables.items():
-            if attribute in schema:
-                return table_name
-        raise ExecutionError(
-            f"class {generated.class_name!r} has no state attribute {attribute!r}"
-        )
+        Updates are grouped per ``(table, object)`` in first-seen order —
+        a later write to the same attribute wins, as it would applied one
+        by one — so a row costs one copy, one index notification and one
+        change-log entry per tick however many attributes changed.
+        """
+        grouped: dict[tuple[str, Any], dict[str, Any]] = {}
+        for update in updates:
+            table_name = self._table_for_attribute(update.class_name, update.attribute)
+            changes = grouped.get((table_name, update.object_id))
+            if changes is None:
+                changes = grouped[(table_name, update.object_id)] = {}
+            changes[update.attribute] = update.value
+        for (table_name, object_id), changes in grouped.items():
+            self.catalog.table(table_name).update_by_key(object_id, changes)
+
+    def _table_for_attribute(self, class_name: str, attribute: str) -> str:
+        key = (class_name, attribute)
+        table_name = self._attribute_tables.get(key)
+        if table_name is None:
+            generated = self._generated(class_name)
+            for table_name, schema in generated.state_tables.items():
+                if attribute in schema:
+                    break
+            else:
+                raise ExecutionError(
+                    f"class {class_name!r} has no state attribute {attribute!r}"
+                )
+            self._attribute_tables[key] = table_name
+        return table_name
 
     def _freeze(self, frozen: bool) -> None:
         for generated in self.schemas.values():

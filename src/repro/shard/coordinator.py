@@ -26,6 +26,7 @@ holds even on single-core CI runners where the workers time-slice.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -43,7 +44,19 @@ class ShardError(RuntimeError):
     """A worker reported an error or died mid-barrier."""
 
 
-@dataclass
+def _intern_keys(value: Any) -> Any:
+    """Rebuild a worker's counter dict over interned key strings.
+
+    Every reply is unpickled into fresh key strings; ``reports`` keeps the
+    dicts for the life of the fleet, so without this each tick would retain
+    its own copy of ~25 identical strings per worker.
+    """
+    if isinstance(value, dict):
+        return {sys.intern(key): _intern_keys(item) for key, item in value.items()}
+    return value
+
+
+@dataclass(slots=True)
 class ShardTickReport:
     """Fleet-wide accounting for one sharded tick."""
 
@@ -304,7 +317,9 @@ class ShardedWorld:
         replies = self._broadcast(
             [("GHOSTS", ghost_inbox[s.shard_id]) for s in self._shards]
         )
-        counters = sorted((reply[1] for reply in replies), key=lambda c: c["shard_id"])
+        counters = sorted(
+            (_intern_keys(reply[1]) for reply in replies), key=lambda c: c["shard_id"]
+        )
 
         report = ShardTickReport(
             tick=tick,

@@ -160,6 +160,9 @@ class ShardWorker:
         self._wall += time.perf_counter() - wall0
 
         report = self.world.reports[-1] if self.world.reports else None
+        # Nothing in this process reads older reports; the coordinator's
+        # ShardTickReport history is the fleet's record of the window.
+        del self.world.reports[:-1]
         counters = dict(self._counters)
         counters.update(
             cpu_seconds=self._cpu,

@@ -94,10 +94,14 @@ def _join_ops(executor: Executor, plan) -> list:
 
 
 class TestIndexProbePlanning:
+    # These pin EngineConfig() instead of inheriting REPRO_ENGINE_PRESET:
+    # they assert interpreted operator classes, and under use_compiled the
+    # band join is a kernel (tests/test_compiled_kernels.py covers that).
+
     def test_grid_index_is_probed(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog), band_plan())
+        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
         probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
         assert len(probes) == 1
         assert probes[0].index_name == "xy"
@@ -105,13 +109,13 @@ class TestIndexProbePlanning:
     def test_range_tree_index_is_probed(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "tree", RangeTreeIndex(["x", "y"]))
-        ops = _join_ops(Executor(catalog), band_plan())
+        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
         assert any(isinstance(op, IndexProbeJoinOp) for op in ops)
 
     def test_sorted_index_covers_one_dimension(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
-        ops = _join_ops(Executor(catalog), band_plan())
+        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
         probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
         assert len(probes) == 1
         assert probes[0].index_name == "by_x"
@@ -120,7 +124,7 @@ class TestIndexProbePlanning:
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog), band_plan())
+        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
         probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
         assert probes and probes[0].index_name == "xy"
 
@@ -147,7 +151,7 @@ class TestIndexProbePlanning:
 
 class TestIndexProbeEquivalence:
     def _assert_equivalent(self, catalog, plan):
-        indexed = Executor(catalog, use_incremental=False)
+        indexed = Executor(catalog, EngineConfig(use_incremental=False))
         batch = Executor(catalog, use_indexes=False, use_incremental=False)
         row = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
@@ -270,7 +274,7 @@ class TestStrictBandBounds:
         catalog = self._catalog()
         plan = self._strict_plan()
         expected = {4.0, 5.0, 6.0}  # strictly inside (3, 7)
-        indexed = Executor(catalog, use_incremental=False)
+        indexed = Executor(catalog, EngineConfig(use_incremental=False))
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
         for executor in (
             indexed,
@@ -315,7 +319,9 @@ class TestIndexAdvisor:
     def test_hot_band_join_creates_and_evicts_index(self):
         catalog = _make_catalog()
         advisor = IndexAdvisor(catalog, create_after=3, evict_after=5, min_table_rows=10)
-        executor = Executor(catalog, index_advisor=advisor, use_incremental=False)
+        executor = Executor(
+            catalog, EngineConfig(use_incremental=False), index_advisor=advisor
+        )
         plan = band_plan()
         table = catalog.table("unit")
         assert not table.indexes
