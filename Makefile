@@ -11,12 +11,13 @@
 # `make bench-distributed` = the sharded multi-process speedup gate,
 # `make cov` = the coverage job (pytest --cov, fails under the floor),
 # `make bench-ci` = the benchmark/regression job (writes BENCH_tick.json),
+# `make e2e-check` = the end-to-end check job (benchmarks/e2e, every workload traced),
 # `make loadtest` = the capacity ramp (find the tick-deadline breaking point).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test smoke examples lint cov bench bench-columnar bench-incremental bench-index bench-shared bench-subscriptions bench-wal bench-compiled bench-fixpoint bench-distributed bench-ci loadtest
+.PHONY: check test smoke examples lint cov bench bench-columnar bench-incremental bench-index bench-shared bench-subscriptions bench-wal bench-compiled bench-fixpoint bench-distributed bench-ci e2e-check loadtest
 
 ## Run the tier-1 test suite plus a quickstart smoke run (CI gate).
 check: test smoke
@@ -87,6 +88,17 @@ cov:
 ## CI benchmark pipeline: write BENCH_tick.json, gate vs the baseline.
 bench-ci:
 	$(PYTHON) benchmarks/ci_bench.py --output BENCH_tick.json --baseline benchmarks/BENCH_baseline.json
+
+## Every BENCHMARK.json workload once, traced, 40 ticks: fails on a broken
+## client replica, WAL recovery, invariant or stationarity check, or when a
+## span target of benchmarks/e2e/e2ebench/spans.py no longer resolves.
+E2E_WORKLOADS = rts_served rts_lowchurn mover_fanout market_txn rts_sharded2
+e2e-check:
+	@for workload in $(E2E_WORKLOADS); do \
+		if out=$$($(PYTHON) benchmarks/e2e/run.py --workload $$workload --seed 3 --ticks 40 --trace 1 2>&1); \
+		then echo "ok      $$workload"; \
+		else echo "$$out"; echo "FAILED  $$workload"; exit 1; fi; \
+	done; echo "all e2e workloads checked"
 
 ## Capacity ramp: grow units/subscribers until the tick deadline breaches,
 ## report the breaking point with per-phase p50/p95/p99 latencies.

@@ -52,7 +52,13 @@ _COUNTER_FIELDS: tuple[tuple[str, str, str], ...] = (
     ("repro_shared_evaluations_saved_total", "shared_evaluations_saved", "Subplan evaluations avoided by tick-wide sharing"),
     ("repro_fused_effect_rows_total", "fused_effect_rows", "Effect rows combined in-engine by sink fusion"),
     ("repro_subscription_messages_total", "subscription_messages", "Subscription messages fanned out"),
-    ("repro_subscription_delta_rows_total", "subscription_delta_rows", "Signed delta rows streamed to subscribers"),
+    ("repro_subscription_delta_rows_total", "subscription_delta_rows", "Delta rows and changed records streamed to subscribers"),
+    ("repro_aoi_routed_rows_total", "aoi_routed_rows", "Changed rows routed through the AOI cell grids"),
+    ("repro_aoi_touched_subs_total", "aoi_touched_subs", "AOI subscriptions a routed row produced a delta for"),
+    ("repro_aoi_refetched_subs_total", "aoi_refetched_subs", "AOI subscriptions re-read because their observer moved"),
+    ("repro_aoi_resyncs_total", "aoi_resyncs", "AOI subscriptions re-anchored after a lost change-log delta"),
+    ("repro_aoi_candidate_rows_total", "aoi_candidate_rows", "Rows bounds-checked by AOI box reads"),
+    ("repro_aoi_changed_records_total", "aoi_changed_records", "In-place changed records streamed to AOI subscribers"),
     ("repro_wal_bytes_total", "wal_bytes", "Bytes appended to the delta log"),
     ("repro_wal_delta_rows_total", "wal_delta_rows", "Netted row changes persisted"),
     ("repro_fixpoint_rounds_total", "fixpoint_rounds", "Semi-naive fixpoint rounds iterated"),

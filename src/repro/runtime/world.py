@@ -103,10 +103,24 @@ class TickReport:
     #: Effect rows combined in-engine by sink fusion (instead of one
     #: EffectAssignment per row through the store).
     fused_effect_rows: int = 0
-    #: Subscription service: messages fanned out this tick and signed
-    #: delta rows they carried (see ``SubscriptionManager.flush``).
+    #: Subscription service: messages fanned out this tick and what their
+    #: deltas carried — rows added, rows removed and in-place ``changed``
+    #: records, one each (see ``SubscriptionManager.flush``).
     subscription_messages: int = 0
     subscription_delta_rows: int = 0
+    #: AOI fan-out of the flush (``InterestManager.last_stats`` summed over
+    #: managers): changed rows routed through the cell grids, subscriptions
+    #: those rows produced a delta for, subscriptions re-read because their
+    #: observer moved, subscriptions re-anchored after a lost change-log
+    #: delta, rows bounds-checked by box reads, and ``changed`` records
+    #: emitted.  Candidates far above the delta rows delivered means boxes
+    #: are scanning, not probing.
+    aoi_routed_rows: int = 0
+    aoi_touched_subs: int = 0
+    aoi_refetched_subs: int = 0
+    aoi_resyncs: int = 0
+    aoi_candidate_rows: int = 0
+    aoi_changed_records: int = 0
     #: WAL persist phase: bytes appended to the delta log and netted row
     #: changes the commit record carried.
     wal_bytes: int = 0
@@ -684,6 +698,9 @@ class GameWorld:
             flush_stats = self._subscription_manager.flush(report.tick)
             report.subscription_messages = flush_stats.get("messages", 0)
             report.subscription_delta_rows = flush_stats.get("delta_rows", 0)
+            for name, value in flush_stats.items():
+                if name.startswith("aoi_"):  # the report has a field per counter
+                    setattr(report, name, value)
         report.flush_seconds = time.perf_counter() - started
 
         # -- persist phase: append this tick's commit record to the WAL -------------------------

@@ -7,40 +7,60 @@ and moving with it.  Thousands of such subscriptions over one table is the
 paper's "many concurrent players" workload, and re-running each box query
 per tick is exactly the fan-out cost the service exists to avoid.
 
-:class:`InterestManager` maintains, per (table, spatial columns), a
-uniform cell grid **over subscriptions** (which boxes cover which cells —
-the dual of :class:`~repro.engine.indexes.grid_index.GridIndex`, which
-buckets rows).  Each flush it
+:class:`InterestManager` keeps, per (table, spatial columns), two uniform
+cell grids of one cell size: one **over subscriptions** (which boxes cover
+which cells) and one **over rows** (``cell → {key: row}``, the manager's
+own copy of the table, built by one scan at the first subscribe).  A flush
+costs what changed, not subscribers × table:
 
-1. polls the table's shared change cursor **once** (not per subscriber),
-2. routes every changed row through the cell grid: only subscriptions
-   registered on the row's old or new cell are touched, each re-checking
-   the exact box predicate and emitting enter/leave/update deltas against
-   its keyed result cache,
-3. re-fetches only the subscriptions whose observer moved, using the
-   table's registered spatial index (:class:`GridIndex` / ``SortedIndex``
-   via :meth:`Table.find_index_covering`) to read the new box and diffing
-   it against the cached result — a moved observer costs one index range
-   probe, not a table scan.
+1. the table's change cursor is polled **once** and paired by key into
+   (pre-image, new row) with the new row copied once (stored rows mutate
+   in place).  That one copy is the object the row grid, every
+   subscriber's ``current`` and every message share — read-only from here
+   on (see :mod:`repro.service.protocol`);
+2. the row grid is brought up to date from the change set, and each changed
+   row is routed through the subscription grid: only subscriptions
+   registered on its old or new cell re-check their exact box;
+3. a subscription whose observer moved (an observer living in the watched
+   table moved iff its key is in the change set) re-reads its box from the
+   row grid — the union of the box's buckets, exact bounds re-checked —
+   and diffs it against its cache by object identity.
 
-A lost cursor delta (change-log overflow or reset) downgrades the flush to
-per-subscription resync snapshots, re-anchoring every stream — the same
+A row entering a box is ``added``, a row leaving it ``removed``; a row that
+stays costs one ``changed`` record (key + changed columns), built once per
+changed row and shared by every subscriber holding it.
+
+A lost cursor delta (change-log overflow or reset) rebuilds the row grid
+and downgrades the flush to per-subscription resync snapshots — the same
 snapshot-resync rule the query groups follow.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.engine.errors import ExecutionError
-from repro.engine.indexes.grid_index import GridIndex
 from repro.engine.table import ChangeCursor, Table
-from repro.service.protocol import Delta, Snapshot, SubscriptionMessage, freeze_rows
+from repro.service.protocol import Delta, Snapshot, SubscriptionMessage
 
-__all__ = ["AOISubscription", "InterestManager"]
+__all__ = ["AOISubscription", "InterestManager", "FLUSH_COUNTERS"]
 
 Cell = tuple[int, ...]
+Row = dict[str, Any]
+Bounds = tuple[tuple[float, float], ...]
+
+DEFAULT_CELL_SIZE = 16.0
+
+#: What ``InterestManager.last_stats`` counts per flush.
+FLUSH_COUNTERS = (
+    "routed_rows",  # changed rows routed through the grids
+    "touched_subs",  # subscriptions a routed row produced a delta for
+    "refetched_subs",  # subscriptions whose observer moved
+    "resyncs",  # subscriptions re-anchored after a lost change-log delta
+    "candidate_rows",  # rows bounds-checked by ``_fetch_box``
+    "changed_records",  # in-place ``changed`` records emitted
+)
 
 
 class AOISubscription:
@@ -66,27 +86,50 @@ class AOISubscription:
         self.observer_key = observer_key
         #: Observer position at the last flush (``None`` = no/gone observer).
         self.observer_pos: tuple[float, ...] | None = None
-        #: Keyed result cache: row key → row copy currently in the AOI.
-        self.current: dict[Any, dict[str, Any]] = {}
-        #: Grid cells the box currently covers (registered in the manager).
+        #: The current axis-aligned box, or ``None`` (empty result).
+        self.bounds: Bounds | None = None
+        #: Keyed result cache: row key → the (shared, read-only) row object
+        #: the manager's row grid held when the subscriber last heard of it.
+        self.current: dict[Any, Row] = {}
+        #: Per dimension, the (lowest, highest) cell index the box covers,
+        #: and the cells themselves (registered in the manager).
+        self.span: tuple[tuple[int, int], ...] | None = None
         self.cells: set[Cell] = set()
+        if center is not None:
+            self._center_on(center)
 
-    def box(self) -> tuple[tuple[float, float], ...] | None:
-        """The current axis-aligned box, or ``None`` (empty result)."""
-        center = self.center if self.center is not None else self.observer_pos
-        if center is None:
-            return None
-        return tuple((c - r, c + r) for c, r in zip(center, self.radius))
+    def _center_on(self, center: tuple[float, ...] | None) -> None:
+        self.bounds = (
+            None if center is None else tuple((c - r, c + r) for c, r in zip(center, self.radius))
+        )
+
+    def follow(self, position: tuple[float, ...] | None) -> bool:
+        """Move the box to the observer's *position*; whether it moved."""
+        if position == self.observer_pos:
+            return False
+        self.observer_pos = position
+        self._center_on(position)
+        return True
 
     def contains(self, row: Mapping[str, Any]) -> bool:
-        box = self.box()
-        if box is None:
+        if self.bounds is None:
             return False
-        for dim, (low, high) in zip(self.dims, box):
+        for dim, (low, high) in zip(self.dims, self.bounds):
             value = row.get(dim)
             if value is None or not (low <= value <= high):
                 return False
         return True
+
+
+class _Pending:
+    """The delta one subscription accumulates while a flush routes rows."""
+
+    __slots__ = ("added", "changed", "removed")
+
+    def __init__(self) -> None:
+        self.added: list[Row] = []
+        self.changed: list[Row] = []
+        self.removed: list[Row] = []
 
 
 class InterestManager:
@@ -100,49 +143,74 @@ class InterestManager:
         self.table = table
         self.dims = tuple(table.schema.resolve(d) for d in dims)
         self.key_column = table.schema.resolve(table.key)
-        self.cell_size = float(cell_size) if cell_size else self._default_cell_size()
+        self.cell_size = float(cell_size) if cell_size else DEFAULT_CELL_SIZE
+        #: Subscription grid: cell → subscriptions whose box covers it.
         self._cells: dict[Cell, set[AOISubscription]] = {}
+        #: Row grid: cell → {key: row}.  Rows with a NULL coordinate are in
+        #: no cell (no box can contain them).
+        self._rows: dict[Cell, dict[Any, Row]] = {}
         self._subs: dict[int, AOISubscription] = {}
+        #: Observer key → subscriptions following that row of the watched
+        #: table; subscriptions following a row of another table.
+        self._followers: dict[Any, list[AOISubscription]] = {}
+        self._foreign: list[AOISubscription] = []
         self._cursor: ChangeCursor | None = None
         #: Flush statistics (reset each flush; read by the manager).
-        self.last_stats: dict[str, int] = {}
-
-    def _default_cell_size(self) -> float:
-        """Align with an existing :class:`GridIndex` on the same columns so
-        row cells and subscription cells coincide; else a sane default."""
-        for index in self.table.indexes.values():
-            if isinstance(index, GridIndex) and set(index.columns) >= set(self.dims):
-                return index.cell_size
-        return 16.0
+        self.last_stats = dict.fromkeys(FLUSH_COUNTERS, 0)
 
     # -- subscription lifecycle -------------------------------------------------------
 
-    def subscribe(self, sub: AOISubscription) -> Snapshot:
-        """Register *sub* and return its initial snapshot (current box rows)."""
+    def subscribe(self, sub: AOISubscription, tick: int) -> Snapshot:
+        """Register *sub* and return its initial snapshot (current box rows).
+
+        The row grid must mirror the table: the first subscriber builds it,
+        and with subscribers present the caller flushes first (pending
+        changes go to the current subscribers, then the newcomer reads).
+
+        A subscribe that fails leaves nothing behind: a half-registered
+        subscription would be flushed every tick and could never be removed.
+        """
+        observers = sub.observer_table
+        if observers is not None and observers is not self.table:
+            # The box is centered on the observer row's values of the
+            # watched dims, read by name.
+            missing = [dim for dim in self.dims if dim not in observers.schema.names]
+            if missing:
+                raise ExecutionError(
+                    f"observer table {observers.name!r} has no column(s) {missing}: an AOI "
+                    f"over {self.table.name!r} centers its box on the observer's {list(self.dims)}"
+                )
         if self._cursor is None:
             self._cursor = self.table.open_cursor()
-        if sub.observer_table is not None:
-            sub.observer_pos = self._observer_position(sub)
-        rows = self._fetch_box(sub.box())
-        sub.current = {row[self.key_column]: dict(row) for row in rows}
-        self._register_cells(sub)
+            self._build_row_grid()
+        if observers is self.table:
+            self._followers.setdefault(sub.observer_key, []).append(sub)
+        elif observers is not None:
+            self._foreign.append(sub)
         self._subs[sub.subscription_id] = sub
-        return Snapshot(
-            subscription_id=sub.subscription_id,
-            tick=-1,
-            rows=freeze_rows(sub.current.values()),
-        )
+        try:
+            return self._snapshot(sub, tick, "subscribe")
+        except Exception:
+            self.unsubscribe(sub.subscription_id)
+            raise
 
     def unsubscribe(self, subscription_id: int) -> bool:
         sub = self._subs.pop(subscription_id, None)
         if sub is None:
             return False
-        for cell in sub.cells:
-            bucket = self._cells.get(cell)
-            if bucket is not None:
-                bucket.discard(sub)
-                if not bucket:
-                    del self._cells[cell]
+        self._unregister(sub, sub.cells)
+        if sub.observer_table is self.table:
+            followers = self._followers[sub.observer_key]
+            followers.remove(sub)
+            if not followers:
+                del self._followers[sub.observer_key]
+        elif sub.observer_table is not None:
+            self._foreign.remove(sub)
+        if not self._subs:
+            # Nobody is listening: a cursor left open would hand the next
+            # subscriber a stale position, a grid left behind stale rows.
+            self._cursor = None
+            self._rows = {}
         return True
 
     def __len__(self) -> int:
@@ -154,78 +222,81 @@ class InterestManager:
     # -- geometry ---------------------------------------------------------------------
 
     def _cell_of(self, row: Mapping[str, Any]) -> Cell | None:
-        coords = []
-        for dim in self.dims:
-            value = row.get(dim)
-            if value is None:
-                return None
-            coords.append(int(float(value) // self.cell_size))
-        return tuple(coords)
-
-    def _cells_of_box(self, box: tuple[tuple[float, float], ...] | None) -> set[Cell]:
-        if box is None:
-            return set()
-        ranges = []
-        for low, high in box:
-            lo = int(low // self.cell_size)
-            hi = int(high // self.cell_size)
-            ranges.append(range(lo, hi + 1))
-        return set(product(*ranges))
-
-    def _register_cells(self, sub: AOISubscription) -> None:
-        new_cells = self._cells_of_box(sub.box())
-        for cell in sub.cells - new_cells:
-            bucket = self._cells.get(cell)
-            if bucket is not None:
-                bucket.discard(sub)
-                if not bucket:
-                    del self._cells[cell]
-        for cell in new_cells - sub.cells:
-            self._cells.setdefault(cell, set()).add(sub)
-        sub.cells = new_cells
-
-    def _observer_position(self, sub: AOISubscription) -> tuple[float, ...] | None:
-        assert sub.observer_table is not None
-        row = sub.observer_table.get_by_key(sub.observer_key)
-        if row is None:
+        size = self.cell_size
+        try:
+            return tuple([int(row[dim] // size) for dim in self.dims])
+        except TypeError:  # a NULL coordinate: the row is in no cell
             return None
-        coords = []
-        for dim in sub.dims:
-            value = row.get(dim)
-            if value is None:
-                return None
-            coords.append(float(value))
-        return tuple(coords)
 
-    def _fetch_box(
-        self, box: tuple[tuple[float, float], ...] | None
-    ) -> list[dict[str, Any]]:
-        """Rows currently inside *box* — via a registered spatial index when
-        one covers the dimensions, else a table scan; exact bounds are
-        always re-checked (indexes return cell-granularity candidates)."""
-        if box is None:
-            return []
-        covering = self.table.find_index_covering(self.dims)
-        if covering is not None:
-            _, index = covering
-            bounds_by_column = dict(zip(self.dims, box))
-            bounds = [bounds_by_column.get(c, (None, None)) for c in index.columns]
-            candidates: Iterable[dict[str, Any]] = (
-                self.table.get(rid) for rid in index.range_search(bounds)
+    def _position(self, row: Mapping[str, Any] | None) -> tuple[float, ...] | None:
+        try:
+            return None if row is None else tuple([float(row[dim]) for dim in self.dims])
+        except (TypeError, ValueError):  # NULL / non-numeric: nowhere to center a box
+            return None
+
+    def _build_row_grid(self) -> None:
+        """One table scan: the manager's own copy of every placeable row."""
+        self._rows = grid = {}
+        key_column = self.key_column
+        for row in self.table.rows():
+            cell = self._cell_of(row)
+            if cell is not None:
+                grid.setdefault(cell, {})[row[key_column]] = dict(row)
+
+    def _unregister(self, sub: AOISubscription, cells: set[Cell]) -> None:
+        for cell in cells:
+            bucket = self._cells[cell]
+            bucket.discard(sub)
+            if not bucket:
+                del self._cells[cell]
+
+    def _fetch_box(self, sub: AOISubscription) -> dict[Any, Row]:
+        """Register *sub*'s box on the subscription grid and read it off the
+        row grid: the rows of the buckets it covers, exact bounds re-checked.
+
+        The one probe path — snapshots, resyncs and moved observers alike.
+        """
+        bounds = sub.bounds
+        size = self.cell_size
+        span = (
+            None
+            if bounds is None
+            else tuple((int(low // size), int(high // size)) for low, high in bounds)
+        )
+        if span != sub.span:
+            cells = (
+                set()
+                if span is None
+                else set(product(*(range(low, high + 1) for low, high in span)))
             )
-        else:
-            candidates = self.table.rows()
-        out = []
-        for row in candidates:
-            ok = True
-            for dim, (low, high) in zip(self.dims, box):
-                value = row.get(dim)
-                if value is None or not (low <= value <= high):
-                    ok = False
-                    break
-            if ok:
-                out.append(row)
-        return out
+            self._unregister(sub, sub.cells - cells)
+            for cell in cells - sub.cells:
+                self._cells.setdefault(cell, set()).add(sub)
+            sub.span, sub.cells = span, cells
+        if bounds is None:
+            return {}
+        grid = self._rows
+        candidates: list[tuple[Any, Row]] = []
+        for cell in sub.cells:
+            bucket = grid.get(cell)
+            if bucket is not None:
+                candidates.extend(bucket.items())
+        self.last_stats["candidate_rows"] += len(candidates)
+        for dim, (low, high) in zip(self.dims, bounds):
+            candidates = [(key, row) for key, row in candidates if low <= row[dim] <= high]
+        return dict(candidates)
+
+    def _snapshot(self, sub: AOISubscription, tick: int, reason: str) -> Snapshot:
+        if sub.observer_table is not None:
+            sub.follow(self._position(sub.observer_table.get_by_key(sub.observer_key)))
+        sub.current = self._fetch_box(sub)
+        return Snapshot(
+            subscription_id=sub.subscription_id,
+            tick=tick,
+            rows=tuple(sub.current.values()),
+            reason=reason,
+            key=self.key_column,
+        )
 
     # -- the flush phase --------------------------------------------------------------
 
@@ -236,111 +307,135 @@ class InterestManager:
         converted to a ``resync:outbox`` snapshot by the manager in the
         same flush, straight from the subscription's ``current`` cache.
         """
-        stats = {"routed_rows": 0, "touched_subs": 0, "refetched_subs": 0, "resyncs": 0}
-        self.last_stats = stats
+        stats = self.last_stats = dict.fromkeys(FLUSH_COUNTERS, 0)
         if not self._subs:
             return []
         assert self._cursor is not None
-        changed = self._cursor.poll()
-        messages: list[SubscriptionMessage] = []
-
-        if changed is None:
+        polled = self._cursor.poll()
+        if polled is None:
             # Lost delta: every stream re-anchors from a fresh snapshot.
-            for sub in self._subs.values():
-                messages.append(self._resync(sub, tick, "resync:change-log"))
-            stats["resyncs"] = len(messages)
-            return messages
+            self._build_row_grid()
+            stats["resyncs"] = len(self._subs)
+            return [
+                self._snapshot(sub, tick, "resync:change-log") for sub in self._subs.values()
+            ]
+
+        # One change set, one copy: ``key → (new row, old cell, new cell)``
+        # with the row grid brought up to date on the way.
+        key_column = self.key_column
+        added, removed = polled
+        gone = {row[key_column]: row for row in removed}
+        changes: dict[Any, tuple[Row | None, Cell | None, Cell | None]] = {}
+        for row in added:
+            key = row[key_column]
+            changes[key] = self._regrid(key, gone.pop(key, None), dict(row))
+        for key, row in gone.items():
+            changes[key] = self._regrid(key, row, None)
+        stats["routed_rows"] = len(changes)
 
         # Observer moves first: their boxes are stale, so routing skips them
-        # and they re-fetch against the post-tick table below.
-        refetch: list[AOISubscription] = []
-        route_skip: set[int] = set()
-        for sub in self._subs.values():
-            if sub.observer_table is not None:
-                pos = self._observer_position(sub)
-                if pos != sub.observer_pos:
-                    sub.observer_pos = pos
-                    refetch.append(sub)
-                    route_skip.add(sub.subscription_id)
+        # and they re-read their box from the (now current) row grid below.
+        moved: dict[int, AOISubscription] = {}
+        for key in self._followers.keys() & changes.keys():
+            position = self._position(changes[key][0])
+            for sub in self._followers[key]:
+                if sub.follow(position):
+                    moved[sub.subscription_id] = sub
+        for sub in self._foreign:
+            assert sub.observer_table is not None
+            if sub.follow(self._position(sub.observer_table.get_by_key(sub.observer_key))):
+                moved[sub.subscription_id] = sub
 
-        added, removed = changed
-        added_by_key = {row[self.key_column]: row for row in added}
-        removed_by_key = {row[self.key_column]: row for row in removed}
-        pending: dict[int, tuple[list, list]] = {}
-        for key in added_by_key.keys() | removed_by_key.keys():
-            old = removed_by_key.get(key)
-            new = added_by_key.get(key)
-            stats["routed_rows"] += 1
-            affected: set[AOISubscription] = set()
-            for row in (old, new):
-                if row is None:
-                    continue
-                cell = self._cell_of(row)
-                if cell is not None:
-                    affected |= self._cells.get(cell, set())
-            for sub in affected:
-                if sub.subscription_id in route_skip:
-                    continue
-                was_in = key in sub.current
-                now_in = new is not None and sub.contains(new)
-                if not was_in and not now_in:
-                    continue
-                adds, removes = pending.setdefault(sub.subscription_id, ([], []))
-                if was_in:
-                    removes.append(sub.current.pop(key))
-                if now_in:
-                    copy = dict(new)
-                    sub.current[key] = copy
-                    adds.append(dict(copy))
+        records: dict[Any, Row] = {}
 
-        for sub_id, (adds, removes) in pending.items():
-            stats["touched_subs"] += 1
-            messages.append(
-                Delta(
-                    subscription_id=sub_id,
-                    tick=tick,
-                    added=tuple(adds),
-                    removed=tuple(removes),
-                )
-            )
+        def record_of(key: Any, old: Row, new: Row) -> Row:
+            """The ``changed`` record of *key*, built once per changed row:
+            every subscriber holding the key holds the same *old* object
+            (the one the row grid held until this flush).  A value that
+            changed type but compares equal (1 → 1.0) is a change: the
+            replica must end up with the value the table holds."""
+            record = records.get(key)
+            if record is None:
+                record = records[key] = {key_column: key}
+                for column, value in new.items():
+                    held = old.get(column)
+                    if held != value or type(held) is not type(value):
+                        record[column] = value
+            return record
 
-        # Moved observers: one index probe of the new box, diffed against
-        # the cached result (the removes carry the exact cached values the
-        # client holds, keeping the multiset contract intact).
-        for sub in refetch:
-            stats["refetched_subs"] += 1
-            fresh = {row[self.key_column]: dict(row) for row in self._fetch_box(sub.box())}
-            adds = [dict(row) for key, row in fresh.items() if key not in sub.current]
-            removes = [row for key, row in sub.current.items() if key not in fresh]
-            # Rows present in both but updated this tick were already
-            # consumed by nobody (routing skipped this sub) — diff values.
+        pending: dict[int, _Pending] = {}
+        if len(moved) < len(self._subs):
+            cells = self._cells
+            for key, (new, old_cell, new_cell) in changes.items():
+                affected = cells.get(old_cell, ())
+                if new_cell != old_cell and new_cell in cells:
+                    affected = cells[new_cell].union(affected)
+                for sub in affected:
+                    if sub.subscription_id in moved:
+                        continue
+                    held = sub.current.get(key)
+                    now_in = new is not None and sub.contains(new)
+                    if held is None and not now_in:
+                        continue
+                    delta = pending.get(sub.subscription_id)
+                    if delta is None:
+                        delta = pending[sub.subscription_id] = _Pending()
+                    if not now_in:
+                        delta.removed.append(sub.current.pop(key))
+                    elif held is None:
+                        delta.added.append(new)
+                        sub.current[key] = new
+                    else:
+                        delta.changed.append(record_of(key, held, new))
+                        sub.current[key] = new
+        stats["touched_subs"] = len(pending)
+
+        # Moved observers: the new box read off the row grid, diffed against
+        # the cached result.  Row objects are shared and replaced (never
+        # mutated) on change, so identity tells an untouched row.
+        stats["refetched_subs"] = len(moved)
+        for sub in moved.values():
+            fresh = self._fetch_box(sub)
+            current = sub.current
+            delta = pending[sub.subscription_id] = _Pending()
             for key, row in fresh.items():
-                stale = sub.current.get(key)
-                if stale is not None and stale != row:
-                    removes.append(stale)
-                    adds.append(dict(row))
+                held = current.get(key)
+                if held is None:
+                    delta.added.append(row)
+                elif held is not row:
+                    delta.changed.append(record_of(key, held, row))
+            if len(fresh) - len(delta.added) != len(current):
+                delta.removed = [row for key, row in current.items() if key not in fresh]
             sub.current = fresh
-            self._register_cells(sub)
-            if adds or removes:
+
+        messages: list[SubscriptionMessage] = []
+        for sub_id, delta in pending.items():
+            if delta.added or delta.changed or delta.removed:
+                stats["changed_records"] += len(delta.changed)
                 messages.append(
                     Delta(
-                        subscription_id=sub.subscription_id,
+                        subscription_id=sub_id,
                         tick=tick,
-                        added=tuple(adds),
-                        removed=tuple(removes),
+                        added=tuple(delta.added),
+                        removed=tuple(delta.removed),
+                        changed=tuple(delta.changed),
                     )
                 )
         return messages
 
-    def _resync(self, sub: AOISubscription, tick: int, reason: str) -> Snapshot:
-        if sub.observer_table is not None:
-            sub.observer_pos = self._observer_position(sub)
-        rows = self._fetch_box(sub.box())
-        sub.current = {row[self.key_column]: dict(row) for row in rows}
-        self._register_cells(sub)
-        return Snapshot(
-            subscription_id=sub.subscription_id,
-            tick=tick,
-            rows=freeze_rows(sub.current.values()),
-            reason=reason,
-        )
+    def _regrid(
+        self, key: Any, pre_image: Row | None, new: Row | None
+    ) -> tuple[Row | None, Cell | None, Cell | None]:
+        """Move *key* from its pre-image's bucket of the row grid to *new*'s;
+        returns ``(new, old cell, new cell)``."""
+        grid = self._rows
+        old_cell = None if pre_image is None else self._cell_of(pre_image)
+        new_cell = None if new is None else self._cell_of(new)
+        if old_cell != new_cell and old_cell is not None:
+            bucket = grid[old_cell]
+            del bucket[key]
+            if not bucket:
+                del grid[old_cell]
+        if new_cell is not None:
+            grid.setdefault(new_cell, {})[key] = new
+        return new, old_cell, new_cell

@@ -8,16 +8,22 @@ Client → server requests::
 
     {"op": "subscribe_table", "table": "UNIT", "filter": [["player", "==", 1]]}
     {"op": "subscribe_aoi", "table": "UNIT", "radius": 12, "dims": ["x", "y"],
-     "observer_id": 3}                      # or "center": [50, 50]
+     "observer_id": 3}                      # or "center": [50, 50]; with
+                                            # "observer_table": "CAMERA" the observer is a
+                                            # row of another table holding the same dims
     {"op": "unsubscribe", "id": 7}
     {"op": "ping"}
 
 Server → client responses and stream messages::
 
     {"type": "subscribed", "id": 7}
-    {"type": "snapshot", "id": 7, "tick": 41, "reason": "subscribe", "rows": [...]}
-    {"type": "delta", "id": 7, "tick": 42, "added": [...], "removed": [...]}
+    {"type": "snapshot", "id": 7, "tick": 41, "reason": "subscribe", "rows": [...],
+     "key": "id"}                           # "key" on keyed (AOI) streams only
+    {"type": "delta", "id": 7, "tick": 42, "added": [...], "removed": [...],
+     "changed": [{"id": 3, "x": 4.5}, ...]} # keyed streams: key + changed columns
     {"type": "error", "error": "..."} / {"type": "pong", "tick": 42}
+
+(the exact grammar is in :mod:`repro.service.protocol`).
 
 The server drives the world: :meth:`step` runs one tick (whose flush phase
 computes every delta once) and then drains each session's outbox to its
@@ -35,7 +41,13 @@ import json
 from typing import Any
 
 from repro.engine.expressions import BinaryOp, ColumnRef, Expression, Literal
-from repro.service.protocol import ResultSet, decode_message, encode_message
+from repro.service.protocol import (
+    FragmentCache,
+    ResultSet,
+    SubscriptionMessage,
+    decode_message,
+    encode_message,
+)
 from repro.service.subscriptions import SubscriptionManager
 
 __all__ = ["SubscriptionServer", "SubscriptionClient"]
@@ -55,6 +67,11 @@ def _compile_filter(clauses: Any) -> Expression | None:
         term = BinaryOp(op, ColumnRef(str(column)), Literal(value))
         predicate = term if predicate is None else BinaryOp("&&", predicate, term)
     return predicate
+
+
+def _lines(messages: list[SubscriptionMessage], fragments: FragmentCache) -> bytes:
+    """The newline-terminated JSON lines of *messages*, as one write."""
+    return b"".join([encode_message(message, fragments) + b"\n" for message in messages])
 
 
 class SubscriptionServer:
@@ -116,13 +133,15 @@ class SubscriptionServer:
             await asyncio.sleep(tick_interval)
 
     async def _drain_outboxes(self) -> None:
+        # One fragment cache per pass: overlapping AOIs share row objects,
+        # so a row is serialized once however many sessions see it.
+        fragments: FragmentCache = {}
         for session_id, (session, writer) in list(self._connections.items()):
             messages = session.take()
             if not messages:
                 continue
             try:
-                for message in messages:
-                    writer.write(encode_message(message).encode() + b"\n")
+                writer.write(_lines(messages, fragments))
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 self._drop_connection(session_id)
@@ -152,8 +171,7 @@ class SubscriptionServer:
                 writer.write(json.dumps(response).encode() + b"\n")
                 # Initial snapshots are enqueued by subscribe; deliver them
                 # immediately so clients see snapshot-then-delta ordering.
-                for message in session.take():
-                    writer.write(encode_message(message).encode() + b"\n")
+                writer.write(_lines(session.take(), {}))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.CancelledError):
             # Peer vanished or the loop is shutting down: drop the session.
@@ -226,7 +244,7 @@ class SubscriptionClient:
             return message
 
     def _apply_line(self, line: bytes | str) -> None:
-        message = decode_message(line if isinstance(line, str) else line.decode())
+        message = decode_message(line)
         self.results.setdefault(message.subscription_id, ResultSet()).apply(message)
 
     async def subscribe_table(self, table: str, filter: list | None = None) -> int:

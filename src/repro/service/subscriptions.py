@@ -49,7 +49,7 @@ from repro.engine.operators.scan import _qualify_row
 from repro.engine.optimizer.mqo import fingerprint_plan
 from repro.engine.table import ChangeCursor, Table
 from repro.persistence.replay import net_table_changes
-from repro.service.interest import AOISubscription, InterestManager
+from repro.service.interest import FLUSH_COUNTERS, AOISubscription, InterestManager
 from repro.service.outbox import DEFAULT_CAPACITY, Session
 from repro.service.protocol import (
     Delta,
@@ -60,6 +60,21 @@ from repro.service.protocol import (
 )
 
 __all__ = ["StandingQueryGroup", "SubscriptionManager"]
+
+
+def _zero_stats() -> dict[str, int]:
+    """What one ``SubscriptionManager.flush`` counts."""
+    return {
+        "messages": 0,
+        #: Rows and ``changed`` records (one each) the deltas carried.
+        "delta_rows": 0,
+        "snapshots": 0,
+        "groups": 0,
+        # The interest managers' per-flush counters, summed; they reach
+        # ``TickReport`` under the same names.  ``aoi_candidate_rows``
+        # against the rows delivered shows a probe scanning, not probing.
+        **{f"aoi_{name}": 0 for name in FLUSH_COUNTERS},
+    }
 
 
 def _rename_row(row: Mapping[str, Any], renames: Mapping[str, str]) -> dict[str, Any]:
@@ -261,6 +276,9 @@ class SubscriptionManager:
         self._next_subscription_id = 0
         self.current_tick = -1
         self.last_flush_stats: dict[str, int] = {}
+        #: Work done by the flushes a late subscribe runs between two
+        #: ``flush()`` calls; the next ``flush()`` reports it with its own.
+        self._carried_stats = _zero_stats()
         #: Durable delta log used for log-offset catch-up (see
         #: :meth:`attach_wal` / :meth:`resume_table_subscription`).
         self._wal = None
@@ -320,7 +338,7 @@ class SubscriptionManager:
             # Align the group's delta source with "now" so the newcomer's
             # snapshot and the existing subscribers' streams agree: pending
             # changes are delivered to current subscribers first.
-            self._flush_group(group, self.current_tick)
+            self._flush_group(group, self.current_tick, self._carried_stats)
         renames = {
             rep: mine for rep, mine in zip(group.aliases, aliases) if rep != mine
         }
@@ -487,7 +505,11 @@ class SubscriptionManager:
         manager = self._interest.get(key)
         if manager is None:
             manager = InterestManager(resolved, dims_tuple, cell_size)
-            self._interest[key] = manager
+        else:
+            # Same alignment rule as the query groups: pending changes go
+            # to the current subscribers first, so the newcomer's snapshot
+            # and their streams agree on "now".
+            self._flush_interest(manager, self.current_tick, self._carried_stats)
         sub = AOISubscription(
             subscription_id=self._next_subscription_id,
             session_id=session.session_id,
@@ -502,16 +524,13 @@ class SubscriptionManager:
             observer_key=observer_id,
         )
         self._next_subscription_id += 1
-        snapshot = manager.subscribe(sub)
+        # Raises before anything is registered (e.g. an observer table
+        # without the watched dims); only a manager with a subscriber is kept.
+        snapshot = manager.subscribe(sub, self.current_tick)
+        self._interest[key] = manager
         self._subs[sub.subscription_id] = ("aoi", manager)
         session.subscription_ids.add(sub.subscription_id)
-        session.outbox.push(
-            Snapshot(
-                subscription_id=snapshot.subscription_id,
-                tick=self.current_tick,
-                rows=snapshot.rows,
-            )
-        )
+        session.outbox.push(snapshot)
         return sub.subscription_id
 
     def unsubscribe(self, session: Session, subscription_id: int) -> bool:
@@ -532,6 +551,10 @@ class SubscriptionManager:
                     self.executor.release_plan(owner.plan)
         else:
             owner.unsubscribe(subscription_id)
+            if not len(owner):
+                # The manager let go of its cursor and row grid; the next
+                # subscriber starts a fresh one.
+                del self._interest[(owner.table.name, owner.dims)]
         return True
 
     # -- the flush phase --------------------------------------------------------------
@@ -547,13 +570,7 @@ class SubscriptionManager:
         if tick is None:
             tick = self.current_tick + 1
         self.current_tick = tick
-        stats = {
-            "messages": 0,
-            "delta_rows": 0,
-            "snapshots": 0,
-            "groups": 0,
-            "aoi_routed_rows": 0,
-        }
+        stats, self._carried_stats = self._carried_stats, _zero_stats()
         for group in list(self._groups.values()):
             if not group.subscribers:
                 continue
@@ -561,17 +578,21 @@ class SubscriptionManager:
             self._flush_group(group, tick, stats)
 
         for manager in self._interest.values():
-            for message in manager.flush(tick):
-                self._push(message, stats)
-            stats["aoi_routed_rows"] += manager.last_stats.get("routed_rows", 0)
+            self._flush_interest(manager, tick, stats)
         self.last_flush_stats = stats
         return stats
+
+    def _flush_interest(self, manager: InterestManager, tick: int, stats: dict[str, int]) -> None:
+        for message in manager.flush(tick):
+            self._push(message, stats)
+        for name in FLUSH_COUNTERS:
+            stats[f"aoi_{name}"] += manager.last_stats[name]
 
     def _flush_group(
         self,
         group: StandingQueryGroup,
         tick: int,
-        stats: dict[str, int] | None = None,
+        stats: dict[str, int],
     ) -> None:
         delta = group.collect()
         if delta is None:
@@ -626,7 +647,7 @@ class SubscriptionManager:
     def _push(
         self,
         message: SubscriptionMessage,
-        stats: dict[str, int] | None,
+        stats: dict[str, int],
         resync_rows: Any = None,
     ) -> None:
         """Deliver *message* to its session's outbox.
@@ -653,22 +674,26 @@ class SubscriptionManager:
             return
         delivered = session.outbox.push(message)
         if not delivered and isinstance(message, Delta):
-            if resync_rows is None and aoi is not None:
-                rows = list(aoi.current.values())
-            elif resync_rows is not None:
-                rows = resync_rows()
-            else:
-                rows = None
-            if rows is not None:
+            if aoi is not None:
+                # The subscriber's cache holds shared read-only rows.
                 message = Snapshot(
                     subscription_id=message.subscription_id,
                     tick=message.tick,
-                    rows=freeze_rows(rows),
+                    rows=tuple(aoi.current.values()),
+                    reason="resync:outbox",
+                    key=owner.key_column,
+                )
+            elif resync_rows is not None:
+                message = Snapshot(
+                    subscription_id=message.subscription_id,
+                    tick=message.tick,
+                    rows=freeze_rows(resync_rows()),
                     reason="resync:outbox",
                 )
+            if isinstance(message, Snapshot):
                 session.outbox.push(message)
                 delivered = True
-        if stats is not None and delivered:
+        if delivered:
             stats["messages"] += 1
             if isinstance(message, Snapshot):
                 stats["snapshots"] += 1

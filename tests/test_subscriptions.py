@@ -14,11 +14,16 @@ import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import Catalog, Column, DataType, Schema
 from repro.engine.algebra import Aggregate, AggregateSpec, Select, TableScan
+from repro.engine.errors import ExecutionError
 from repro.engine.executor import Executor
 from repro.engine.expressions import BinaryOp, ColumnRef, Literal
+from repro.engine.indexes.grid_index import GridIndex
+from repro.runtime.physics import PhysicsComponent, PhysicsConfig
+from repro.runtime.world import GameWorld
 from repro.service.protocol import (
     Delta,
     ResultSet,
@@ -88,6 +93,56 @@ class TestProtocol:
         ):
             decoded = decode_message(encode_message(message))
             assert decoded == message
+
+    def test_changed_records_roundtrip_and_update_in_place(self):
+        snapshot = Snapshot(
+            subscription_id=4, tick=0, rows=({"id": 1, "x": 1.0, "tag": "a"},), key="id"
+        )
+        delta = Delta(
+            subscription_id=4,
+            tick=1,
+            added=({"id": 2, "x": 5.0, "tag": None},),
+            changed=({"id": 1, "x": None},),
+        )
+        assert len(delta) == 2  # one row, one record
+        rs = ResultSet()
+        for message in (snapshot, delta):
+            line = encode_message(message)
+            assert isinstance(line, bytes) and b"\n" not in line
+            assert decode_message(line) == message
+            rs.apply(decode_message(line.decode()))  # str lines decode too
+        assert multiset(rs.rows()) == multiset(
+            [{"id": 1, "x": None, "tag": "a"}, {"id": 2, "x": 5.0, "tag": None}]
+        )
+        # Messages stay untouched: apply copies what it keeps.
+        assert snapshot.rows[0] == {"id": 1, "x": 1.0, "tag": "a"}
+
+    def test_changed_is_as_strict_as_removed(self):
+        keyed = ResultSet()
+        keyed.apply(Snapshot(subscription_id=1, tick=0, rows=({"id": 1, "x": 1},), key="id"))
+        with pytest.raises(ValueError, match="changes a row"):
+            keyed.apply(Delta(subscription_id=1, tick=1, changed=({"id": 2, "x": 3},)))
+        with pytest.raises(ValueError, match="adds a row"):
+            keyed.apply(Delta(subscription_id=1, tick=1, added=({"id": 1, "x": 3},)))
+        with pytest.raises(ValueError, match="removes a row"):
+            keyed.apply(Delta(subscription_id=1, tick=1, removed=({"id": 2, "x": 1},)))
+        plain = ResultSet()
+        plain.apply(Snapshot(subscription_id=1, tick=0, rows=({"id": 1, "x": 1},)))
+        with pytest.raises(ValueError, match="changes a row"):
+            plain.apply(Delta(subscription_id=1, tick=1, changed=({"id": 1, "x": 3},)))
+
+    def test_one_fragment_cache_serializes_a_shared_row_once(self):
+        row = {"id": 1, "x": 2.5}
+        messages = [Delta(subscription_id=k, tick=3, added=(row,)) for k in range(3)]
+        fragments = {}
+        lines = [encode_message(m, fragments) for m in messages]
+        assert list(fragments) == [id(row)] and fragments[id(row)][0] is row
+        assert [decode_message(line) for line in lines] == messages
+
+    def test_non_stream_lines_do_not_decode(self):
+        for line in (b'{"type": "pong", "tick": 4}', b'{"type": "subscribed", "id": 7}', b"{"):
+            with pytest.raises(ValueError):
+                decode_message(line)
 
 
 # ------------------------------------------------------------------------------------
@@ -514,6 +569,430 @@ class TestInterestManagement:
         assert report.subscription_messages > 0
         assert report.flush_seconds > 0.0
         assert report.total_seconds >= report.flush_seconds
+
+
+    def test_moved_row_in_a_still_box_costs_one_changed_record(self):
+        catalog, table = build_bare_catalog(n=0)
+        table.insert({"id": 0, "player": 0, "x": 10, "y": 10})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        a, b = manager.connect(), manager.connect()
+        manager.subscribe_aoi(a, "unit", radius=8, center=(10, 10))
+        manager.subscribe_aoi(b, "unit", radius=8, center=(12, 12))
+        (snap_a,), (snap_b,) = a.take(), b.take()
+        assert snap_a.key == "id" and snap_a.rows[0] is snap_b.rows[0]  # one shared copy
+        table.update(table.rowid_for_key(0), {"x": 11.0})
+        stats = manager.flush(0)
+        (delta_a,), (delta_b,) = a.take(), b.take()
+        assert delta_a.changed == ({"id": 0, "x": 11.0},)
+        assert not delta_a.added and not delta_a.removed
+        assert delta_a.changed[0] is delta_b.changed[0]  # built once, shared
+        assert stats["delta_rows"] == 2 and stats["aoi_changed_records"] == 2
+        assert stats["aoi_routed_rows"] == 1 and stats["aoi_touched_subs"] == 2
+
+    def test_changed_carries_nulls_sets_and_a_key_update_is_remove_plus_add(self):
+        catalog = Catalog()
+        table = catalog.create_table(
+            "thing",
+            Schema(
+                [
+                    Column("id", DataType.NUMBER, nullable=False),
+                    Column("x", DataType.NUMBER),
+                    Column("y", DataType.NUMBER),
+                    Column("owner", DataType.NUMBER),
+                    Column("tags", DataType.SET),
+                ]
+            ),
+            key="id",
+        )
+        table.insert({"id": 1, "x": 5, "y": 5, "owner": 3, "tags": frozenset({"a"})})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        session = manager.connect()
+        sid = manager.subscribe_aoi(session, "thing", radius=10, center=(5, 5))
+        replica = ResultSet()
+
+        def pump():
+            messages = session.take()
+            for message in messages:
+                replica.apply(decode_message(encode_message(message)))
+            return messages
+
+        def wire_rows():
+            return [dict(row, tags=sorted(row["tags"])) for row in table.rows()]
+
+        pump()
+        table.update(table.rowid_for_key(1), {"owner": None, "tags": frozenset({"b", "c"})})
+        manager.flush(0)
+        (delta,) = pump()
+        assert delta.changed == ({"id": 1, "owner": None, "tags": frozenset({"b", "c"})},)
+        assert replica.rows() == wire_rows()
+        # A row whose x goes NULL is in no box any more: it leaves.
+        table.update(table.rowid_for_key(1), {"x": None})
+        manager.flush(1)
+        (delta,) = pump()
+        assert len(delta.removed) == 1 and not delta.changed and replica.rows() == []
+        table.update(table.rowid_for_key(1), {"x": 6.0})
+        manager.flush(2)
+        pump()
+        assert replica.rows() == wire_rows()
+        # The key column itself changes: the old key leaves, the new one enters.
+        table.update(table.rowid_for_key(1), {"id": 2})
+        manager.flush(3)
+        (delta,) = pump()
+        assert [r["id"] for r in delta.removed] == [1] and [r["id"] for r in delta.added] == [2]
+        assert not delta.changed and replica.rows() == wire_rows()
+        assert manager._subs[sid][1].last_stats["changed_records"] == 0
+
+    def test_last_unsubscribe_releases_the_manager_and_resubscribe_is_current(self):
+        catalog, table = build_bare_catalog(n=0)
+        table.insert({"id": 0, "player": 0, "x": 10, "y": 10})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        session = manager.connect()
+        first = manager.subscribe_aoi(session, "unit", radius=8, center=(10, 10))
+        second = manager.subscribe_aoi(session, "unit", radius=8, observer_id=0)
+        interest = manager._subs[first][1]
+        session.take()
+        assert manager.unsubscribe(session, first)
+        assert manager._interest and interest._cursor is not None  # one subscriber left
+        assert manager.unsubscribe(session, second)
+        assert not manager._interest  # the empty manager is dropped ...
+        assert interest._cursor is None and not interest._rows  # ... cursor and grid released
+        assert not interest._cells and not interest._followers
+        # Mutations nobody listens to, then a new subscriber.
+        table.update(table.rowid_for_key(0), {"x": 12.0})
+        table.insert({"id": 1, "player": 0, "x": 11, "y": 11})
+        sid = manager.subscribe_aoi(session, "unit", radius=8, center=(10, 10))
+        replica = ResultSet()
+        (snapshot,) = session.take()
+        replica.apply(snapshot)
+        assert multiset(replica.rows()) == multiset(dict(r) for r in table.rows())
+        table.update(table.rowid_for_key(1), {"y": 12.0})
+        manager.flush(0)
+        (delta,) = session.take()
+        # Only what happened after the subscribe: not the earlier move or insert.
+        assert delta.subscription_id == sid and delta.changed == ({"id": 1, "y": 12.0},)
+        assert not delta.added and not delta.removed
+
+    def test_late_aoi_subscriber_aligns_with_the_stream(self):
+        catalog, table = build_bare_catalog(n=0)
+        table.insert({"id": 0, "player": 0, "x": 10, "y": 10})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        early, late = manager.connect(), manager.connect()
+        states = {manager.subscribe_aoi(early, "unit", radius=8, center=(10, 10)): ResultSet()}
+        drain(early, states)
+        manager.flush(0)
+        table.update(table.rowid_for_key(0), {"x": 11.0})  # between flushes
+        states[manager.subscribe_aoi(late, "unit", radius=8, center=(10, 10))] = ResultSet()
+        table.insert({"id": 1, "player": 0, "x": 9, "y": 9})
+        manager.flush(1)
+        drain(early, states)
+        drain(late, states)
+        for state in states.values():
+            assert multiset(state.rows()) == multiset(dict(r) for r in table.rows())
+
+    def test_late_subscribe_flush_is_counted_by_the_next_flush(self):
+        catalog, table = build_bare_catalog(n=0)
+        table.insert({"id": 0, "player": 0, "x": 10, "y": 10})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        early, late = manager.connect(), manager.connect()
+        manager.subscribe_aoi(early, "unit", radius=8, center=(10, 10))
+        manager.flush(0)
+        table.update(table.rowid_for_key(0), {"x": 11.0})
+        manager.subscribe_aoi(late, "unit", radius=8, center=(10, 10))  # flushes for `early`
+        assert [type(m) for m in early.take()] == [Snapshot, Delta]
+        stats = manager.flush(1)  # nothing new happened, but the work above is reported
+        assert stats["messages"] == 1 and stats["delta_rows"] == 1
+        assert stats["aoi_routed_rows"] == 1 and stats["aoi_changed_records"] == 1
+        assert manager.flush(2)["messages"] == 0  # ... once
+
+    def test_a_value_that_only_changes_type_rides_along_with_a_change(self):
+        catalog, table = build_bare_catalog(n=0)
+        table.insert({"id": 0, "player": 1, "x": 10, "y": 10})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        session = manager.connect()
+        manager.subscribe_aoi(session, "unit", radius=8, center=(10, 10))
+        replica = ResultSet()
+        replica.apply(decode_message(encode_message(session.take()[0])))
+        # The change log nets by equality, so 1 -> 1.0 alone is no change to
+        # anyone; next to a real change the record carries the new type too.
+        table.update(table.rowid_for_key(0), {"player": 1.0, "x": 11})
+        manager.flush(0)
+        (delta,) = session.take()
+        assert delta.changed == ({"id": 0, "player": 1.0, "x": 11},)
+        replica.apply(decode_message(encode_message(delta)))
+        assert type(replica.rows()[0]["player"]) is float
+
+    def _camera_catalog(self, columns):
+        catalog, table = build_bare_catalog(n=0)
+        for i, (x, y) in enumerate([(10, 10), (50, 50), (90, 90)]):
+            table.insert({"id": i, "player": 0, "x": x, "y": y})
+        camera = catalog.create_table(
+            "camera",
+            Schema([Column("cam", DataType.NUMBER, nullable=False)]
+                   + [Column(c, DataType.NUMBER) for c in columns]),
+            key="cam",
+        )
+        return catalog, table, camera
+
+    def test_observer_row_of_another_table_moves_the_box(self):
+        catalog, table, camera = self._camera_catalog(["x", "y"])
+        camera.insert({"cam": 7, "x": 12, "y": 12})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        session = manager.connect()
+        sid = manager.subscribe_aoi(
+            session, "unit", radius=8, observer_id=7, observer_table="camera"
+        )
+        states = {sid: ResultSet()}
+
+        def seen():
+            drain(session, states)
+            return {r["id"] for r in states[sid].rows()}
+
+        assert seen() == {0}
+        camera.update(camera.rowid_for_key(7), {"x": 52.0, "y": 52.0})
+        stats = manager.flush(0)
+        assert seen() == {1} and stats["aoi_refetched_subs"] == 1
+        # A watched row changes while the camera rests: routed, not refetched.
+        table.update(table.rowid_for_key(2), {"x": 55.0, "y": 55.0})
+        stats = manager.flush(1)
+        assert seen() == {1, 2} and stats["aoi_refetched_subs"] == 0
+        # Camera looks nowhere (NULL coordinate), is destroyed, comes back.
+        camera.update(camera.rowid_for_key(7), {"x": None})
+        manager.flush(2)
+        assert seen() == set()
+        camera.delete(camera.rowid_for_key(7))
+        assert manager.flush(3)["messages"] == 0
+        camera.insert({"cam": 7, "x": 10, "y": 10})
+        manager.flush(4)
+        assert seen() == {0}
+        assert manager.unsubscribe(session, sid) and not manager._interest
+
+    def test_observer_table_without_the_watched_dims_is_refused_cleanly(self):
+        catalog, table, camera = self._camera_catalog(["px", "py"])
+        camera.insert({"cam": 7, "px": 12, "py": 12})
+        manager = SubscriptionManager(catalog=catalog, executor=Executor(catalog))
+        session = manager.connect()
+        with pytest.raises(ExecutionError, match="camera.*no column"):
+            manager.subscribe_aoi(session, "unit", radius=8, observer_id=7, observer_table="camera")
+        # Nothing was registered: no manager, no subscription, flushes keep working.
+        assert not manager._interest and not manager._subs and not session.subscription_ids
+        assert manager.flush(0)["messages"] == 0
+        # The same refusal next to a live subscriber leaves that one untouched.
+        sid = manager.subscribe_aoi(session, "unit", radius=8, center=(10, 10))
+        with pytest.raises(ExecutionError):
+            manager.subscribe_aoi(session, "unit", radius=8, observer_id=7, observer_table="camera")
+        # Failures past the column check roll back too: a keyless observer
+        # table, an observer id (client JSON) that cannot be a key.
+        catalog.create_table("keyless", Schema([Column(c, DataType.NUMBER) for c in ("x", "y")]))
+        with pytest.raises(ExecutionError, match="no key column"):
+            manager.subscribe_aoi(session, "unit", radius=8, observer_id=7, observer_table="keyless")
+        catalog.create_table(
+            "goodcam",
+            Schema([Column("cam", DataType.NUMBER, nullable=False)]
+                   + [Column(c, DataType.NUMBER) for c in ("x", "y")]),
+            key="cam",
+        )
+        with pytest.raises(TypeError):
+            manager.subscribe_aoi(session, "unit", radius=8, observer_id=[7], observer_table="goodcam")
+        interest = manager._subs[sid][1]
+        assert len(interest) == 1 and not interest._foreign and interest._cursor is not None
+        assert session.subscription_ids == {sid} and manager.subscription_count() == 1
+        table.update(table.rowid_for_key(0), {"x": 11.0})
+        assert manager.flush(1)["messages"] == 1
+        manager.disconnect(session)
+        assert not manager._interest and not manager._subs
+
+    def test_flush_counters_reach_the_inspector_and_the_metrics(self):
+        from repro.runtime.debug.inspector import TickInspector
+
+        world = build_rts_world(40, seed=5)
+        metrics = world.attach_metrics()
+        attach_fog_of_war(world, n_observers=4, vision=12.0)
+        for _ in range(3):
+            world.tick()
+        counters = TickInspector(world).tick_counters()
+        flush = world.subscriptions.last_flush_stats
+        for name in ("routed_rows", "touched_subs", "refetched_subs", "candidate_rows", "changed_records"):
+            assert counters[f"aoi_{name}"] == flush[f"aoi_{name}"]
+        assert counters["aoi_routed_rows"] == 40 and 1 <= counters["aoi_refetched_subs"] <= 4
+        assert 0 < counters["aoi_changed_records"] <= counters["subscription_delta_rows"]
+        # Box reads probe the grid: far fewer rows checked than subscribers x table.
+        assert 0 < counters["aoi_candidate_rows"] < 4 * 40
+        scraped = metrics.registry.as_dict()
+        total = sum(report.aoi_candidate_rows for report in world.reports)
+        assert f"{total}" in str(scraped["repro_aoi_candidate_rows_total"])
+
+
+# ------------------------------------------------------------------------------------
+# the wire replica property: decode(encode(stream)) == a fresh box query, every tick
+# ------------------------------------------------------------------------------------
+
+MOVER_SOURCE = """
+class Mover {
+  state:
+    number x = 0;
+    number y = 0;
+    number dx = 0;
+    number dy = 0;
+  effects:
+    number vx : avg;
+    number vy : avg;
+}
+
+script drift(Mover self) {
+  vx <- dx;
+  vy <- dy;
+}
+"""
+
+WORLD_SIZE = 100.0
+
+
+def build_mover_world(n=40, seed=5):
+    """Join-free: the engine does almost nothing, every row moves every tick."""
+    world = GameWorld(MOVER_SOURCE)
+    world.add_component(
+        PhysicsComponent(
+            PhysicsConfig(class_name="Mover", world_max_x=WORLD_SIZE, world_max_y=WORLD_SIZE)
+        )
+    )
+    rng = random.Random(seed)
+    world.spawn_many(
+        "Mover",
+        [
+            {
+                "x": rng.uniform(0, WORLD_SIZE),
+                "y": rng.uniform(0, WORLD_SIZE),
+                "dx": rng.uniform(-1, 1),
+                "dy": rng.uniform(-1, 1),
+            }
+            for _ in range(n)
+        ],
+    )
+    return world
+
+
+WIRE_WORLDS = {
+    "rts": ("Unit", lambda: build_rts_world(40, seed=5), {"player": 1, "health": 100}),
+    "mover": ("Mover", build_mover_world, {"dx": 0.5, "dy": -0.5}),
+}
+
+_coord = st.floats(min_value=0.0, max_value=WORLD_SIZE, allow_nan=False)
+_pick = st.integers(min_value=0, max_value=10**6)
+_op = st.one_of(
+    st.tuples(st.just("spawn"), _coord, _coord),
+    st.tuples(st.just("destroy"), _pick),
+    st.tuples(st.just("teleport"), _pick, _coord, _coord),
+    st.just(("destroy_observer",)),
+    st.tuples(st.just("move_camera"), _coord, _coord),  # observer row of another table
+    st.just(("toggle_camera",)),  # ... destroyed, or put back
+    st.just(("skip_drain",)),  # the next flush overflows the outbox
+    st.just(("lose_change_log",)),
+)
+
+
+class TestWireReplicaProperty:
+    """A replica fed only by ``decode_message(encode_message(m))`` equals a
+    fresh box query after every drained tick."""
+
+    RADIUS = 15.0
+    OBSERVERS = (0, 1, 2)  # 2 is the one ``destroy_observer`` removes
+    CENTER = (50.0, 50.0)
+    CAMERA = 7  # key of the observer row that lives in a table of its own
+
+    @pytest.mark.parametrize("grid_index", [False, True], ids=["no-index", "grid-index"])
+    @pytest.mark.parametrize("world_name", sorted(WIRE_WORLDS))
+    @settings(max_examples=12, deadline=None)
+    @given(ticks=st.lists(st.lists(_op, max_size=4), min_size=2, max_size=7))
+    def test_replica_equals_fresh_box_query(self, world_name, grid_index, ticks):
+        class_name, build, spawn_fields = WIRE_WORLDS[world_name]
+        world = build()
+        table = primary_table(world, class_name)
+        if grid_index:
+            world.catalog.create_index(table.name, "aoi_probe", GridIndex(["x", "y"], cell_size=7.0))
+        camera = world.catalog.create_table(
+            "camera",
+            Schema([Column("cam", DataType.NUMBER, nullable=False)]
+                   + [Column(c, DataType.NUMBER) for c in ("x", "y")]),
+            key="cam",
+        )
+        camera.insert({"cam": self.CAMERA, "x": 20.0, "y": 80.0})
+        manager = world.subscriptions
+        # As many slots as subscriptions: one undrained flush fills the
+        # outbox, the next one overflows it.
+        session = manager.connect(outbox_capacity=len(self.OBSERVERS) + 2)
+        # subscription id -> (observer table, observer key), None = fixed box
+        centers = {
+            manager.subscribe_aoi(session, class_name, radius=self.RADIUS, observer_id=k): (table, k)
+            for k in self.OBSERVERS
+        }
+        centers[manager.subscribe_aoi(session, class_name, radius=self.RADIUS, center=self.CENTER)] = None
+        centers[
+            manager.subscribe_aoi(
+                session, class_name, radius=self.RADIUS,
+                observer_id=self.CAMERA, observer_table="camera",
+            )
+        ] = (camera, self.CAMERA)
+        replicas = {sid: ResultSet() for sid in centers}
+
+        def pump():
+            fragments = {}
+            for message in session.take():
+                line = encode_message(message, fragments)
+                replicas[message.subscription_id].apply(decode_message(line))
+
+        def verify(context):
+            for sid, observer in centers.items():
+                center = self.CENTER
+                if observer is not None:
+                    row = observer[0].get_by_key(observer[1])
+                    center = None if row is None else (row["x"], row["y"])
+                expect = []
+                if center is not None:
+                    expect = [
+                        dict(r)
+                        for r in table.rows()
+                        if center[0] - self.RADIUS <= r["x"] <= center[0] + self.RADIUS
+                        and center[1] - self.RADIUS <= r["y"] <= center[1] + self.RADIUS
+                    ]
+                got = replicas[sid].rows()
+                assert multiset(expect) == multiset(got), f"subscription {sid} diverged {context}"
+
+        pump()
+        verify("at subscribe")
+        for tick, ops in enumerate(ticks):
+            drain_this_tick = True
+            for op in ops:
+                bystanders = [
+                    r["id"] for r in table.rows() if r["id"] not in self.OBSERVERS
+                ]
+                if op[0] == "spawn":
+                    world.spawn(class_name, x=op[1], y=op[2], **spawn_fields)
+                elif op[0] == "destroy" and len(bystanders) > 5:
+                    world.destroy(class_name, bystanders[op[1] % len(bystanders)])
+                elif op[0] == "teleport" and bystanders:
+                    world.set_state(
+                        class_name, bystanders[op[1] % len(bystanders)], x=op[2], y=op[3]
+                    )
+                elif op[0] == "destroy_observer" and table.get_by_key(self.OBSERVERS[-1]):
+                    world.destroy(class_name, self.OBSERVERS[-1])
+                elif op[0] == "move_camera" and camera.get_by_key(self.CAMERA):
+                    camera.update(camera.rowid_for_key(self.CAMERA), {"x": op[1], "y": op[2]})
+                elif op[0] == "toggle_camera":
+                    if camera.get_by_key(self.CAMERA):
+                        camera.delete(camera.rowid_for_key(self.CAMERA))
+                    else:
+                        camera.insert({"cam": self.CAMERA, "x": 60.0, "y": 40.0})
+                elif op[0] == "skip_drain":
+                    drain_this_tick = False
+                elif op[0] == "lose_change_log":
+                    table.restore(table.snapshot())
+            world.tick()
+            if drain_this_tick:
+                pump()
+                verify(f"at tick {tick} after {ops}")
+        pump()
+        verify("at the end")
+        assert manager.last_flush_stats["aoi_candidate_rows"] < len(centers) * len(table)
 
 
 # ------------------------------------------------------------------------------------
