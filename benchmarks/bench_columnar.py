@@ -27,6 +27,7 @@ import pytest
 from repro import ExecutionMode
 from repro.engine.algebra import Aggregate, AggregateSpec, Select, TableScan
 from repro.engine.catalog import Catalog
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.engine.expressions import col, lit
 from repro.engine.schema import Column, Schema
@@ -89,8 +90,8 @@ def test_batch_speedup_filter_aggregate_10k():
     """Acceptance: >= 2x on a 10k-row filter+aggregate tick query."""
     catalog = _units_catalog()
     plan = _tick_query()
-    row_exec = Executor(catalog, use_batch=False)
-    batch_exec = Executor(catalog, use_batch=True)
+    row_exec = Executor(catalog, EngineConfig(use_batch=False))
+    batch_exec = Executor(catalog, EngineConfig(use_batch=True))
     assert batch_exec.prepare(plan).uses_batch
     assert not row_exec.prepare(plan).uses_batch
     # Results must agree before timings mean anything.
@@ -111,7 +112,7 @@ def test_batch_speedup_filter_aggregate_10k():
 @pytest.mark.benchmark(group="E13-columnar-query")
 def test_filter_aggregate_batch(benchmark):
     catalog = _units_catalog()
-    executor = Executor(catalog, use_batch=True)
+    executor = Executor(catalog, EngineConfig(use_batch=True))
     plan = _tick_query()
     executor.execute(plan)  # warm the plan cache and the columnar snapshot
     benchmark(lambda: executor.execute(plan))
@@ -120,19 +121,19 @@ def test_filter_aggregate_batch(benchmark):
 @pytest.mark.benchmark(group="E13-columnar-query")
 def test_filter_aggregate_row(benchmark):
     catalog = _units_catalog()
-    executor = Executor(catalog, use_batch=False)
+    executor = Executor(catalog, EngineConfig(use_batch=False))
     plan = _tick_query()
     executor.execute(plan)
     benchmark(lambda: executor.execute(plan))
 
 
-def _fig2_world(use_batch: bool, n: int = 300):
+def _fig2_world(*, use_batch: bool, n: int = 300):
     return build_rts_world(
         n,
         mode=ExecutionMode.COMPILED,
         with_physics=False,
         scripts=["count_neighbours"],
-        use_batch=use_batch,
+        config=EngineConfig(use_batch=use_batch),
     )
 
 
@@ -159,6 +160,8 @@ def test_full_game_tick_batch(benchmark):
 
 @pytest.mark.benchmark(group="E13-columnar-full-tick")
 def test_full_game_tick_row(benchmark):
-    world = build_rts_world(200, mode=ExecutionMode.COMPILED, use_batch=False)
+    world = build_rts_world(
+        200, mode=ExecutionMode.COMPILED, config=EngineConfig(use_batch=False)
+    )
     world.tick()
     benchmark(world.tick)

@@ -1,114 +1,16 @@
-"""E7 / E21 — distributed execution: simulation and the real sharded engine.
+"""E21 — the real multi-process sharded engine (``repro.shard``).
 
-E7 (Section 4.2) keeps the original *simulated* shared-nothing cluster:
-partitioning the traffic workload across simulated nodes should (a) divide
-the per-node memory footprint of the big range-tree index, and (b) reduce
-the per-tick compute on the critical path, while higher network latency
-eats into the gain — the latency sensitivity the paper highlights for MMOs.
-
-E21 runs the *real* multi-process sharded engine (``repro.shard``) on the
-rts-derived scenario and gates the critical-path CPU speedup: 4 shards on
-10k units / 1k AOI subscribers must beat the single-process oracle by at
-least 2x.  CPU seconds are scheduling-invariant, so the gate holds on
-single-core CI runners (see ``shard_scenario.run_shard_benchmark``).
+Runs the rts-derived scenario on worker processes and gates the
+critical-path CPU speedup: 4 shards on 10k units / 1k AOI subscribers must
+beat the single-process oracle by at least 2x.  CPU seconds are
+scheduling-invariant, so the gate holds on single-core CI runners (see
+``shard_scenario.run_shard_benchmark``).
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
-
 import shard_scenario
 from repro.bench import Experiment
-from repro.engine.distributed import (
-    Cluster,
-    DistributedRangeIndex,
-    NetworkModel,
-    SpatialPartitioner,
-)
-
-WORLD = 2000.0
-
-
-def vehicle_rows(n: int, seed: int = 3):
-    rng = random.Random(seed)
-    return [
-        {"id": i, "x": rng.uniform(0, WORLD), "y": rng.uniform(0, WORLD), "range": 15.0}
-        for i in range(n)
-    ]
-
-
-def run_tick(n_nodes: int, latency: float, n_vehicles: int = 300):
-    cluster = Cluster(
-        n_nodes,
-        SpatialPartitioner("x", n_partitions=n_nodes, world_max=WORLD),
-        NetworkModel(latency_s=latency),
-    )
-    cluster.load(vehicle_rows(n_vehicles))
-    return cluster.run_range_query_tick(["x", "y"], "range", lambda a, b: {"id": a["id"]})
-
-
-@pytest.mark.benchmark(group="E7-distributed")
-@pytest.mark.parametrize("nodes", [1, 4])
-def test_distributed_tick(benchmark, nodes):
-    benchmark(lambda: run_tick(nodes, latency=0.0005))
-
-
-def test_scaleout_and_latency_sensitivity(capsys):
-    experiment = Experiment(
-        "E7: simulated tick time on a shared-nothing cluster",
-        columns=["nodes", "latency_s", "tick_s", "ghost_rows", "messages"],
-    )
-    single = run_tick(1, 0.0005)
-    results = {}
-    for nodes in (1, 2, 4, 8):
-        for latency in (0.0005, 0.02):
-            result = run_tick(nodes, latency)
-            results[(nodes, latency)] = result
-            experiment.add_row(
-                nodes=nodes,
-                latency_s=latency,
-                tick_s=result.simulated_tick_seconds,
-                ghost_rows=result.ghost_rows_shipped,
-                messages=result.messages,
-            )
-    with capsys.disabled():
-        experiment.print()
-    # Results are identical regardless of partitioning.
-    assert len(results[(4, 0.0005)].results) == len(single.results)
-    # Scale-out helps at low latency; high latency erodes the benefit.
-    assert results[(4, 0.0005)].simulated_tick_seconds < single.simulated_tick_seconds
-    assert results[(4, 0.02)].simulated_tick_seconds > results[(4, 0.0005)].simulated_tick_seconds
-
-
-def test_partitioned_index_memory(capsys):
-    rng = random.Random(7)
-    points = [((rng.uniform(0, WORLD), rng.uniform(0, WORLD)), i) for i in range(2000)]
-    experiment = Experiment(
-        "E7b: orthogonal range tree partitioned across nodes",
-        columns=["nodes", "max_shard_bytes", "total_bytes", "shards_touched_by_narrow_query"],
-    )
-    max_bytes = {}
-    for nodes in (1, 2, 4, 8):
-        index = DistributedRangeIndex(
-            ["x", "y"], SpatialPartitioner("x", n_partitions=nodes, world_max=WORLD)
-        )
-        index.build(points)
-        max_bytes[nodes] = index.max_shard_bytes()
-        experiment.add_row(
-            nodes=nodes,
-            max_shard_bytes=index.max_shard_bytes(),
-            total_bytes=index.total_bytes(),
-            shards_touched_by_narrow_query=len(index.shards_for_query([(0, 100), (0, WORLD)])),
-        )
-    with capsys.disabled():
-        experiment.print()
-    # Per-node memory shrinks as the index is partitioned across more nodes.
-    assert max_bytes[8] < max_bytes[1] / 4
-
-
-# -- E21: the real multi-process sharded engine ------------------------------------------
 
 
 def test_sharded_smoke_two_shards(capsys):

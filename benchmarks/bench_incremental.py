@@ -37,6 +37,7 @@ from incremental_scenario import (
     tick_query,
 )
 from repro import ExecutionMode
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.workloads import build_rts_world
 
@@ -66,8 +67,8 @@ def test_incremental_speedup_low_churn():
     with incremental/batch/row equivalence asserted every tick."""
     catalog, units = build_units_catalog()
     plan = tick_query()
-    row_exec = Executor(catalog, use_batch=False, use_incremental=False)
-    batch_exec = Executor(catalog, use_incremental=False)
+    row_exec = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
+    batch_exec = Executor(catalog, EngineConfig(use_incremental=False))
     inc_exec = Executor(catalog)
     assert inc_exec.register_incremental(plan)
 
@@ -147,7 +148,7 @@ def test_tick_incremental(benchmark):
 def test_tick_batch(benchmark):
     catalog, units = build_units_catalog()
     plan = tick_query()
-    executor = Executor(catalog, use_incremental=False)
+    executor = Executor(catalog, EngineConfig(use_incremental=False))
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}
@@ -164,7 +165,7 @@ def test_tick_batch(benchmark):
 def test_tick_row(benchmark):
     catalog, units = build_units_catalog()
     plan = tick_query()
-    executor = Executor(catalog, use_batch=False, use_incremental=False)
+    executor = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}
@@ -184,7 +185,7 @@ def test_idle_fig2_world_incremental(benchmark):
         mode=ExecutionMode.COMPILED,
         with_physics=False,
         scripts=["count_neighbours"],
-        use_incremental=True,
+        config=EngineConfig(use_incremental=True),
     )
     world.tick()
     benchmark(world.tick)
@@ -197,7 +198,7 @@ def test_idle_fig2_world_batch(benchmark):
         mode=ExecutionMode.COMPILED,
         with_physics=False,
         scripts=["count_neighbours"],
-        use_incremental=False,
+        config=EngineConfig(use_incremental=False),
     )
     world.tick()
     benchmark(world.tick)

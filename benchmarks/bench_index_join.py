@@ -34,10 +34,13 @@ from index_join_scenario import (
     build_band_catalog,
     churn_step,
 )
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.engine.operators import IndexProbeJoinOp, RangeProbeJoinOp
 
 TICKS = 30
+#: The planner's no-index, row-at-a-time fallback: the equivalence oracle.
+REFERENCE_PATH = EngineConfig(use_indexes=False, use_batch=False, use_incremental=False)
 
 
 def _normalized(rows):
@@ -46,11 +49,9 @@ def _normalized(rows):
 
 def _paths(catalog):
     return {
-        "indexed": Executor(catalog, use_incremental=False),
-        "rebuild": Executor(catalog, use_indexes=False, use_incremental=False),
-        "row": Executor(
-            catalog, use_indexes=False, use_batch=False, use_incremental=False
-        ),
+        "indexed": Executor(catalog, EngineConfig(use_incremental=False)),
+        "rebuild": Executor(catalog, EngineConfig(use_indexes=False, use_incremental=False)),
+        "row": Executor(catalog, REFERENCE_PATH),
     }
 
 
@@ -105,7 +106,7 @@ def test_incremental_band_join_probes_index():
     plan = band_join_query()
     inc = Executor(catalog)
     assert inc.register_incremental(plan)
-    ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+    ref = Executor(catalog, REFERENCE_PATH)
     view = inc.incremental_view(plan)
     rng = random.Random(SEED + 2)
     for tick in range(5):
@@ -124,7 +125,7 @@ def test_incremental_band_join_probes_index():
 def test_tick_indexed(benchmark):
     catalog, units, scouts = build_band_catalog()
     plan = band_join_query()
-    executor = Executor(catalog, use_incremental=False)
+    executor = Executor(catalog, EngineConfig(use_incremental=False))
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}
@@ -141,7 +142,7 @@ def test_tick_indexed(benchmark):
 def test_tick_grid_rebuild(benchmark):
     catalog, units, scouts = build_band_catalog()
     plan = band_join_query()
-    executor = Executor(catalog, use_indexes=False, use_incremental=False)
+    executor = Executor(catalog, EngineConfig(use_indexes=False, use_incremental=False))
     executor.execute(plan)
     rng = random.Random(SEED)
     state = {"tick": 0}

@@ -34,6 +34,7 @@ from shared_plans_scenario import (
 )
 from repro import ExecutionMode
 from repro.runtime.world import GameWorld
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 
 TICKS = 20
@@ -48,8 +49,8 @@ def test_shared_tick_equivalence():
     catalog, units = build_units_catalog(n_rows=600)
     plans = tick_queries()
     specs = tick_specs(plans)
-    shared_exec = Executor(catalog, use_incremental=False)
-    unshared_exec = Executor(catalog, use_incremental=False)
+    shared_exec = Executor(catalog, EngineConfig(use_incremental=False))
+    unshared_exec = Executor(catalog, EngineConfig(use_incremental=False))
     rng = random.Random(SEED + 1)
     for tick in range(5):
         shared_results = shared_exec.execute_tick(specs)
@@ -71,8 +72,8 @@ def test_shared_plan_speedup_gate():
     catalog, units = build_units_catalog()
     plans = tick_queries()
     specs = tick_specs(plans)
-    shared_exec = Executor(catalog, use_incremental=False)
-    unshared_exec = Executor(catalog, use_incremental=False)
+    shared_exec = Executor(catalog, EngineConfig(use_incremental=False))
+    unshared_exec = Executor(catalog, EngineConfig(use_incremental=False))
     # Warm both plan caches / pipelines.
     shared_exec.execute_tick(specs)
     for plan in plans:
@@ -131,13 +132,12 @@ class Unit {{
 """
 
 
-def _build_many_scripts_world(use_mqo: bool) -> GameWorld:
+def _build_many_scripts_world(*, use_mqo: bool) -> GameWorld:
     rng = random.Random(SEED)
     world = GameWorld(
         _many_scripts_source(),
         mode=ExecutionMode.COMPILED,
-        use_incremental=False,
-        use_mqo=use_mqo,
+        config=EngineConfig(use_incremental=False, use_mqo=use_mqo),
     )
     world.spawn_many(
         "Unit",

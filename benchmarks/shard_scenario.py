@@ -6,7 +6,7 @@ inside every forked/spawned shard worker.
 
 The scenario scales the rts workload's map up (units drift toward the
 script's hard-coded (50, 50) rally point, so a larger world keeps that an
-interior point while giving the strip partitioner room) and keeps the
+interior point while giving the shard strips room) and keeps the
 workload **equivalence-safe**: every effect combinator in play is either
 an integer sum (``damage``, ``enemies_seen``) or a single-assignment
 average (``vx``/``vy`` — one drift assignment per actor), so results are
@@ -27,7 +27,7 @@ MAX_INTERACTION_RANGE = 10.0
 HALO_WIDTH = 12.0
 
 
-def scenario_spec(world_size: float = 300.0, adaptive_halo: bool = False) -> ShardSpec:
+def scenario_spec(world_size: float = 300.0, *, adaptive_halo: bool = False) -> ShardSpec:
     return ShardSpec(
         axis_column="x",
         world_min=0.0,
@@ -90,10 +90,8 @@ def run_shard_benchmark(
     median ``max(per-worker CPU) + coordinator routing CPU``.  CPU seconds
     (``time.process_time``) are scheduling-invariant, so the number a
     multi-core deployment's wall clock converges to is measured correctly
-    even on a single-core CI runner where the worker processes time-slice
-    — the same accounting the E7 cluster simulation gates
-    (``simulated_tick_seconds = max per-node compute + network``).  Wall
-    clock for both sides is reported as informational.
+    even on a single-core CI runner where the worker processes time-slice.
+    Wall clock for both sides is reported as informational.
     """
     import functools
     import statistics

@@ -1,51 +1,21 @@
 """Traffic simulation example (the large-scale simulation of Section 4.2).
 
-Runs the car-following workload on a single engine, then partitions the
-same vehicles across a simulated shared-nothing cluster and reports how the
-per-tick critical path and per-node index memory change with the node count
-and network latency.
+Runs the car-following workload on a single engine and reports the mean
+velocity after a few ticks.  ``examples/sharded_world.py`` shows the same
+kind of world split across worker processes.
 
 Run with:  python examples/traffic_simulation.py
 """
 
-import random
-
-from repro.engine.distributed import Cluster, DistributedRangeIndex, NetworkModel, SpatialPartitioner
 from repro.workloads import build_traffic_world
 
 
 def main() -> None:
-    # 1. The single-node game world.
     world = build_traffic_world(400, n_lanes=4, road_length=2000.0)
     for _ in range(5):
         world.tick()
     velocities = [v["velocity"] for v in world.objects("Vehicle")]
     print(f"single node: 400 vehicles, mean velocity {sum(velocities) / len(velocities):.2f}")
-
-    # 2. The same population on a simulated cluster.
-    rng = random.Random(0)
-    rows = [
-        {"id": i, "x": rng.uniform(0, 2000), "y": rng.uniform(0, 60), "range": 12.0}
-        for i in range(400)
-    ]
-    print("\nnodes  latency   simulated tick (s)  ghost rows  max shard MiB")
-    for nodes in (1, 2, 4, 8):
-        for latency in (0.0005, 0.02):
-            cluster = Cluster(
-                nodes,
-                SpatialPartitioner("x", n_partitions=nodes, world_max=2000.0),
-                NetworkModel(latency_s=latency),
-            )
-            cluster.load(rows)
-            result = cluster.run_range_query_tick(["x", "y"], "range", lambda a, b: {"id": a["id"]})
-            index = DistributedRangeIndex(
-                ["x", "y"], SpatialPartitioner("x", n_partitions=nodes, world_max=2000.0)
-            )
-            index.build([((r["x"], r["y"]), r["id"]) for r in rows])
-            print(
-                f"{nodes:5d}  {latency:7.4f}  {result.simulated_tick_seconds:18.4f}  "
-                f"{result.ghost_rows_shipped:10d}  {index.max_shard_bytes() / 2**20:13.3f}"
-            )
 
 
 if __name__ == "__main__":

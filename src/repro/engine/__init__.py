@@ -5,7 +5,7 @@ memory database system" the paper builds SGL on: typed schemas, tables with
 index maintenance and tick snapshots, a logical relational algebra,
 row-at-a-time and columnar (batch) physical operators, spatial and
 relational indexes, statistics, a cost-based and adaptive optimizer, and
-serial/parallel/distributed executors.
+the executor.  Multi-process execution lives in :mod:`repro.shard`.
 """
 
 from repro.engine.aggregates import AGGREGATE_NAMES, Accumulator, combine_values, make_accumulator
@@ -26,7 +26,7 @@ from repro.engine.algebra import (
     Values,
 )
 from repro.engine.catalog import Catalog
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.engine.errors import (
     CatalogError,
     ConstraintViolation,
@@ -55,7 +55,6 @@ from repro.engine.expressions import (
     var,
 )
 from repro.engine.optimizer import AdaptiveQueryManager, ExecutionFeedback, IndexAdvisor, Planner
-from repro.engine.parallel import ParallelResult, PartitionedExecutor
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import DataType, Ref
@@ -82,7 +81,6 @@ __all__ = [
     "Values",
     "Catalog",
     "EngineConfig",
-    "resolve_engine_config",
     "CatalogError",
     "ConstraintViolation",
     "EngineError",
@@ -111,8 +109,6 @@ __all__ = [
     "ExecutionFeedback",
     "IndexAdvisor",
     "Planner",
-    "ParallelResult",
-    "PartitionedExecutor",
     "Column",
     "Schema",
     "Table",

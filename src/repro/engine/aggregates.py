@@ -8,9 +8,9 @@ The same combinators serve two roles in the system, mirroring the paper:
   combined using aggregate functions" (Section 2) — re-exported by
   :mod:`repro.runtime.effects`.
 
-Each combinator is an incremental accumulator (so physical operators and the
-parallel executor can merge partial aggregates) with an explicit identity
-value.  ``choose`` implements the paper's deterministic conflict resolution
+Each combinator is an incremental accumulator (so physical operators and
+effect sinks can merge partial aggregates) with an explicit identity value.
+``choose`` implements the paper's deterministic conflict resolution
 operator ⊕ used for exclusive effects (e.g. a seller picking one buyer): it
 keeps the smallest value by sort order, which makes the outcome independent
 of evaluation order, as the tick semantics require.

@@ -78,6 +78,7 @@ class DeltaBatch:
         names: Sequence[str],
         added: list[tuple] | None = None,
         removed: list[tuple] | None = None,
+        *,
         netted: bool = False,
     ):
         self.names = tuple(names)

@@ -83,7 +83,7 @@ class Catalog:
 
     # -- statistics --------------------------------------------------------------------
 
-    def statistics(self, table_name: str, refresh: bool = False) -> TableStatistics:
+    def statistics(self, table_name: str, *, refresh: bool = False) -> TableStatistics:
         """Return (possibly cached) statistics for *table_name*.
 
         Statistics are recollected lazily whenever the table's version has

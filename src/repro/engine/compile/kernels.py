@@ -238,7 +238,7 @@ def _decline_if_index_scan(planner: Any, selects: list[Select], leaf: LogicalPla
     produces rows in index order, so the kernel must decline to stay
     equivalent.
     """
-    if not planner.use_indexes or not selects or not isinstance(leaf, TableScan):
+    if not planner.config.use_indexes or not selects or not isinstance(leaf, TableScan):
         return
     if planner._match_index(leaf.table_name, selects[-1].predicate) is not None:
         raise KernelDecline("index scan preferred", "index-select")
@@ -355,7 +355,7 @@ def _analyze_join(join: Join, planner: Any) -> _Pipeline:
     # scans included, is bypassed); otherwise the transient grid.
     matched = (
         match_band_index(catalog, join.right, probe[0])
-        if probe and planner.use_indexes
+        if probe and planner.config.use_indexes
         else None
     )
     _decline_if_index_scan(planner, left_selects, left_leaf)

@@ -1,32 +1,27 @@
-"""Engine configuration: one frozen object instead of six boolean flags.
+"""Engine configuration: one frozen object instead of scattered boolean flags.
 
-Before this module the engine's feature toggles (``use_batch``,
-``use_incremental``, ``use_mqo``, ``use_indexes``, ``auto_index``) were
-threaded as individual keyword arguments through :class:`GameWorld`, the
-executor, the planner, and every ``build_*_world`` constructor — 63
-occurrences across 8 files, each new flag multiplying the sprawl.
-:class:`EngineConfig` consolidates them:
+Every optional engine path (batch operators, incremental views, shared
+subplans, index plans, the index advisor, kernel compilation, semi-naive
+fixpoints) is switched by one :class:`EngineConfig`, passed as ``config=``
+to :class:`GameWorld`, the executor, the planner and every
+``build_*_world`` constructor.  ``config=None`` means
+:meth:`EngineConfig.from_env`.
 
-* construct one ``EngineConfig`` and pass it as ``config=`` anywhere the
-  old booleans were accepted;
-* the old keyword arguments keep working through
-  :func:`resolve_engine_config`, which maps them onto the config object
-  and emits a :class:`DeprecationWarning`;
-* named presets (:meth:`EngineConfig.fastest`,
-  :meth:`EngineConfig.reference`, :meth:`EngineConfig.debug`) capture the
-  three configurations benchmarks and bug reports actually use, and
-  ``REPRO_ENGINE_PRESET`` selects one from the environment so CI can run
-  the whole suite under e.g. the fully compiled configuration.
+Named presets (:meth:`EngineConfig.fastest`, :meth:`EngineConfig.reference`,
+:meth:`EngineConfig.debug`) capture the three configurations benchmarks and
+bug reports actually use, and ``REPRO_ENGINE_PRESET`` selects one from the
+environment so CI can run the whole suite under e.g. the fully compiled
+configuration.  To change a few switches on top of the environment's preset,
+write ``EngineConfig.from_env().replace(...)``.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping
+from typing import Any
 
-__all__ = ["EngineConfig", "resolve_engine_config"]
+__all__ = ["EngineConfig"]
 
 _PRESET_ENV_VAR = "REPRO_ENGINE_PRESET"
 
@@ -117,48 +112,3 @@ class EngineConfig:
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict view for reports and benchmark metadata."""
         return asdict(self)
-
-
-_LEGACY_FLAGS = frozenset(
-    {
-        "optimize",
-        "use_batch",
-        "use_incremental",
-        "use_mqo",
-        "use_indexes",
-        "auto_index",
-        "use_compiled",
-        "use_fixpoint",
-    }
-)
-
-
-def resolve_engine_config(
-    config: EngineConfig | None,
-    legacy: Mapping[str, Any] | None = None,
-    *,
-    stacklevel: int = 3,
-) -> EngineConfig:
-    """Resolve ``config=`` plus deprecated ``use_*`` keywords into one config.
-
-    ``legacy`` maps old keyword names to the value the caller passed, with
-    ``None`` meaning "not passed".  Any explicitly passed legacy flag is
-    applied on top of the base config (the given ``config``, or the
-    environment preset) and triggers a single :class:`DeprecationWarning`
-    naming the offending keywords.
-    """
-    base = config if config is not None else EngineConfig.from_env()
-    passed = {k: v for k, v in (legacy or {}).items() if v is not None}
-    if not passed:
-        return base
-    unknown = set(passed) - _LEGACY_FLAGS
-    if unknown:
-        raise TypeError(f"unknown engine flags: {sorted(unknown)}")
-    warnings.warn(
-        "boolean engine flags ("
-        + ", ".join(sorted(passed))
-        + ") are deprecated; pass config=EngineConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return base.replace(**{k: bool(v) for k, v in passed.items()})

@@ -56,7 +56,7 @@ from repro.engine.operators import (
     fold_rows_to_partials,
 )
 from repro.engine.compile import KernelLowering
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.engine.operators.batch_ops import BatchOperator
 from repro.engine.operators.shared import EffectPartial
 from repro.engine.optimizer.mqo import SharedScan, TickPlan, build_tick_plan
@@ -245,21 +245,10 @@ class Executor:
         catalog: Catalog,
         config: EngineConfig | None = None,
         *,
-        optimize: bool | None = None,
-        use_indexes: bool | None = None,
-        use_batch: bool | None = None,
-        use_incremental: bool | None = None,
         index_advisor=None,
     ):
-        config = resolve_engine_config(
-            config,
-            {
-                "optimize": optimize,
-                "use_indexes": use_indexes,
-                "use_batch": use_batch,
-                "use_incremental": use_incremental,
-            },
-        )
+        if config is None:
+            config = EngineConfig.from_env()
         self.catalog = catalog
         self.config = config
         self.index_advisor = index_advisor
@@ -294,7 +283,7 @@ class Executor:
 
     # -- planning ---------------------------------------------------------------------
 
-    def prepare(self, plan: LogicalPlan, cache: bool = True) -> PlannedQuery:
+    def prepare(self, plan: LogicalPlan, *, cache: bool = True) -> PlannedQuery:
         """Plan a query, consulting / populating the plan cache."""
         key = id(plan)
         if cache and key in self._cache:
@@ -400,7 +389,7 @@ class Executor:
 
     # -- execution ----------------------------------------------------------------------
 
-    def execute(self, plan: LogicalPlan, cache: bool = True) -> QueryResult:
+    def execute(self, plan: LogicalPlan, *, cache: bool = True) -> QueryResult:
         """Plan (or reuse a cached plan for) and execute *plan*."""
         planned = self.prepare(plan, cache=cache)
         rows = self._refresh_incremental(plan)
@@ -445,10 +434,6 @@ class Executor:
             entry.executions += 1
             entry.total_runtime += runtime
         return QueryResult(rows=rows, runtime=runtime, planned=planned)
-
-    def execute_physical(self, physical: PhysicalOperator) -> list[dict[str, Any]]:
-        """Run an already-lowered operator tree (used by the parallel executor)."""
-        return physical.rows()
 
     # -- the tick pipeline ----------------------------------------------------------------
 

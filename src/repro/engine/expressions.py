@@ -375,25 +375,9 @@ def _distance(x1: Any, y1: Any, x2: Any, y2: Any) -> float:
     return math.hypot(x2 - x1, y2 - y1)
 
 
-def _bucket(value: Any, n: Any) -> int:
-    """Total hash routing: which of *n* buckets *value* belongs to.
-
-    Total means *every* value maps to exactly one bucket — ``None`` goes to
-    bucket 0 and unhashable values hash their repr — which is what the
-    parallel executor's partition predicates require: a partial routing
-    function silently drops rows from the union of the partitions.
-    """
-    if value is None:
-        return 0
-    try:
-        return hash(value) % int(n)
-    except TypeError:
-        return hash(repr(value)) % int(n)
-
-
 #: Functions evaluated even when an argument is ``None`` (everything else
-#: null-propagates).  ``bucket`` must be total — see :func:`_bucket`.
-_NULL_TOLERANT_FUNCTIONS = ("size", "contains", "bucket")
+#: null-propagates).
+_NULL_TOLERANT_FUNCTIONS = ("size", "contains")
 
 _FUNCTIONS: dict[str, Callable[..., Any]] = {
     "sqrt": math.sqrt,
@@ -412,7 +396,6 @@ _FUNCTIONS: dict[str, Callable[..., Any]] = {
     "atan2": math.atan2,
     "cos": math.cos,
     "sin": math.sin,
-    "bucket": _bucket,
 }
 
 

@@ -262,7 +262,7 @@ class RangeTreeIndex(TableIndex):
     def build_from_points(self, points: Sequence[tuple[Sequence[float], Any]]) -> None:
         """Build directly from ``(coords, payload)`` pairs (no table needed).
 
-        Used by experiment E6 and by the distributed index partitioner.
+        Used by experiment E6.
         """
         normalized = [(tuple(float(c) for c in coords), payload) for coords, payload in points]
         self._size = len(normalized)

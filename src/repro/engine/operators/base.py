@@ -56,14 +56,14 @@ class PhysicalOperator:
         """A one-line description used by explain output."""
         return type(self).__name__
 
-    def explain(self, indent: int = 0, analyze: bool = False) -> str:
+    def explain(self, indent: int = 0, *, analyze: bool = False) -> str:
         """Render the operator tree; with *analyze*, include runtime counters."""
         line = ("  " * indent) + self.label()
         if analyze:
             line += f"  [rows={self.rows_produced} execs={self.executions} time={self.elapsed:.4f}s]"
         parts = [line]
         for child in self.children:
-            parts.append(child.explain(indent + 1, analyze))
+            parts.append(child.explain(indent + 1, analyze=analyze))
         return "\n".join(parts)
 
     def reset_counters(self) -> None:

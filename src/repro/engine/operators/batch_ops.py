@@ -19,7 +19,7 @@ tell the paths apart.
 :class:`BatchBridgeOp` is the boundary: a regular
 :class:`~repro.engine.operators.base.PhysicalOperator` that executes the
 batch subtree and materializes row dicts once, at the top, so everything
-above it (executor, plan cache, explain, parallel executor) is unchanged.
+above it (executor, plan cache, explain) is unchanged.
 """
 
 from __future__ import annotations
@@ -605,7 +605,7 @@ class BatchBridgeOp(PhysicalOperator):
     def label(self) -> str:
         return "BatchBridge"
 
-    def explain(self, indent: int = 0, analyze: bool = False) -> str:
+    def explain(self, indent: int = 0, *, analyze: bool = False) -> str:
         line = ("  " * indent) + self.label()
         if analyze:
             line += f"  [rows={self.rows_produced} execs={self.executions} time={self.elapsed:.4f}s]"

@@ -125,6 +125,7 @@ class LinearStep:
         projections: Sequence[tuple[str, Expression]],
         rec_filters: Sequence[Expression] = (),
         residual: Sequence[Expression] = (),
+        *,
         rec_side_left: bool = True,
         build_delta: tuple[Table, RecursiveCell, PhysicalOperator] | None = None,
     ):

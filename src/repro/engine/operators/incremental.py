@@ -216,7 +216,7 @@ class DeltaScanOp(DeltaOperator):
             raise DeltaUnavailable(f"no base delta for table {self.table.name!r}")
         # Rename only: tuples are shared with the context's per-table delta.
         return DeltaBatch(
-            self.names, base_delta.added, base_delta.removed, base_delta.netted
+            self.names, base_delta.added, base_delta.removed, netted=base_delta.netted
         )
 
     def full_rows(self) -> list[tuple]:
@@ -310,7 +310,7 @@ class DeltaFilterOp(DeltaOperator):
             self.names,
             self._filter(child_delta.added),
             self._filter(child_delta.removed),
-            child_delta.netted,
+            netted=child_delta.netted,
         )
 
     def label(self) -> str:

@@ -30,10 +30,10 @@ and — within one query — fold floats in exactly the unfused sequence.
 When *several* fused queries write the same ``(target, effect)``, merging
 their partials reassociates float addition (``(q1) + (q2)`` instead of
 one left fold), so sums may differ from the unfused path by rounding
-error — the same caveat the delta-maintained views and partitioned
-parallel folding already carry.  Order-*sensitive* combinators
-(``first``/``last``/``collect``) are never sink-fused — the runtime keeps
-those queries on the row-at-a-time effect path.
+error — the same caveat the delta-maintained views already carry.
+Order-*sensitive* combinators (``first``/``last``/``collect``) are never
+sink-fused — the runtime keeps those queries on the row-at-a-time effect
+path.
 """
 
 from __future__ import annotations

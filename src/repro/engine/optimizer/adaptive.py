@@ -305,7 +305,7 @@ class AdaptiveQueryManager:
 
     # -- compilation -------------------------------------------------------------------
 
-    def compile_for_state(self, state: str, refresh_statistics: bool = True) -> PlanChoice:
+    def compile_for_state(self, state: str, *, refresh_statistics: bool = True) -> PlanChoice:
         """Compile (or re-compile) the plan for a named workload state.
 
         Call this while the game data is representative of *state* so the

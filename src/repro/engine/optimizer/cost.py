@@ -108,7 +108,7 @@ class CostModel:
     #: when an Exchange runs in handoff-detection mode (exclude_shard set).
     HANDOFF_FRACTION = 0.05
 
-    def __init__(self, catalog: Catalog, use_indexes: bool = True):
+    def __init__(self, catalog: Catalog, *, use_indexes: bool = True):
         self.catalog = catalog
         #: Mirrors the physical planner's flag: with index plans disabled,
         #: costing must not assume an index-probe lowering that execution
@@ -326,7 +326,7 @@ class CostModel:
     # -- band joins -------------------------------------------------------------------
 
     def band_join_work(
-        self, outer_cardinality: float, inner_cardinality: float, persistent_index: bool
+        self, outer_cardinality: float, inner_cardinality: float, *, persistent_index: bool
     ) -> float:
         """Work of a band join: the probe loop, plus — without a persistent
         index on the inner side — rebuilding the transient grid per tick."""

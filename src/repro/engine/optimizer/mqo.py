@@ -365,6 +365,7 @@ def _rewrite(
     shared_fps: set[str],
     rep_aliases: Mapping[str, tuple[str, ...]],
     refs: list[str],
+    *,
     skip_root: bool = False,
 ) -> LogicalPlan:
     """Replace maximal shared subtrees of *plan* with ``SharedScan`` leaves,

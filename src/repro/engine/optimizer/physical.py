@@ -43,6 +43,7 @@ from repro.engine.algebra import (
     Values,
 )
 from repro.engine.catalog import Catalog
+from repro.engine.config import EngineConfig
 from repro.engine.errors import PlanError, SchemaError
 from repro.engine.table import Table
 from repro.engine.optimizer.mqo import SharedScan
@@ -144,9 +145,14 @@ def match_band_index(
 class PhysicalPlanner:
     """Translates optimized logical plans into executable operator trees.
 
+    Reads four switches of its :class:`~repro.engine.config.EngineConfig`:
     ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
     forces row-at-a-time plans (used by the equivalence tests and by
-    ``benchmarks/bench_columnar.py`` to quantify what each path buys).
+    ``benchmarks/bench_columnar.py`` to quantify what each path buys);
+    ``use_fixpoint=False`` lowers Fixpoint nodes to the naive reference
+    loop (full accumulator every round); and with ``use_fixpoint`` on,
+    ``use_incremental`` lowers per-table delta variants of fixpoint steps
+    so cached closures warm-restart after insert-only churn.
 
     ``index_advisor`` (an
     :class:`~repro.engine.optimizer.adaptive.IndexAdvisor`) receives
@@ -157,22 +163,13 @@ class PhysicalPlanner:
     def __init__(
         self,
         catalog: Catalog,
-        use_indexes: bool = True,
-        use_batch: bool = True,
+        config: EngineConfig,
+        *,
         index_advisor: Any = None,
-        use_fixpoint: bool = True,
-        fixpoint_incremental: bool = True,
     ):
         self.catalog = catalog
-        self.use_indexes = use_indexes
-        self.use_batch = use_batch
+        self.config = config
         self.index_advisor = index_advisor
-        #: Semi-naive fixpoint evaluation; ``False`` lowers Fixpoint nodes
-        #: to the naive reference loop (full accumulator every round).
-        self.use_fixpoint = use_fixpoint
-        #: Lower per-table delta variants of fixpoint steps so cached
-        #: closures warm-restart after insert-only churn.
-        self.fixpoint_incremental = fixpoint_incremental
         #: Binding slots for RecursiveRef leaves, installed while lowering
         #: an enclosing Fixpoint: name -> (cell, positional source names).
         self.recursive_cells: dict[str, tuple[RecursiveCell, Sequence[str] | None]] = {}
@@ -226,7 +223,7 @@ class PhysicalPlanner:
                 plan.exclude_shard,
                 plan.output_schema(self.catalog),
             )
-        if self.use_batch:
+        if self.config.use_batch:
             batched = self._lower_batch(plan)
             if batched is not None:
                 return BatchBridgeOp(batched, plan.output_schema(self.catalog))
@@ -282,7 +279,7 @@ class PhysicalPlanner:
 
     def _lower_select(self, plan: Select) -> PhysicalOperator:
         child = plan.child
-        if self.use_indexes and isinstance(child, TableScan):
+        if self.config.use_indexes and isinstance(child, TableScan):
             indexed = self._try_index_scan(child, plan.predicate)
             if indexed is not None:
                 return indexed
@@ -379,7 +376,7 @@ class PhysicalPlanner:
                 dimensions, residual_conjuncts = probe
                 indexed = (
                     self._try_index_probe_join(plan, dimensions, residual_conjuncts, schema)
-                    if self.use_indexes
+                    if self.config.use_indexes
                     else None
                 )
                 if indexed is not None:
@@ -505,7 +502,7 @@ class PhysicalPlanner:
             return None
         if isinstance(plan, Select):
             # An index scan skips rows entirely; prefer it over batching.
-            if self.use_indexes and isinstance(plan.child, TableScan):
+            if self.config.use_indexes and isinstance(plan.child, TableScan):
                 if self._match_index(plan.child.table_name, plan.predicate) is not None:
                     return None
             child = self._lower_batch(plan.child)
@@ -608,7 +605,7 @@ class PhysicalPlanner:
             step_op = self.lower(plan.step) if linear is None else None
             variants = (
                 self._lower_delta_variants(plan)
-                if self.use_fixpoint and self.fixpoint_incremental
+                if self.config.use_fixpoint and self.config.use_incremental
                 else []
             )
         finally:
@@ -632,13 +629,13 @@ class PhysicalPlanner:
             accum_cell,
             step_op,
             linear,
-            semi_naive=self.use_fixpoint,
+            semi_naive=self.config.use_fixpoint,
             max_rounds=plan.max_rounds,
             distinct_on=plan.distinct_on,
             base_tables=base_tables,
             step_tables=step_tables,
             delta_variants=variants,
-            warm_restart=self.fixpoint_incremental,
+            warm_restart=self.config.use_incremental,
         )
 
     def _match_linear_step(
@@ -727,7 +724,7 @@ class PhysicalPlanner:
         from exactly one table scanned exactly once.  Warm restarts then
         append just the inserted rows to the build hash instead of
         re-hashing the whole side (``LinearStep.refresh``)."""
-        if not (self.use_fixpoint and self.fixpoint_incremental):
+        if not (self.config.use_fixpoint and self.config.use_incremental):
             return None
         names = [
             name

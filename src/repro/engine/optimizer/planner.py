@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.engine.algebra import LogicalPlan, explain as explain_logical
 from repro.engine.catalog import Catalog
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.engine.operators import PhysicalOperator
 from repro.engine.optimizer.cost import CostModel, PlanCost
 from repro.engine.optimizer.join_order import reorder_joins
@@ -39,7 +39,7 @@ class PlannedQuery:
 
         return any(isinstance(op, BatchBridgeOp) for op in self.physical.walk())
 
-    def explain(self, analyze: bool = False) -> str:
+    def explain(self, *, analyze: bool = False) -> str:
         lines = [
             "== logical ==",
             explain_logical(self.logical),
@@ -61,12 +61,11 @@ class Planner:
     operators (:class:`~repro.engine.optimizer.physical.PhysicalPlanner`).
 
     Configuration comes from one :class:`~repro.engine.config.EngineConfig`
-    (``config=``): ``optimize=False`` skips rewrites and join reordering
-    (used by the benchmarks to quantify what the optimizer buys);
-    ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
-    forces row-at-a-time plans instead of the columnar batch path.  The
-    old individual boolean keywords still work through the deprecation
-    shim (:func:`~repro.engine.config.resolve_engine_config`).
+    (``config=``, default :meth:`~repro.engine.config.EngineConfig.from_env`):
+    ``optimize=False`` skips rewrites and join reordering (used by the
+    benchmarks to quantify what the optimizer buys); ``use_indexes=False``
+    forces pure scan plans; ``use_batch=False`` forces row-at-a-time plans
+    instead of the columnar batch path.
     """
 
     def __init__(
@@ -74,27 +73,15 @@ class Planner:
         catalog: Catalog,
         config: EngineConfig | None = None,
         *,
-        optimize: bool | None = None,
-        use_indexes: bool | None = None,
-        use_batch: bool | None = None,
         index_advisor=None,
     ):
-        config = resolve_engine_config(
-            config,
-            {"optimize": optimize, "use_indexes": use_indexes, "use_batch": use_batch},
-        )
+        if config is None:
+            config = EngineConfig.from_env()
         self.catalog = catalog
         self.config = config
         self.optimize = config.optimize
         self.cost_model = CostModel(catalog, use_indexes=config.use_indexes)
-        self.physical_planner = PhysicalPlanner(
-            catalog,
-            use_indexes=config.use_indexes,
-            use_batch=config.use_batch,
-            index_advisor=index_advisor,
-            use_fixpoint=config.use_fixpoint,
-            fixpoint_incremental=config.use_incremental,
-        )
+        self.physical_planner = PhysicalPlanner(catalog, config, index_advisor=index_advisor)
 
     def plan(self, logical: LogicalPlan) -> PlannedQuery:
         """Produce a physical plan for *logical*."""

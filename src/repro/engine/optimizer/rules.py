@@ -9,9 +9,8 @@ selection → projection/aggregation); these rules normalize it:
   become join conditions.
 * ``merge_selections`` — collapse adjacent selections back into one
   conjunction (after pushdown).
-* ``prune_projections`` — drop unreferenced columns early (cheap in a row
-  store, but it keeps intermediate rows narrow for the distributed
-  executor's network model).
+* ``prune_projections`` — drop unreferenced columns early (keeps
+  intermediate rows narrow).
 
 All rules are pure functions from plan to plan.
 """

@@ -89,6 +89,7 @@ class DeltaLog:
         self,
         path: str,
         segment_max_bytes: int = DEFAULT_SEGMENT_BYTES,
+        *,
         fsync: bool = False,
         repair: bool = True,
     ):
@@ -112,7 +113,7 @@ class DeltaLog:
         self.records_appended = 0
         self.bytes_appended = 0
         self._writer: seg.SegmentWriter | None = None
-        self._load(repair)
+        self._load(repair=repair)
         if not self._segments:
             self.epoch = secrets.token_hex(8)
             self._start_segment()
@@ -122,7 +123,7 @@ class DeltaLog:
     def _segment_path(self, name: str) -> str:
         return os.path.join(self.path, name)
 
-    def _load(self, repair: bool) -> None:
+    def _load(self, *, repair: bool) -> None:
         names = sorted(
             n for n in os.listdir(self.path) if seg.segment_base(n) is not None
         )
@@ -324,6 +325,7 @@ class WorldWal:
         world: "GameWorld",
         log: DeltaLog,
         checkpoint_interval: int = 50,
+        *,
         auto_trim: bool = False,
     ):
         if checkpoint_interval < 1:

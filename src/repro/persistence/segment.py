@@ -194,7 +194,7 @@ class SegmentWriter:
     knob: cheap-and-buffered by default, paranoid on request).
     """
 
-    def __init__(self, path: str, fsync: bool = False):
+    def __init__(self, path: str, *, fsync: bool = False):
         self.path = path
         self.fsync = fsync
         exists = os.path.exists(path)

@@ -155,7 +155,7 @@ class TickInspector:
         return self.world.executor.tick_sharing_report()
 
 
-def explain_script_plans(world: GameWorld, script_name: str, analyze: bool = False) -> str:
+def explain_script_plans(world: GameWorld, script_name: str, *, analyze: bool = False) -> str:
     """Render the compiled plans of one script, one block per effect site.
 
     With ``analyze=True`` the physical plans include observed row counts and

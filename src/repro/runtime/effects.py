@@ -97,6 +97,7 @@ class EffectStore:
         effect: str,
         partial: Accumulator,
         count: int,
+        *,
         set_insert: bool = False,
     ) -> None:
         """Fold a pre-combined group of assignments into the store.
@@ -110,11 +111,10 @@ class EffectStore:
         lossless for every order-insensitive combinator (the only kind
         the runtime ever sink-fuses), though merging two queries' float
         sums reassociates addition and may differ from the row-at-a-time
-        fold by rounding error, like delta-maintained and partitioned
-        parallel aggregates already do.
+        fold by rounding error, like delta-maintained aggregates already do.
         """
         key = (class_name, target_id, effect)
-        combinator = self._resolve_combinator(class_name, effect, set_insert)
+        combinator = self._resolve_combinator(class_name, effect, set_insert=set_insert)
         if partial.func != combinator:
             # The compiler resolves sink combinators through the same
             # resolve_combinator helper this store uses, so a mismatch
@@ -135,11 +135,13 @@ class EffectStore:
 
     def _combinator_for(self, assignment: EffectAssignment) -> str:
         return self._resolve_combinator(
-            assignment.class_name, assignment.effect, assignment.set_insert
+            assignment.class_name, assignment.effect, set_insert=assignment.set_insert
         )
 
-    def _resolve_combinator(self, class_name: str, effect: str, set_insert: bool) -> str:
-        return resolve_combinator(self._classes.get(class_name), effect, set_insert)
+    def _resolve_combinator(self, class_name: str, effect: str, *, set_insert: bool) -> str:
+        return resolve_combinator(
+            self._classes.get(class_name), effect, set_insert=set_insert
+        )
 
     # -- results -------------------------------------------------------------------------------
 

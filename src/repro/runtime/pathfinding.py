@@ -175,6 +175,7 @@ def reachability_plan(
     start_id: int,
     edges: str = "grid_edges",
     max_rounds: int | None = None,
+    *,
     with_distance: bool = False,
 ) -> LogicalPlan:
     """All cells reachable from *start_id*: the transitive closure of the

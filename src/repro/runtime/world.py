@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.engine.catalog import Catalog
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.engine.errors import ExecutionError
 from repro.engine.executor import Executor, TickQuerySpec
 from repro.engine.expressions import Expression
@@ -178,25 +178,9 @@ class GameWorld:
         layout: SchemaLayout = SchemaLayout.SINGLE,
         vertical_groups: Sequence[Sequence[str]] | None = None,
         config: EngineConfig | None = None,
-        *,
-        optimize: bool | None = None,
-        use_indexes: bool | None = None,
-        use_batch: bool | None = None,
-        use_incremental: bool | None = None,
-        auto_index: bool | None = None,
-        use_mqo: bool | None = None,
     ):
-        config = resolve_engine_config(
-            config,
-            {
-                "optimize": optimize,
-                "use_indexes": use_indexes,
-                "use_batch": use_batch,
-                "use_incremental": use_incremental,
-                "auto_index": auto_index,
-                "use_mqo": use_mqo,
-            },
-        )
+        if config is None:
+            config = EngineConfig.from_env()
         self.config = config
         self.program = parse_program(source) if isinstance(source, str) else source
         self.analyzed: AnalyzedProgram = analyze_program(self.program)
@@ -514,6 +498,7 @@ class GameWorld:
         path: str,
         checkpoint_interval: int = 50,
         segment_max_bytes: int | None = None,
+        *,
         fsync: bool = False,
         auto_trim: bool = False,
         recover: bool = True,
@@ -627,14 +612,14 @@ class GameWorld:
 
         # -- query + effect step (state read-only) -------------------------------------------
         started = time.perf_counter()
-        self._freeze(True)
+        self._freeze(frozen=True)
         try:
             if self.mode is ExecutionMode.COMPILED:
                 self._run_compiled(store, transactions)
             else:
                 self._run_interpreted(store, transactions)
         finally:
-            self._freeze(False)
+            self._freeze(frozen=False)
         report.effect_step_seconds = time.perf_counter() - started
         report.effect_assignments = len(store)
         report.transactions_submitted = len(transactions)
@@ -852,7 +837,7 @@ class GameWorld:
                             query.effect,
                             partial,
                             count,
-                            query.set_insert,
+                            set_insert=query.set_insert,
                         )
                 else:
                     consume_rows(query, result.rows or ())
@@ -925,7 +910,7 @@ class GameWorld:
             self._attribute_tables[key] = table_name
         return table_name
 
-    def _freeze(self, frozen: bool) -> None:
+    def _freeze(self, *, frozen: bool) -> None:
         for generated in self.schemas.values():
             for table_name in generated.state_table_names():
                 table = self.catalog.table(table_name)

@@ -80,7 +80,7 @@ class Outbox:
         self.needs_resync.add(message.subscription_id)
         return False
 
-    def _drop(self, subscription_id: int, deltas_only: bool) -> None:
+    def _drop(self, subscription_id: int, *, deltas_only: bool) -> None:
         kept: deque[SubscriptionMessage] = deque()
         for message in self._messages:
             if message.subscription_id == subscription_id and not (

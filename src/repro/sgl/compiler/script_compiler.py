@@ -305,7 +305,9 @@ class _SegmentCompiler:
                 continue
             if isinstance(statement, (EffectAssign, SetInsert)):
                 set_insert = isinstance(statement, SetInsert)
-                self._emit_effect_query(statement, plan, condition, context, atomic, set_insert)
+                self._emit_effect_query(
+                    statement, plan, condition, context, atomic, set_insert=set_insert
+                )
                 continue
             if isinstance(statement, IfStatement):
                 lowered = lower_expression(statement.condition, context)
@@ -349,6 +351,7 @@ class _SegmentCompiler:
         condition: Expression,
         context: LoweringContext,
         atomic: AtomicBlock | None,
+        *,
         set_insert: bool,
     ) -> None:
         target = statement.target
@@ -380,17 +383,19 @@ class _SegmentCompiler:
                 description=f"{self.script.name}:{getattr(statement, 'line', 0)} "
                 f"{effect_name} <- ...",
                 query_id=f"{self.script.name}/{self.segment_index}/{len(self.queries)}",
-                combinator=self._effect_combinator(target_class, effect_name, set_insert),
+                combinator=self._effect_combinator(
+                    target_class, effect_name, set_insert=set_insert
+                ),
             )
         )
 
-    def _effect_combinator(self, target_class: str, effect: str, set_insert: bool) -> str:
+    def _effect_combinator(self, target_class: str, effect: str, *, set_insert: bool) -> str:
         """The resolved ⊕ combinator of the target effect, via the same
         :func:`~repro.sgl.semantics.resolve_combinator` the runtime effect
         store uses, so the engine-side effect sink and the store can never
         disagree."""
         return resolve_combinator(
-            self.compiler.analyzed.class_named(target_class), effect, set_insert
+            self.compiler.analyzed.class_named(target_class), effect, set_insert=set_insert
         )
 
     def _resolve_target(
@@ -666,7 +671,7 @@ class _SegmentCompiler:
                         cond,
                         ctx,
                         atomic,
-                        isinstance(statement, SetInsert),
+                        set_insert=isinstance(statement, SetInsert),
                     )
                     continue
                 if isinstance(statement, IfStatement):

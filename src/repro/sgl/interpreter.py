@@ -351,6 +351,7 @@ class _Execution:
         value_expr: SglExpression,
         env: _Environment,
         transaction_sink: list[EffectAssignment] | None,
+        *,
         set_insert: bool,
     ) -> None:
         value = self.eval(value_expr, env)

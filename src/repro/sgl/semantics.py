@@ -75,7 +75,7 @@ COMBINATOR_ALIASES: Mapping[str, str] = {
 }
 
 
-def resolve_combinator(class_decl, effect: str, set_insert: bool = False) -> str:
+def resolve_combinator(class_decl, effect: str, *, set_insert: bool = False) -> str:
     """The resolved ⊕ combinator for one effect assignment.
 
     The single source of truth shared by the runtime effect store and the
@@ -270,7 +270,9 @@ class _ScriptChecker:
             writable_accums={},
             readable_accums={},
         )
-        self._check_block(self.script.body, scope, top_level=True, in_accum_body=False, in_atomic=False)
+        self._check_block(
+            self.script.body, scope, top_level=True, in_accum_body=False, in_atomic=False
+        )
         return self.info
 
     # -- statements ---------------------------------------------------------------------
@@ -279,23 +281,31 @@ class _ScriptChecker:
         self,
         block: Block,
         scope: _Scope,
+        *,
         top_level: bool,
         in_accum_body: bool,
         in_atomic: bool,
     ) -> None:
         for statement in block.statements:
-            self._check_statement(statement, scope, top_level, in_accum_body, in_atomic)
+            self._check_statement(
+                statement,
+                scope,
+                top_level=top_level,
+                in_accum_body=in_accum_body,
+                in_atomic=in_atomic,
+            )
 
     def _check_statement(
         self,
         statement: Statement,
         scope: _Scope,
+        *,
         top_level: bool,
         in_accum_body: bool,
         in_atomic: bool,
     ) -> None:
         if isinstance(statement, LetStatement):
-            self._check_expression(statement.value, scope, reading=True)
+            self._check_expression(statement.value, scope)
             scope.locals.add(statement.name)
             self.info.locals.add(statement.name)
             return
@@ -313,23 +323,31 @@ class _ScriptChecker:
                 raise SGLSemanticError(
                     f"assignment to undeclared local {statement.name!r}", statement.line
                 )
-            self._check_expression(statement.value, scope, reading=True)
+            self._check_expression(statement.value, scope)
             return
         if isinstance(statement, (EffectAssign, SetInsert)):
             self._check_effect_target(statement.target, scope, statement.line)
-            self._check_expression(statement.value, scope, reading=True)
+            self._check_expression(statement.value, scope)
             return
         if isinstance(statement, IfStatement):
-            self._check_expression(statement.condition, scope, reading=True)
-            self._check_block(statement.then_block, scope.child(), False, in_accum_body, in_atomic)
-            if statement.else_block is not None:
-                self._check_block(statement.else_block, scope.child(), False, in_accum_body, in_atomic)
+            self._check_expression(statement.condition, scope)
+            for branch in (statement.then_block, statement.else_block):
+                if branch is not None:
+                    self._check_block(
+                        branch,
+                        scope.child(),
+                        top_level=False,
+                        in_accum_body=in_accum_body,
+                        in_atomic=in_atomic,
+                    )
             return
         if isinstance(statement, AccumLoop):
-            self._check_accum(statement, scope, in_atomic)
+            self._check_accum(statement, scope, in_atomic=in_atomic)
             return
         if isinstance(statement, ReachLoop):
-            self._check_reach(statement, scope, in_accum_body, in_atomic)
+            self._check_reach(
+                statement, scope, in_accum_body=in_accum_body, in_atomic=in_atomic
+            )
             return
         if isinstance(statement, WaitNextTick):
             if in_accum_body:
@@ -351,13 +369,19 @@ class _ScriptChecker:
             return
         if isinstance(statement, AtomicBlock):
             for constraint in statement.constraints:
-                self._check_expression(constraint, scope, reading=True)
+                self._check_expression(constraint, scope)
             self.info.transactional = True
-            self._check_block(statement.body, scope.child(), False, in_accum_body, True)
+            self._check_block(
+                statement.body,
+                scope.child(),
+                top_level=False,
+                in_accum_body=in_accum_body,
+                in_atomic=True,
+            )
             return
         raise SGLSemanticError(f"unsupported statement {type(statement).__name__}")
 
-    def _check_accum(self, loop: AccumLoop, scope: _Scope, in_atomic: bool) -> None:
+    def _check_accum(self, loop: AccumLoop, scope: _Scope, *, in_atomic: bool) -> None:
         combinator = COMBINATOR_ALIASES.get(loop.combinator)
         if combinator is None:
             raise SGLSemanticError(
@@ -378,14 +402,18 @@ class _ScriptChecker:
         body_scope = scope.child()
         body_scope.object_vars[loop.loop_var] = extent_class
         body_scope.writable_accums[loop.accum_var] = combinator
-        self._check_block(loop.body, body_scope, False, True, in_atomic)
+        self._check_block(
+            loop.body, body_scope, top_level=False, in_accum_body=True, in_atomic=in_atomic
+        )
 
         follow_scope = scope.child()
         follow_scope.readable_accums[loop.accum_var] = combinator
-        self._check_block(loop.follow, follow_scope, False, False, in_atomic)
+        self._check_block(
+            loop.follow, follow_scope, top_level=False, in_accum_body=False, in_atomic=in_atomic
+        )
 
     def _check_reach(
-        self, loop: ReachLoop, scope: _Scope, in_accum_body: bool, in_atomic: bool
+        self, loop: ReachLoop, scope: _Scope, *, in_accum_body: bool, in_atomic: bool
     ) -> None:
         node_class = self._resolve_class_name(loop.node_type)
         if node_class is None:
@@ -404,7 +432,7 @@ class _ScriptChecker:
                 "range over one extent",
                 loop.line,
             )
-        self._check_expression(loop.seed, scope, reading=True)
+        self._check_expression(loop.seed, scope)
         self.info.object_vars[loop.node_var] = node_class
         self.info.object_vars[loop.via_var] = via_class
 
@@ -413,13 +441,19 @@ class _ScriptChecker:
         cond_scope = scope.child()
         cond_scope.object_vars[loop.via_var] = via_class
         cond_scope.object_vars[loop.node_var] = node_class
-        self._check_expression(loop.condition, cond_scope, reading=True)
+        self._check_expression(loop.condition, cond_scope)
 
         # The body runs once per *reached* object; only the node variable is
         # bound there (the frontier variable exists only in the condition).
         body_scope = scope.child()
         body_scope.object_vars[loop.node_var] = node_class
-        self._check_block(loop.body, body_scope, False, in_accum_body, in_atomic)
+        self._check_block(
+            loop.body,
+            body_scope,
+            top_level=False,
+            in_accum_body=in_accum_body,
+            in_atomic=in_atomic,
+        )
 
     def _resolve_class_name(self, name: str) -> str | None:
         """Case-insensitive class-name lookup (Figure 2 writes ``from UNIT``)."""
@@ -503,7 +537,7 @@ class _ScriptChecker:
 
     # -- expressions -----------------------------------------------------------------------------
 
-    def _check_expression(self, expr: SglExpression, scope: _Scope, reading: bool) -> None:
+    def _check_expression(self, expr: SglExpression, scope: _Scope) -> None:
         if isinstance(expr, (NumberLiteral, BoolLiteral, StringLiteral, NullLiteral)):
             return
         if isinstance(expr, Identifier):
@@ -513,21 +547,21 @@ class _ScriptChecker:
             self._check_field_read(expr, scope)
             return
         if isinstance(expr, Binary):
-            self._check_expression(expr.left, scope, reading)
-            self._check_expression(expr.right, scope, reading)
+            self._check_expression(expr.left, scope)
+            self._check_expression(expr.right, scope)
             return
         if isinstance(expr, Unary):
-            self._check_expression(expr.operand, scope, reading)
+            self._check_expression(expr.operand, scope)
             return
         if isinstance(expr, Call):
             if expr.name not in FunctionCall.known_functions():
                 raise SGLSemanticError(f"unknown function {expr.name!r}", expr.line)
             for arg in expr.args:
-                self._check_expression(arg, scope, reading)
+                self._check_expression(arg, scope)
             return
         if isinstance(expr, SetConstructor):
             for element in expr.elements:
-                self._check_expression(element, scope, reading)
+                self._check_expression(element, scope)
             return
         raise SGLSemanticError(f"unsupported expression {type(expr).__name__}", expr.line)
 
@@ -559,7 +593,7 @@ class _ScriptChecker:
         if owner_class is None:
             # Not an object expression we understand — validate the inner
             # expression and accept (e.g. set-valued locals used with size()).
-            self._check_expression(expr.target, scope, reading=True)
+            self._check_expression(expr.target, scope)
             return
         class_decl = self.program.class_named(owner_class)
         assert class_decl is not None

@@ -11,16 +11,13 @@ subscription to every shard whose range the box overlaps (the existing
 outbox/resync machinery serves it on each).
 
 The coordinator is deliberately thin: it never touches row contents, it
-only forwards opaque zlib+crc32 frames between pipes and charges each
-forwarded frame to a real-byte :class:`~repro.engine.distributed.network.NetworkModel`
-(zero latency, unmetered bandwidth — the *bytes* are measured, the
-physics is left to the E7 simulation).  Tick cost accounting follows the
-E7 precedent (``simulated_tick_seconds = max per-node compute + network``):
-:attr:`ShardTickReport.critical_path_seconds` is the slowest worker's CPU
-seconds plus the coordinator's own routing CPU, which is what a
-multi-core deployment's wall clock converges to and what the gated
-benchmark measures — CPU seconds are scheduling-invariant, so the gate
-holds even on single-core CI runners where the workers time-slice.
+only forwards opaque zlib+crc32 frames between pipes; the workers count
+the bytes they send.  :attr:`ShardTickReport.critical_path_seconds` is
+the slowest worker's CPU seconds plus the coordinator's own routing CPU,
+which is what a multi-core deployment's wall clock converges to and what
+the gated benchmark measures — CPU seconds are scheduling-invariant, so
+the gate holds even on single-core CI runners where the workers
+time-slice.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.engine.distributed.network import NetworkModel
 from repro.runtime.world import GameWorld
 from repro.sgl.schema_gen import KEY_COLUMN
 from repro.shard.spec import ShardSpec
@@ -101,15 +97,12 @@ class ShardedWorld:
         factory: Callable[[], GameWorld],
         spec: ShardSpec,
         n_shards: int,
-        network: NetworkModel | None = None,
         start_method: str | None = None,
     ):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.spec = spec
         self.n_shards = n_shards
-        #: Real-byte meter: latency/bandwidth are not simulated here.
-        self.network = network or NetworkModel(latency_s=0.0, bandwidth_bytes_per_s=None)
         self.tick_count = 0
         self.reports: list[ShardTickReport] = []
         #: Observers called with the finished :class:`ShardTickReport` at
@@ -219,7 +212,6 @@ class ShardedWorld:
         ghost_inbox: list[list[bytes]] = [[] for _ in range(self.n_shards)]
         for reply in replies:
             for dest, frame in reply[1].items():
-                self.network.send(len(frame))
                 ghost_inbox[dest].append(frame)
         self._broadcast([("GHOSTS", ghost_inbox[s.shard_id]) for s in self._shards])
         return total
@@ -234,8 +226,9 @@ class ShardedWorld:
     ) -> list[int]:
         """Route a fixed-center AOI subscription to every overlapping shard.
 
-        The axis extent of the box decides the serving shards (via the
-        spec's strip partitioning); a box spanning a boundary is simply
+        The axis extent of the closed box decides the serving shards
+        (:meth:`ShardSpec.shards_for_span`, the same cut search that
+        decides row ownership); a box spanning a boundary is simply
         registered on both sides — each shard streams deltas for the rows
         *it* owns, and a handoff shows up as a delete from one stream plus
         an insert on the other, which is exactly what the client would see
@@ -244,7 +237,7 @@ class ShardedWorld:
         axis_index = dims.index(self.spec.axis_column) if self.spec.axis_column in dims else 0
         low = center[axis_index] - radius
         high = center[axis_index] + radius
-        owners = self.spec.partitioner(self.n_shards).partitions_for_range([(low, high)])
+        owners = self.spec.shards_for_span(low, high, self.n_shards)
         subscription_ids = []
         for shard_id in owners:
             shard = self._shards[shard_id]
@@ -300,7 +293,6 @@ class ShardedWorld:
         handoff_inbox: list[list[bytes]] = [[] for _ in range(self.n_shards)]
         for reply in replies:
             for dest, frame in reply[1].items():
-                self.network.send(len(frame))
                 handoff_inbox[dest].append(frame)
 
         # Phase 2: adopt handoffs, collect halo exports.
@@ -310,7 +302,6 @@ class ShardedWorld:
         ghost_inbox: list[list[bytes]] = [[] for _ in range(self.n_shards)]
         for reply in replies:
             for dest, frame in reply[1].items():
-                self.network.send(len(frame))
                 ghost_inbox[dest].append(frame)
 
         # Phase 3: deliver ghosts, collect per-worker counters.

@@ -4,18 +4,18 @@ A :class:`ShardSpec` is the single source of truth shared by the
 coordinator and every worker: the partition axis, the world extent, which
 classes are partitioned (the rest are replicated), and how wide the halo
 strip around each boundary must be.  All ownership decisions go through
-:meth:`shard_of` — a binary search over the interior cut positions — so
-the coordinator's routing, the workers' :class:`~repro.engine.algebra.Exchange`
-plans and the :class:`~repro.engine.algebra.ShardedScan` range predicates
-can never disagree about where a row lives.
+:meth:`shard_of` — a binary search over the interior cut positions — and
+span routing (:meth:`shards_for_span`, used for AOI subscriptions) is the
+same search at both ends, so the coordinator's routing, the workers'
+:class:`~repro.engine.algebra.Exchange` plans and the
+:class:`~repro.engine.algebra.ShardedScan` range predicates can never
+disagree about where a row lives.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-
-from repro.engine.distributed.partitioner import SpatialPartitioner
 
 __all__ = ["ShardSpec"]
 
@@ -48,15 +48,6 @@ class ShardSpec:
             raise ValueError("halo width must be non-negative")
 
     # -- geometry ------------------------------------------------------------------------
-
-    def partitioner(self, n_shards: int) -> SpatialPartitioner:
-        """The equal-width strip partitioner this spec describes."""
-        return SpatialPartitioner(
-            axis_column=self.axis_column,
-            n_partitions=n_shards,
-            world_min=self.world_min,
-            world_max=self.world_max,
-        )
 
     def cuts(self, n_shards: int) -> tuple[float, ...]:
         """Interior shard boundaries, ascending (``n_shards - 1`` values)."""

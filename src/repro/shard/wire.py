@@ -6,8 +6,8 @@ when it pays.  Reuse is the point — the codec already round-trips every
 value the engine stores (floats via ``repr``, frozensets via a tagged
 list), so a row crossing a process boundary decodes *exactly* equal to
 the row that was sent, which is what the per-tick state-equivalence tests
-rely on.  ``len(frame)`` is the measured wire cost charged to the
-coordinator's :class:`~repro.engine.distributed.network.NetworkModel`.
+rely on.  ``len(frame)`` is the measured wire cost each worker reports as
+``exchange_bytes``.
 """
 
 from __future__ import annotations

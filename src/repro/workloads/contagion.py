@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.runtime.world import ExecutionMode, GameWorld
 
 __all__ = [
@@ -99,19 +99,8 @@ def build_contagion_world(
     n_chords: int = 2,
     *,
     config: EngineConfig | None = None,
-    use_batch: bool | None = None,
-    use_incremental: bool | None = None,
-    use_mqo: bool | None = None,
 ) -> GameWorld:
     """A contagion world where exposure converts to infection each tick."""
-    config = resolve_engine_config(
-        config,
-        {
-            "use_batch": use_batch,
-            "use_incremental": use_incremental,
-            "use_mqo": use_mqo,
-        },
-    )
     world = GameWorld(CONTAGION_SOURCE, mode=mode, config=config)
     world.add_update_rule(
         "Site",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.runtime.physics import PhysicsComponent, PhysicsConfig
 from repro.runtime.world import ExecutionMode, GameWorld
 from repro.sgl.schema_gen import SchemaLayout
@@ -93,25 +93,8 @@ def build_rts_world(
     with_physics: bool = True,
     scripts: Iterable[str] | None = None,
     config: EngineConfig | None = None,
-    optimize: bool | None = None,
-    use_indexes: bool | None = None,
-    use_batch: bool | None = None,
-    use_incremental: bool | None = None,
-    auto_index: bool | None = None,
-    use_mqo: bool | None = None,
 ) -> GameWorld:
     """Build a ready-to-tick RTS world with *n_units* units."""
-    config = resolve_engine_config(
-        config,
-        {
-            "optimize": optimize,
-            "use_indexes": use_indexes,
-            "use_batch": use_batch,
-            "use_incremental": use_incremental,
-            "auto_index": auto_index,
-            "use_mqo": use_mqo,
-        },
-    )
     world = GameWorld(RTS_SOURCE, mode=mode, layout=layout, config=config)
     world.add_update_rule(
         "Unit", "health", lambda state, effects: state["health"] - effects.get("damage", 0)

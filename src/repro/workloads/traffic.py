@@ -7,10 +7,6 @@ with the same structure: a ring road of ``road_length`` units, vehicles
 following a car-following rule (slow down when the vehicle ahead is close,
 speed up otherwise).  The acting vehicle finds the nearest vehicle ahead
 with an accum-loop using the ``min`` combinator.
-
-For the distributed experiments the module also exposes plain row
-generators so the cluster simulation can partition vehicles spatially
-without going through a :class:`GameWorld`.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from repro.engine.config import EngineConfig, resolve_engine_config
+from repro.engine.config import EngineConfig
 from repro.runtime.world import ExecutionMode, GameWorld
 
 __all__ = ["TRAFFIC_SOURCE", "vehicle_rows", "build_traffic_world"]
@@ -85,21 +81,8 @@ def build_traffic_world(
     seed: int = 23,
     *,
     config: EngineConfig | None = None,
-    use_batch: bool | None = None,
-    use_incremental: bool | None = None,
-    auto_index: bool | None = None,
-    use_mqo: bool | None = None,
 ) -> GameWorld:
     """A ring-road traffic world; positions wrap around at ``road_length``."""
-    config = resolve_engine_config(
-        config,
-        {
-            "use_batch": use_batch,
-            "use_incremental": use_incremental,
-            "auto_index": auto_index,
-            "use_mqo": use_mqo,
-        },
-    )
     world = GameWorld(TRAFFIC_SOURCE, mode=mode, config=config)
     world.add_update_rule(
         "Vehicle",

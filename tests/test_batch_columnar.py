@@ -26,6 +26,7 @@ from repro.engine.algebra import (
 )
 from repro.engine.batch import ColumnBatch, IndirectColumn
 from repro.engine.catalog import Catalog
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.engine.expressions import (
     BinaryOp,
@@ -42,6 +43,12 @@ from repro.engine.schema import Column, Schema
 from repro.engine.types import DataType
 from repro.workloads import build_rts_world, build_traffic_world
 from repro.workloads.marketplace import build_marketplace_world
+
+
+def _config(**flags) -> EngineConfig:
+    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
+    fastest CI leg keeps compiled kernels under every override."""
+    return EngineConfig.from_env().replace(**flags)
 
 
 # -- ColumnBatch container ---------------------------------------------------------
@@ -235,8 +242,8 @@ PLANS = {
 def test_batch_row_equivalence(name):
     catalog = _make_catalog()
     plan = PLANS[name]()
-    row_rows = Executor(catalog, use_batch=False).execute(plan).rows
-    batch_rows = Executor(catalog, use_batch=True).execute(plan).rows
+    row_rows = Executor(catalog, _config(use_batch=False)).execute(plan).rows
+    batch_rows = Executor(catalog, _config(use_batch=True)).execute(plan).rows
     assert _norm(batch_rows) == _norm(row_rows)
 
 
@@ -252,20 +259,20 @@ def test_order_sensitive_equivalence():
             AggregateSpec("ids", "collect", col("id")),
         ],
     )
-    row_rows = Executor(catalog, use_batch=False).execute(plan).rows
-    batch_rows = Executor(catalog, use_batch=True).execute(plan).rows
+    row_rows = Executor(catalog, _config(use_batch=False)).execute(plan).rows
+    batch_rows = Executor(catalog, _config(use_batch=True)).execute(plan).rows
     assert _norm(batch_rows) == _norm(row_rows)
 
 
 def test_batch_path_is_chosen_and_flagged():
     catalog = _make_catalog()
     plan = PLANS["filter-project"]()
-    executor = Executor(catalog, use_batch=True)
+    executor = Executor(catalog, _config(use_batch=True))
     planned = executor.prepare(plan)
     assert planned.uses_batch
     assert isinstance(planned.physical, BatchBridgeOp)
     assert "Batch" in planned.physical.explain()
-    row_planned = Executor(catalog, use_batch=False).prepare(plan)
+    row_planned = Executor(catalog, _config(use_batch=False)).prepare(plan)
     assert not row_planned.uses_batch
 
 
@@ -289,7 +296,7 @@ def test_empty_table_aggregate_identity():
         [AggregateSpec("n", "count"), AggregateSpec("s", "sum", col("v"))],
     )
     for use_batch in (False, True):
-        rows = Executor(catalog, use_batch=use_batch).execute(plan).rows
+        rows = Executor(catalog, _config(use_batch=use_batch)).execute(plan).rows
         assert rows == [{"n": 0, "s": 0}]
 
 
@@ -317,7 +324,7 @@ def _assert_world_equivalence(make_world, ticks=3):
 def test_rts_workload_equivalence():
     world = _assert_world_equivalence(
         lambda use_batch: build_rts_world(
-            60, mode=ExecutionMode.COMPILED, use_batch=use_batch
+            60, mode=ExecutionMode.COMPILED, config=_config(use_batch=use_batch)
         )
     )
     # The tick queries should actually exercise the batch path somewhere.
@@ -326,11 +333,11 @@ def test_rts_workload_equivalence():
 
 def test_traffic_workload_equivalence():
     _assert_world_equivalence(
-        lambda use_batch: build_traffic_world(80, use_batch=use_batch)
+        lambda use_batch: build_traffic_world(80, config=_config(use_batch=use_batch))
     )
 
 
 def test_marketplace_workload_equivalence():
     _assert_world_equivalence(
-        lambda use_batch: build_marketplace_world(30, use_batch=use_batch)
+        lambda use_batch: build_marketplace_world(30, config=_config(use_batch=use_batch))
     )

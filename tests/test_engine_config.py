@@ -1,20 +1,15 @@
 """EngineConfig: the one public switchboard for engine feature paths.
 
 Covers the consolidation contract: presets, the ``REPRO_ENGINE_PRESET``
-environment hook, the deprecation shim that maps the old scattered
-``use_*`` booleans onto a config object (round-tripping their values
-exactly), and the plumbing — one config object threaded through
+environment hook, and the plumbing — one config object threaded through
 ``GameWorld`` → ``Executor`` → ``Planner`` and surfaced by the inspector.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.engine import EngineConfig, Executor, resolve_engine_config
-from repro.engine.optimizer.planner import Planner
+from repro.engine import EngineConfig, Executor
 from repro.runtime.debug.inspector import TickInspector
 from repro.workloads import build_rts_world
 
@@ -107,53 +102,6 @@ class TestFromEnv:
         assert world.executor.planner.config.use_fixpoint == config.use_fixpoint
 
 
-class TestDeprecationShim:
-    def test_legacy_flags_round_trip(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_PRESET", raising=False)
-        with pytest.warns(DeprecationWarning, match="use_batch"):
-            config = resolve_engine_config(None, {"use_batch": False, "optimize": None})
-        assert not config.use_batch
-        assert config == EngineConfig(use_batch=False)
-
-    def test_single_warning_names_all_flags(self):
-        with pytest.warns(DeprecationWarning) as record:
-            resolve_engine_config(None, {"use_batch": False, "use_mqo": False})
-        assert len(record) == 1
-        message = str(record[0].message)
-        assert "use_batch" in message and "use_mqo" in message
-
-    def test_config_passthrough_emits_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = resolve_engine_config(EngineConfig.debug(), {"use_batch": None})
-        assert config == EngineConfig.debug()
-
-    def test_unknown_flag_raises(self):
-        with pytest.raises(TypeError, match="use_warp"):
-            resolve_engine_config(None, {"use_warp": True})
-
-    def test_legacy_flag_overrides_explicit_config(self):
-        with pytest.warns(DeprecationWarning):
-            config = resolve_engine_config(EngineConfig.fastest(), {"use_compiled": False})
-        assert not config.use_compiled
-
-    def test_executor_legacy_kwarg_warns_and_applies(self, unit_catalog):
-        with pytest.warns(DeprecationWarning, match="use_batch"):
-            executor = Executor(unit_catalog, use_batch=False)
-        assert not executor.config.use_batch
-
-    def test_planner_legacy_kwarg_warns_and_applies(self, unit_catalog):
-        with pytest.warns(DeprecationWarning, match="use_indexes"):
-            planner = Planner(unit_catalog, use_indexes=False)
-        assert not planner.config.use_indexes
-
-    def test_world_legacy_kwarg_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="use_mqo"):
-            world = build_rts_world(5, with_physics=False, use_mqo=False)
-        assert not world.config.use_mqo
-        assert not world.use_mqo
-
-
 class TestThreading:
     """One object, threaded through every layer unchanged."""
 
@@ -163,7 +111,15 @@ class TestThreading:
         assert world.config is config
         assert world.executor.config is config
         assert world.executor.planner.config is config
+        assert world.executor.planner.physical_planner.config is config
         assert world.index_advisor is None  # auto_index off
+
+    def test_boolean_flag_keywords_are_rejected(self, unit_catalog):
+        # Engine options arrive only as config=EngineConfig(...).
+        with pytest.raises(TypeError):
+            Executor(unit_catalog, **{"use_batch": False})
+        with pytest.raises(TypeError):
+            build_rts_world(5, with_physics=False, **{"use_mqo": False})
 
     def test_advisor_tuning_comes_from_config(self):
         config = EngineConfig(index_create_after=2, index_evict_after=9)

@@ -10,6 +10,7 @@ from repro.engine import (
     Catalog,
     Column,
     DataType,
+    EngineConfig,
     Distinct,
     Executor,
     Join,
@@ -274,8 +275,8 @@ class TestOptimizer:
         assert {r["self.id"]: r["cnt"] for r in rows} == expected
 
     def test_unoptimized_planner_still_correct(self, unit_catalog):
-        fast = Executor(unit_catalog, optimize=True)
-        slow = Executor(unit_catalog, optimize=False)
+        fast = Executor(unit_catalog, EngineConfig.from_env().replace(optimize=True))
+        slow = Executor(unit_catalog, EngineConfig.from_env().replace(optimize=False))
         plan = self.fig2_plan()
         fast_rows = {(r["self.id"], r["cnt"]) for r in fast.execute(plan).rows}
         slow_rows = {(r["self.id"], r["cnt"]) for r in slow.execute(plan, cache=False).rows}
@@ -311,7 +312,7 @@ class TestOptimizer:
             col("a.health").gt(lit(90)),
         )
         reordered = reorder_joins(split_conjunctions(plan), unit_catalog, cost_model)
-        executor = Executor(unit_catalog, optimize=False)
+        executor = Executor(unit_catalog, EngineConfig.from_env().replace(optimize=False))
         original = executor.execute(plan, cache=False).rows
         new = executor.execute(reordered, cache=False).rows
         assert len(original) == len(new)

@@ -32,6 +32,7 @@ from repro.engine.algebra import (
 )
 from repro.engine.batch import DeltaBatch
 from repro.engine.catalog import Catalog
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.engine.expressions import col, lit
 from repro.engine.schema import Column, Schema
@@ -39,6 +40,12 @@ from repro.engine.types import DataType
 from repro.workloads import build_rts_world
 from repro.workloads.marketplace import build_marketplace_world
 from repro.workloads.traffic import build_traffic_world
+
+
+def _config(**flags) -> EngineConfig:
+    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
+    fastest CI leg keeps compiled kernels under every override."""
+    return EngineConfig.from_env().replace(**flags)
 
 
 # -- helpers ---------------------------------------------------------------------------
@@ -141,8 +148,8 @@ class TestIncrementalEquivalence:
     def _check_plan(self, plan, ticks=25, seed=11, allow_structural=True):
         catalog, units = _units_catalog(seed=seed)
         inc = Executor(catalog)
-        batch = Executor(catalog, use_incremental=False)
-        row = Executor(catalog, use_batch=False, use_incremental=False)
+        batch = Executor(catalog, _config(use_incremental=False))
+        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(seed)
         for tick in range(ticks):
@@ -190,7 +197,7 @@ class TestIncrementalEquivalence:
         )
         catalog, units = _units_catalog()
         inc = Executor(catalog)
-        row = Executor(catalog, use_batch=False, use_incremental=False)
+        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         assert_same_rows(inc.execute(plan).rows, row.execute(plan).rows, "empty-global")
         units.update(next(units.row_ids()), {"x": 5.0})
@@ -213,7 +220,7 @@ class TestIncrementalEquivalence:
             {"id": col("u.id"), "boost": col("u.health") + col("z.bonus")},
         )
         inc = Executor(catalog)
-        row = Executor(catalog, use_batch=False, use_incremental=False)
+        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(3)
         for tick in range(20):
@@ -242,7 +249,7 @@ class TestIncrementalEquivalence:
             {"id": col("u.id"), "amount": col("b.amount")},
         )
         inc = Executor(catalog)
-        row = Executor(catalog, use_batch=False, use_incremental=False)
+        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(7)
         buff_rowids = []
@@ -275,7 +282,7 @@ class TestIncrementalEquivalence:
         )
         catalog, units = _units_catalog(n_rows=80)
         inc = Executor(catalog)
-        row = Executor(catalog, use_batch=False, use_incremental=False)
+        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(13)
         for tick in range(10):
@@ -307,14 +314,14 @@ class TestFallbackRules:
 
     def test_disabled_executor_declines(self):
         catalog, _ = _units_catalog()
-        executor = Executor(catalog, use_incremental=False)
+        executor = Executor(catalog, _config(use_incremental=False))
         assert not executor.register_incremental(TableScan("units"))
 
     def test_log_truncation_triggers_full_refresh_not_failure(self):
         catalog, units = _units_catalog(n_rows=50)
         plan = Project(TableScan("units"), {"id": col("id")})
         inc = Executor(catalog)
-        row = Executor(catalog, use_batch=False, use_incremental=False)
+        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         inc.execute(plan)
         view = inc.incremental_view(plan)
@@ -337,7 +344,7 @@ class TestFallbackRules:
             inc.execute(plan)
         assert inc.incremental_view(plan) is None  # dropped after guard trips
         # The query still executes correctly on the physical path.
-        row = Executor(catalog, use_batch=False, use_incremental=False)
+        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
         assert_same_rows(inc.execute(plan).rows, row.execute(plan).rows, "post-disable")
 
     def test_noop_hits_on_unchanged_tables(self):
@@ -383,8 +390,8 @@ class TestWorldEquivalence:
     """Incremental on vs. off must not change any workload's evolution."""
 
     def test_rts_world(self):
-        w1 = build_rts_world(60, mode=ExecutionMode.COMPILED, use_incremental=True)
-        w2 = build_rts_world(60, mode=ExecutionMode.COMPILED, use_incremental=False)
+        w1 = build_rts_world(60, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True))
+        w2 = build_rts_world(60, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False))
         for _ in range(8):
             w1.tick()
             w2.tick()
@@ -396,14 +403,14 @@ class TestWorldEquivalence:
             mode=ExecutionMode.COMPILED,
             with_physics=False,
             scripts=["count_neighbours"],
-            use_incremental=True,
+            config=_config(use_incremental=True),
         )
         reference = build_rts_world(
             120,
             mode=ExecutionMode.COMPILED,
             with_physics=False,
             scripts=["count_neighbours"],
-            use_incremental=False,
+            config=_config(use_incremental=False),
         )
         for _ in range(6):
             world.tick()
@@ -416,8 +423,12 @@ class TestWorldEquivalence:
         ), report
 
     def test_traffic_world(self):
-        w1 = build_traffic_world(50, mode=ExecutionMode.COMPILED, use_incremental=True)
-        w2 = build_traffic_world(50, mode=ExecutionMode.COMPILED, use_incremental=False)
+        w1 = build_traffic_world(
+            50, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True)
+        )
+        w2 = build_traffic_world(
+            50, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False)
+        )
         for _ in range(8):
             w1.tick()
             w2.tick()
@@ -425,10 +436,10 @@ class TestWorldEquivalence:
 
     def test_marketplace_world(self):
         w1 = build_marketplace_world(
-            24, mode=ExecutionMode.COMPILED, use_incremental=True
+            24, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True)
         )
         w2 = build_marketplace_world(
-            24, mode=ExecutionMode.COMPILED, use_incremental=False
+            24, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False)
         )
         for _ in range(6):
             w1.tick()
@@ -438,8 +449,8 @@ class TestWorldEquivalence:
     def test_randomized_spawn_destroy_churn(self):
         """Structural churn (spawn/destroy between ticks) across both modes."""
         rng1, rng2 = random.Random(99), random.Random(99)
-        w1 = build_rts_world(40, mode=ExecutionMode.COMPILED, use_incremental=True)
-        w2 = build_rts_world(40, mode=ExecutionMode.COMPILED, use_incremental=False)
+        w1 = build_rts_world(40, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True))
+        w2 = build_rts_world(40, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False))
         for tick in range(6):
             for world, rng in ((w1, rng1), (w2, rng2)):
                 if tick % 2 == 0:

@@ -37,6 +37,12 @@ from repro.engine.operators import (
 from repro.workloads import build_rts_world
 
 
+def _config(**flags) -> EngineConfig:
+    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
+    fastest CI leg keeps compiled kernels under every override."""
+    return EngineConfig.from_env().replace(**flags)
+
+
 def _normalized(rows):
     return sorted((tuple(sorted(r.items())) for r in rows), key=repr)
 
@@ -145,15 +151,15 @@ class TestIndexProbePlanning:
     def test_use_indexes_false_forces_rebuild_path(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, use_indexes=False), band_plan())
+        ops = _join_ops(Executor(catalog, _config(use_indexes=False)), band_plan())
         assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
 
 
 class TestIndexProbeEquivalence:
     def _assert_equivalent(self, catalog, plan):
         indexed = Executor(catalog, EngineConfig(use_incremental=False))
-        batch = Executor(catalog, use_indexes=False, use_incremental=False)
-        row = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+        batch = Executor(catalog, _config(use_indexes=False, use_incremental=False))
+        row = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
         rows_indexed = indexed.execute(plan, cache=False).rows
         rows_batch = batch.execute(plan, cache=False).rows
@@ -182,8 +188,8 @@ class TestIndexProbeEquivalence:
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         table = catalog.table("unit")
         plan = band_plan()
-        indexed = Executor(catalog, use_incremental=False)
-        row = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+        indexed = Executor(catalog, _config(use_incremental=False))
+        row = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
         rng = random.Random(11)
         for tick in range(6):
             rowids = list(table.row_ids())
@@ -217,9 +223,9 @@ class TestEvictedIndexResilience:
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         plan = band_plan()
-        executor = Executor(catalog, use_incremental=False)
+        executor = Executor(catalog, _config(use_incremental=False))
         expected = _normalized(
-            Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+            Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
             .execute(plan)
             .rows
         )
@@ -239,7 +245,7 @@ class TestEvictedIndexResilience:
         # A bulk rewrite resets the change log, forcing the next refresh
         # through a full rebuild of the frozen full plan.
         table.restore(table.snapshot())
-        ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+        ref = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
         assert _normalized(inc.execute(plan).rows) == _normalized(ref.execute(plan).rows)
 
 
@@ -278,8 +284,8 @@ class TestStrictBandBounds:
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
         for executor in (
             indexed,
-            Executor(catalog, use_indexes=False, use_incremental=False),
-            Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False),
+            Executor(catalog, _config(use_indexes=False, use_incremental=False)),
+            Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False)),
         ):
             assert {r["x"] for r in executor.execute(plan, cache=False).rows} == expected
         inc = Executor(catalog)
@@ -301,8 +307,8 @@ class TestStrictBandBounds:
         )
         plan = Select(join, predicate)
         for executor in (
-            Executor(catalog, use_incremental=False),
-            Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False),
+            Executor(catalog, _config(use_incremental=False)),
+            Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False)),
         ):
             assert {r["x"] for r in executor.execute(plan, cache=False).rows} == {
                 3.0,
@@ -350,7 +356,7 @@ class TestIndexAdvisor:
     def test_cell_size_follows_observed_probe_width(self):
         catalog = _make_catalog()
         advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=10)
-        executor = Executor(catalog, index_advisor=advisor, use_incremental=False)
+        executor = Executor(catalog, index_advisor=advisor, config=_config(use_incremental=False))
         plan = band_plan()
         for _ in range(2):
             self._run_band_query(executor, plan)
@@ -362,7 +368,7 @@ class TestIndexAdvisor:
     def test_small_tables_are_not_indexed(self):
         catalog = _make_catalog(n=32)
         advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=128)
-        executor = Executor(catalog, index_advisor=advisor, use_incremental=False)
+        executor = Executor(catalog, index_advisor=advisor, config=_config(use_incremental=False))
         plan = band_plan()
         for _ in range(5):
             self._run_band_query(executor, plan)
@@ -371,7 +377,10 @@ class TestIndexAdvisor:
 
     def test_rts_world_auto_indexes_hot_band_join(self):
         world = build_rts_world(
-            150, with_physics=False, scripts=["count_neighbours"], use_incremental=False
+            150,
+            with_physics=False,
+            scripts=["count_neighbours"],
+            config=_config(use_incremental=False),
         )
         assert world.index_advisor is not None
         world.run(world.index_advisor.create_after + 1)
@@ -402,7 +411,7 @@ class TestDeltaJoinIndexProbe:
             if isinstance(op, DeltaJoinOp) and op.band_probe is not None
         ]
         assert probes, "band join should carry a BandIndexProbe"
-        ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+        ref = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
         rng = random.Random(21)
         for tick in range(5):
             assert _normalized(inc.execute(plan).rows) == _normalized(
@@ -437,7 +446,7 @@ class TestDeltaJoinIndexProbe:
         assert sum(p.index_probes for p in probes) == 0  # no index yet: hash fallback
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         churn()
-        ref = Executor(catalog, use_indexes=False, use_batch=False, use_incremental=False)
+        ref = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
         assert _normalized(inc.execute(plan).rows) == _normalized(ref.execute(plan).rows)
         assert sum(p.index_probes for p in probes) > 0  # re-resolved lazily
 

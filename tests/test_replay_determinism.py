@@ -16,6 +16,7 @@ import tempfile
 
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.persistence.replay import replay_tables
 from repro.workloads.marketplace import build_marketplace_world
 from repro.workloads.rts import build_rts_world
@@ -39,7 +40,9 @@ def rts_churn(world, rng):
             speed=rng.uniform(0.5, 1.5),
         )
     if ids and rng.random() < 0.3:
-        world.destroy("Unit", rng.choice(ids))
+        victim = rng.choice(ids)
+        world.destroy("Unit", victim)
+        ids.remove(victim)  # or set_state below may pick the destroyed row
     if ids and rng.random() < 0.5:
         world.set_state("Unit", rng.choice(ids), health=rng.randrange(1, 100))
 
@@ -138,7 +141,8 @@ def test_replay_matches_live_under_engine_path_toggles(workload, toggles):
     """The regression the issue calls out: MQO sharing, incremental
     maintenance and batch execution are performance paths — none of them
     may change what gets committed to the log or how it replays."""
-    path, states, _ = run_with_wal(workload, churn_seed=5, **toggles)
+    config = EngineConfig.from_env().replace(**toggles)
+    path, states, _ = run_with_wal(workload, churn_seed=5, config=config)
     for tick in sorted(states):
         replayed = replay_tables(path, tick=tick)
         assert replayed.tables == states[tick], (

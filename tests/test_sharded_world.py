@@ -12,7 +12,11 @@ the workers are built on.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.algebra import Exchange, Select, ShardedScan, TableScan
 from repro.engine.executor import Executor
@@ -85,6 +89,36 @@ class TestShardSpec:
         assert list(spec.shards_for_span(10.0, 20.0, 3)) == [0]
         assert list(spec.shards_for_span(90.0, 110.0, 3)) == [0, 1]
         assert list(spec.shards_for_span(0.0, 300.0, 3)) == [0, 1, 2]
+        # A closed span ending exactly on a cut reaches the cut's owner.
+        assert list(spec.shards_for_span(90.0, 100.0, 3)) == [0, 1]
+        # Point spans route to the single owner, on a cut to the right side.
+        assert list(spec.shards_for_span(50.0, 50.0, 3)) == [0]
+        assert list(spec.shards_for_span(100.0, 100.0, 3)) == [1]
+        # Out-of-extent spans route to the (unbounded) edge shards.
+        assert list(spec.shards_for_span(-80.0, -10.0, 3)) == [0]
+        assert list(spec.shards_for_span(400.0, 1e9, 3)) == [2]
+        assert list(spec.shards_for_span(-50.0, 1e9, 3)) == [0, 1, 2]
+        # One shard owns everything.
+        assert list(spec.shards_for_span(-5.0, 5000.0, 1)) == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_span_routing_covers_every_owner(self, data):
+        """Every value in a closed span ``[low, high]`` is owned by one of
+        ``shards_for_span(low, high)`` — including spans that start or end
+        exactly on a cut, where a second strip rule used to disagree."""
+        world_min = data.draw(st.floats(-1e3, 1e3), label="world_min")
+        width = data.draw(st.floats(1e-3, 1e4), label="width")
+        spec = ShardSpec(world_min=world_min, world_max=world_min + width)
+        n_shards = data.draw(st.integers(1, 8), label="n_shards")
+        cuts = spec.cuts(n_shards)
+        anywhere = st.floats(world_min - width, world_min + 2 * width)
+        endpoint = st.one_of(st.sampled_from(cuts), anywhere) if cuts else anywhere
+        low, high = sorted((data.draw(endpoint, label="a"), data.draw(endpoint, label="b")))
+        owners = spec.shards_for_span(low, high, n_shards)
+        inside = data.draw(st.floats(low, high), label="inside")
+        for value in (low, high, inside, *(cut for cut in cuts if low <= cut <= high)):
+            assert spec.shard_of(value, n_shards) in owners
 
     def test_effective_halo(self):
         fixed = scenario_spec()
@@ -277,6 +311,30 @@ def test_sharded_subscriptions_serve_boundary_clients():
         assert len(interior) == 1
         report = sharded.tick()
         assert report.subscription_messages > 0
+
+
+def test_aoi_routing_reaches_the_owner_of_a_cut_value():
+    """Regression: the box ``[30, 50]`` over 6 strips of ``[0, 100]`` was
+    routed to shards 1 and 2 only, but ``x == 50.0`` belongs to shard 3 —
+    a unit there, inside the closed box, was never streamed.  Subscriptions
+    now route through ``shards_for_span``, the same cut search as
+    ``shard_of``."""
+    spec = ShardSpec(world_min=0.0, world_max=100.0)
+    # Only the routing is under test, so no worker processes: record the
+    # shards the coordinator sends SUBSCRIBE to.
+    fleet = object.__new__(ShardedWorld)
+    fleet.spec, fleet.n_shards = spec, 6
+    fleet._shards = [SimpleNamespace(shard_id=shard_id) for shard_id in range(6)]
+    routed = []
+
+    def request(shard, message):
+        routed.append(shard.shard_id)
+        return ("OK", f"sub-{shard.shard_id}")
+
+    fleet._request = request
+    fleet.subscribe_aoi("box", "Unit", radius=10.0, center=(40.0, 0.0))
+    assert spec.shard_of(50.0, 6) == 3
+    assert routed == list(spec.shards_for_span(30.0, 50.0, 6)) == [1, 2, 3]
 
 
 def test_worker_errors_surface_as_shard_errors():

@@ -17,6 +17,7 @@ import pytest
 from repro import ExecutionMode
 from repro.engine.aggregates import make_accumulator
 from repro.engine.algebra import Join, Project, Select, TableScan
+from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor, TickQuerySpec
 from repro.engine.expressions import col, lit
 from repro.engine.indexes.sorted_index import SortedIndex
@@ -29,6 +30,12 @@ from repro.sgl.ir import EffectAssignment
 from repro.workloads import build_rts_world
 from repro.workloads.marketplace import build_marketplace_world
 from repro.workloads.traffic import build_traffic_world
+
+
+def _config(**flags) -> EngineConfig:
+    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
+    fastest CI leg keeps compiled kernels under every override."""
+    return EngineConfig.from_env().replace(**flags)
 
 
 def _normalized(rows):
@@ -133,8 +140,8 @@ class TestExecuteTick:
     def test_rows_match_per_query_execution(self, unit_catalog):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        pipeline_exec = Executor(unit_catalog, use_incremental=False)
-        plain_exec = Executor(unit_catalog, use_incremental=False)
+        pipeline_exec = Executor(unit_catalog, _config(use_incremental=False))
+        plain_exec = Executor(unit_catalog, _config(use_incremental=False))
         results = pipeline_exec.execute_tick(specs)
         for plan, result in zip(plans, results):
             assert result.rows is not None
@@ -151,11 +158,11 @@ class TestExecuteTick:
 
         plans = [query("a"), query("b")]
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog, _config(use_incremental=False))
         results = executor.execute_tick(specs)
         assert executor.last_tick_stats["shared_subplans"] == 1
         assert _normalized(results[0].rows) == _normalized(results[1].rows)
-        plain = Executor(unit_catalog, use_incremental=False)
+        plain = Executor(unit_catalog, _config(use_incremental=False))
         assert _normalized(results[1].rows) == _normalized(plain.execute(plans[1]).rows)
 
     def test_sink_fusion_matches_store_fold(self, unit_catalog):
@@ -163,12 +170,12 @@ class TestExecuteTick:
             Select(TableScan("unit", "a"), col("a.x").gt(lit(30.0))),
             {"__target__": col("a.player"), "__value__": col("a.health")},
         )
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog, _config(use_incremental=False))
         [result] = executor.execute_tick(
             [TickQuerySpec(key="q", plan=plan, combinator="sum")]
         )
         assert result.partials is not None and result.rows is None
-        rows = Executor(unit_catalog, use_incremental=False).execute(plan).rows
+        rows = Executor(unit_catalog, _config(use_incremental=False)).execute(plan).rows
         expected: dict = {}
         counts: dict = {}
         for row in rows:
@@ -180,7 +187,7 @@ class TestExecuteTick:
     def test_mutation_between_ticks_not_served_stale(self, unit_catalog):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog, _config(use_incremental=False))
         before = executor.execute_tick(specs)
         table = unit_catalog.table("unit")
         for rowid in list(table.row_ids()):
@@ -194,7 +201,7 @@ class TestExecuteTick:
     ):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, use_incremental=False)
+        executor = Executor(unit_catalog, _config(use_incremental=False))
         first = executor.execute_tick(specs)
         # Catalog shape change mid-run: a new index over the filter column.
         table = unit_catalog.table("unit")
@@ -225,7 +232,7 @@ class TestIncrementalInteraction:
         for rowid in list(table.row_ids())[:40]:
             table.update(rowid, {"x": 0.0})
         fresh = executor.execute(plan).rows
-        recomputed = Executor(unit_catalog, use_incremental=False).execute(plan).rows
+        recomputed = Executor(unit_catalog, _config(use_incremental=False)).execute(plan).rows
         assert _normalized(fresh) == _normalized(recomputed)
         assert executor.incremental_view(plan) is not None
         report = {r["plan"]: r for r in executor.cache_report()}
@@ -238,7 +245,7 @@ class TestIncrementalInteraction:
         [result] = executor.execute_tick([TickQuerySpec(key="q", plan=plan)])
         view = executor.incremental_view(plan)
         assert view is not None and view.stats()["full_refreshes"] >= 1
-        plain = Executor(unit_catalog, use_incremental=False)
+        plain = Executor(unit_catalog, _config(use_incremental=False))
         assert _normalized(result.rows) == _normalized(plain.execute(plan).rows)
         # Sink fusion composes with the view path too.
         [fused] = executor.execute_tick(
@@ -318,7 +325,7 @@ class TestEffectPartials:
             {"__target__": col("a.player"), "__value__": col("a.health")},
         )
         for use_batch in (True, False):
-            executor = Executor(unit_catalog, use_batch=use_batch, use_incremental=False)
+            executor = Executor(unit_catalog, _config(use_batch=use_batch, use_incremental=False))
             physical = executor.prepare(plan).physical
             sink = EffectSinkOp(physical, "max", "__target__", "__value__")
             partials = dict(
@@ -355,8 +362,10 @@ class TestWorldEquivalence:
         # Defaults exercise batch + incremental + auto-index paths; the
         # advisor's mid-run index creation also exercises pipeline rebuild
         # after invalidate_plans().
-        world_mqo = build_rts_world(80, mode=ExecutionMode.COMPILED, use_mqo=True)
-        world_plain = build_rts_world(80, mode=ExecutionMode.COMPILED, use_mqo=False)
+        world_mqo = build_rts_world(80, mode=ExecutionMode.COMPILED, config=_config(use_mqo=True))
+        world_plain = build_rts_world(
+            80, mode=ExecutionMode.COMPILED, config=_config(use_mqo=False)
+        )
         for tick in range(6):
             report = world_mqo.tick()
             world_plain.tick()
@@ -364,8 +373,12 @@ class TestWorldEquivalence:
         assert report.fused_effect_rows > 0
 
     def test_traffic_world(self):
-        world_mqo = build_traffic_world(60, mode=ExecutionMode.COMPILED, use_mqo=True)
-        world_plain = build_traffic_world(60, mode=ExecutionMode.COMPILED, use_mqo=False)
+        world_mqo = build_traffic_world(
+            60, mode=ExecutionMode.COMPILED, config=_config(use_mqo=True)
+        )
+        world_plain = build_traffic_world(
+            60, mode=ExecutionMode.COMPILED, config=_config(use_mqo=False)
+        )
         for tick in range(5):
             world_mqo.tick()
             world_plain.tick()
@@ -373,10 +386,10 @@ class TestWorldEquivalence:
 
     def test_marketplace_world_transactional(self):
         world_mqo = build_marketplace_world(
-            40, mode=ExecutionMode.COMPILED, use_mqo=True
+            40, mode=ExecutionMode.COMPILED, config=_config(use_mqo=True)
         )
         world_plain = build_marketplace_world(
-            40, mode=ExecutionMode.COMPILED, use_mqo=False
+            40, mode=ExecutionMode.COMPILED, config=_config(use_mqo=False)
         )
         for tick in range(4):
             report = world_mqo.tick()
@@ -417,7 +430,7 @@ script phaser(Npc self) {
 """
 
         def build(use_mqo):
-            world = GameWorld(source, use_mqo=use_mqo)
+            world = GameWorld(source, config=_config(use_mqo=use_mqo))
             world.add_update_rule("Npc", "x", lambda state, effects: state["x"])
             rng = random.Random(3)
             world.spawn_many("Npc", [{"x": rng.uniform(0, 30)} for _ in range(25)])

@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import Catalog, Column, DataType, Schema
+from repro.engine import Catalog, Column, DataType, EngineConfig, Schema
 from repro.engine.algebra import Aggregate, AggregateSpec, Select, TableScan
 from repro.engine.errors import ExecutionError
 from repro.engine.executor import Executor
@@ -449,7 +449,9 @@ class TestWorkloadEquivalence:
             harness.verify(f"at tick {tick}")
 
     def test_rts_change_log_overflow_forces_snapshot_resync(self):
-        world = build_rts_world(40, seed=5, use_incremental=False)
+        world = build_rts_world(
+            40, seed=5, config=EngineConfig.from_env().replace(use_incremental=False)
+        )
         table = primary_table(world, "Unit")
         table.enable_change_log(capacity=8)  # one tick of physics overflows this
         harness = EquivalenceHarness(world, "Unit")
@@ -1103,7 +1105,7 @@ def test_sgl_compiled_effect_query_as_standing_query():
     sid = manager.subscribe_query(session, query.plan)
     states = {sid: ResultSet()}
     drain(session, states)
-    scratch = Executor(world.catalog, use_incremental=False)
+    scratch = Executor(world.catalog, EngineConfig.from_env().replace(use_incremental=False))
     for _ in range(4):
         world.tick()
         drain(session, states)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Catalog, Column, DataType, Schema
+from repro.engine import Catalog, Column, DataType, EngineConfig, Schema
 from repro.engine.table import Table
 from repro.workloads.rts import build_rts_world
 
@@ -104,7 +104,9 @@ class TestCapacityEviction:
 
 class TestDestroyDeltas:
     def test_world_destroy_reaches_cursor_consumers(self):
-        world = build_rts_world(10, with_physics=False, use_incremental=False)
+        world = build_rts_world(
+            10, with_physics=False, config=EngineConfig.from_env().replace(use_incremental=False)
+        )
         table = world.catalog.table(world.schemas["Unit"].primary_table)
         cursor = table.open_cursor()
         world.destroy("Unit", 3)
@@ -113,7 +115,9 @@ class TestDestroyDeltas:
         assert [r["id"] for r in removed] == [3]
 
     def test_destroy_during_tick_sequence(self):
-        world = build_rts_world(10, with_physics=False, use_incremental=False)
+        world = build_rts_world(
+            10, with_physics=False, config=EngineConfig.from_env().replace(use_incremental=False)
+        )
         table = world.catalog.table(world.schemas["Unit"].primary_table)
         cursor = table.open_cursor()
         world.tick()

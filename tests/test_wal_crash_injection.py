@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -67,7 +68,7 @@ class _Recorded:
         self.wal.log.close()
         #: segment name → full final content.
         self.segments = {
-            name: open(os.path.join(self.path, name), "rb").read()
+            name: Path(self.path, name).read_bytes()
             for name in sorted(os.listdir(self.path))
         }
         self.total_bytes = sum(len(data) for data in self.segments.values())
@@ -300,7 +301,7 @@ def test_repair_truncates_in_place():
         log.close()
         # Every byte on disk now parses: the valid prefix IS the file.
         for name in sorted(os.listdir(tmpdir)):
-            content = open(os.path.join(tmpdir, name), "rb").read()
+            content = Path(tmpdir, name).read_bytes()
             parsed = sum(
                 len(p) + RECORD_HEADER.size for _, p in iter_records(content)
             )
