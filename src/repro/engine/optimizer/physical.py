@@ -147,8 +147,7 @@ class PhysicalPlanner:
 
     Reads four switches of its :class:`~repro.engine.config.EngineConfig`:
     ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
-    forces row-at-a-time plans (used by the equivalence tests and by
-    ``benchmarks/bench_columnar.py`` to quantify what each path buys);
+    forces row-at-a-time plans (the oracle of the equivalence tests);
     ``use_fixpoint=False`` lowers Fixpoint nodes to the naive reference
     loop (full accumulator every round); and with ``use_fixpoint`` on,
     ``use_incremental`` lowers per-table delta variants of fixpoint steps

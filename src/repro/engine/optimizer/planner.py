@@ -62,8 +62,8 @@ class Planner:
 
     Configuration comes from one :class:`~repro.engine.config.EngineConfig`
     (``config=``, default :meth:`~repro.engine.config.EngineConfig.from_env`):
-    ``optimize=False`` skips rewrites and join reordering (used by the
-    benchmarks to quantify what the optimizer buys); ``use_indexes=False``
+    ``optimize=False`` skips rewrites and join reordering (the optimizer
+    tests compare results against it); ``use_indexes=False``
     forces pure scan plans; ``use_batch=False`` forces row-at-a-time plans
     instead of the columnar batch path.
     """

@@ -122,7 +122,7 @@ class WorldMetrics:
                 child.inc(value)
 
     def phase_quantiles(self, qs=(0.5, 0.95, 0.99)) -> dict[str, dict[str, float]]:
-        """p50/p95/p99 per phase plus the whole tick (the loadtest summary)."""
+        """p50/p95/p99 per phase plus the whole tick."""
         out = {
             phase: child.quantiles(qs) for (child, _), (phase, _) in
             zip(self._phase_children, PHASE_FIELDS)

@@ -303,6 +303,10 @@ class TestSpatialIndexCorrectness:
         kd.build_from_points(points)
         assert tree.node_count() > 4 * kd.node_count()
         assert tree.estimated_bytes(16) == tree.node_count() * 16
+        # Super-linear total space: the bytes per point grow with n.
+        small = RangeTreeIndex(["x", "y"])
+        small.build_from_points(points[:128])
+        assert tree.estimated_bytes(16) / 512 > small.estimated_bytes(16) / 128
 
     def test_kdtree_nearest(self):
         kd = KdTreeIndex(["x", "y"])

@@ -151,8 +151,9 @@ class TestIndexProbePlanning:
     def test_use_indexes_false_forces_rebuild_path(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, _config(use_indexes=False)), band_plan())
+        ops = _join_ops(Executor(catalog, EngineConfig(use_indexes=False)), band_plan())
         assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
+        assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
 
 
 class TestIndexProbeEquivalence:

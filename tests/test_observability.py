@@ -4,18 +4,16 @@ Pins down the primitives (histogram edge cases, exact Prometheus
 exposition, concurrent merges), the tick wiring (``attach_metrics`` /
 ``attach_tracer``, structured tick logs, zeroed pre-tick counters), the
 HTTP scrape endpoint, the sharded-world aggregation invariant (per-shard
-counters sum to the coordinator report), the loadtest ramp driver, and
-the <3% observation-overhead gate.
+counters sum to the coordinator report), and the <3% observation-overhead
+gate.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import random
 import statistics
-import sys
 import threading
 import time
 
@@ -39,10 +37,6 @@ from repro.runtime.debug import TickInspector, TickLogger
 from repro.service.server import SubscriptionServer
 from repro.shard import ShardSpec, ShardedWorld
 from repro.workloads.rts import build_rts_world, unit_rows
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
-
-import loadtest  # noqa: E402
 
 WORLD_SIZE = 300.0
 
@@ -474,51 +468,6 @@ def test_sharded_scrape_matches_coordinator_report():
     # ...and the tracer rendered the fleet as parallel pid tracks.
     pids = {e["pid"] for e in tracer.events}
     assert pids == {0, 1, 2}
-
-
-# -- loadtest ramp driver ---------------------------------------------------------------
-
-
-def test_loadtest_reports_breaking_point(tmp_path):
-    result = loadtest.run_loadtest(
-        start_units=30,
-        growth=30,
-        max_steps=3,
-        ticks_per_step=2,
-        deadline_ms=0.0001,  # guaranteed breach on the first step
-        subscribers_per_step=2,
-        world_size=120.0,
-    )
-    assert result["breached"] is True
-    bp = result["breaking_point"]
-    assert bp["units"] == 30 and bp["subscribers"] == 2
-    assert bp["median_tick_ms"] > 0.0001
-    for phase in [phase for phase, _ in PHASE_FIELDS] + ["tick"]:
-        q = result["phase_quantiles_ms"][phase]
-        assert q["p50"] <= q["p95"] <= q["p99"]
-    artifact = tmp_path / "BENCH_tick.json"
-    loadtest.append_history(result, str(artifact))
-    loadtest.append_history(result, str(artifact))
-    data = json.loads(artifact.read_text())
-    assert len(data["history"]) == 2
-    entry = data["history"][-1]["loadtest"]
-    assert entry["breached"] is True and "steps" not in entry
-
-
-def test_loadtest_completes_under_generous_deadline():
-    result = loadtest.run_loadtest(
-        start_units=20,
-        growth=20,
-        max_steps=2,
-        ticks_per_step=2,
-        deadline_ms=60_000.0,
-        subscribers_per_step=2,
-        world_size=120.0,
-    )
-    assert result["breached"] is False and result["breaking_point"] is None
-    assert [s["units"] for s in result["steps"]] == [20, 40]
-    assert result["steps"][-1]["subscribers"] == 4
-    assert result["steps"][-1]["subscription_messages"] >= 0
 
 
 # -- overhead gate ----------------------------------------------------------------------

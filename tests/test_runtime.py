@@ -232,11 +232,29 @@ class TestWorldTick:
           vy <- 1;
         }
         """
+        # waitNextTick is sugar for a hand-written state machine (Section 3.2).
+        machine_source = """
+        class Walker {
+          state: number x = 0; number y = 0; number phase = 0;
+          effects: number vx : sum; number vy : sum;
+        }
+        script patrol(Walker self) {
+          if (phase == 0) { vx <- 1; }
+          if (phase == 1) { vy <- 1; }
+        }
+        """
         world = GameWorld(source, mode=ExecutionMode.COMPILED)
-        world.add_update_rule("Walker", "x", lambda s, e: s["x"] + e.get("vx", 0))
-        world.add_update_rule("Walker", "y", lambda s, e: s["y"] + e.get("vy", 0))
-        world.spawn("Walker")
-        world.run(4)
+        machine = GameWorld(machine_source, mode=ExecutionMode.COMPILED)
+        machine.add_update_rule("Walker", "phase", lambda s, e: (s["phase"] + 1) % 2)
+        for w in (world, machine):
+            w.add_update_rule("Walker", "x", lambda s, e: s["x"] + e.get("vx", 0))
+            w.add_update_rule("Walker", "y", lambda s, e: s["y"] + e.get("vy", 0))
+            w.spawn("Walker")
+        for _ in range(4):
+            world.tick()
+            machine.tick()
+            walker, state = world.get_object("Walker", 0), machine.get_object("Walker", 0)
+            assert (walker["x"], walker["y"]) == (state["x"], state["y"])
         obj = world.get_object("Walker", 0)
         # Segments alternate: ticks 0,2 move x; ticks 1,3 move y.
         assert obj["x"] == 2 and obj["y"] == 2
@@ -279,6 +297,40 @@ class TestWorldTick:
         assert world.get_object("Guard", 0)["x"] == before_x - 5 + 1
         assert world.get_object("Guard", 0)["__pc_wander"] in (0, 1)
 
+        # A handler is sugar for a conditional prologue (Section 3.2), one
+        # tick later: it fires after the update step and feeds the next tick.
+        guard_class = """
+        class Guard {
+          state: number x = 0; number hp = 10; number hurt = 0;
+          effects: number vx : sum; number heal : sum;
+        }
+        """
+        conditional = GameWorld(
+            guard_class + "script react(Guard self) { if (hurt == 1) { heal <- 1; } vx <- 1; }",
+            mode=ExecutionMode.COMPILED,
+        )
+        handled = GameWorld(
+            guard_class + "script advance(Guard self) { vx <- 1; }", mode=ExecutionMode.COMPILED
+        )
+        handled.add_handler(
+            Handler(
+                name="heal",
+                class_name="Guard",
+                condition=lambda row: row["hurt"] == 1,
+                action=lambda row: [EffectAssignment("Guard", row["id"], "heal", 1)],
+            )
+        )
+        for w in (conditional, handled):
+            w.add_update_rule("Guard", "x", lambda s, e: s["x"] + e.get("vx", 0))
+            w.add_update_rule("Guard", "hp", lambda s, e: min(10, s["hp"] + e.get("heal", 0)))
+            for i in range(6):
+                w.spawn("Guard", hp=8 if i % 2 == 0 else 10, hurt=1 if i % 2 == 0 else 0)
+        conditional.tick()
+        handled.run(2)
+        hp = sorted((g["id"], g["hp"]) for g in conditional.objects("Guard"))
+        assert hp == sorted((g["id"], g["hp"]) for g in handled.objects("Guard"))
+        assert hp[0] == (0, 9)
+
     def test_vertical_layout_world_matches_single(self, simple_game_source):
         from repro.sgl import SchemaLayout
         import random
@@ -292,12 +344,12 @@ class TestWorldTick:
             return world
 
         single = build(SchemaLayout.SINGLE)
-        vertical = build(SchemaLayout.VERTICAL)
         single.tick()
-        vertical.tick()
-        assert sorted((o["id"], o["health"]) for o in single.objects("Unit")) == sorted(
-            (o["id"], o["health"]) for o in vertical.objects("Unit")
-        )
+        expected = sorted((o["id"], o["health"]) for o in single.objects("Unit"))
+        for layout in (SchemaLayout.VERTICAL, SchemaLayout.PER_EFFECT):
+            world = build(layout)
+            world.tick()
+            assert sorted((o["id"], o["health"]) for o in world.objects("Unit")) == expected
 
 
 class TestTransactionsEndToEnd:
@@ -317,11 +369,15 @@ class TestTransactionsEndToEnd:
         assert world.last_transaction_report.abort_count + world.last_transaction_report.commit_count == report.transactions_submitted
 
     def test_contention_increases_abort_rate(self):
-        low = build_marketplace_world(8, buyers_per_item=1, seller_stock=2)
-        high = build_marketplace_world(8, buyers_per_item=8, seller_stock=2)
-        low.tick()
-        high.tick()
-        assert high.last_transaction_report.abort_rate > low.last_transaction_report.abort_rate
+        rates = []
+        for buyers_per_item in (1, 2, 4, 8):
+            world = build_marketplace_world(8, buyers_per_item=buyers_per_item, seller_stock=2)
+            world.tick()
+            rates.append(world.last_transaction_report.abort_rate)
+        # Stock 2 serves two buyers per seller; beyond that, aborts grow.
+        assert rates[0] == 0.0
+        assert rates == sorted(rates)
+        assert rates[-1] > 0.5
 
 
 class TestDebugTools:

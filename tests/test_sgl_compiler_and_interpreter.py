@@ -1,11 +1,10 @@
-"""Structural tests for the SGL compiler IR, the interpreter's reference
-handling, and the benchmark harness."""
+"""Structural tests for the SGL compiler IR and the interpreter's reference
+handling."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import Experiment
 from repro.engine.algebra import Aggregate, Join
 from repro.sgl import SGLCompiler, SchemaGenerator, SchemaLayout, analyze_program, parse_program
 from repro.sgl.errors import SGLCompileError
@@ -132,18 +131,3 @@ class TestInterpreterReferences:
             parse_expression("gold - 4 >= 0"), "Unit", {"id": 1, "gold": 3, "x": 0, "weapon": None}, EmptyView()
         )
         assert value is False
-
-
-class TestBenchHarness:
-    def test_experiment_renders_aligned_table(self):
-        experiment = Experiment("demo", "description", columns=["n", "seconds"])
-        experiment.add_row(n=10, seconds=0.5)
-        experiment.add_row(n=1000, seconds=0.0001234)
-        text = experiment.render()
-        assert "demo" in text and "n" in text and "1000" in text
-        assert len(text.splitlines()) == 6
-
-    def test_experiment_infers_columns(self):
-        experiment = Experiment("demo")
-        experiment.add_row(a=1, b=2)
-        assert "a" in experiment.render().splitlines()[1]

@@ -370,6 +370,7 @@ class TestWorldEquivalence:
             report = world_mqo.tick()
             world_plain.tick()
             _assert_worlds_equal(world_mqo, world_plain, tick)
+        assert report.shared_subplans >= 1
         assert report.fused_effect_rows > 0
 
     def test_traffic_world(self):

@@ -203,6 +203,10 @@ class TestStandingQueryGroups:
         sid_a = manager.subscribe_query(sess_a, plan_a)
         sid_b = manager.subscribe_query(sess_b, plan_b)
         assert len(manager._groups) == 1  # PR-4 fingerprints dedupe the aliases
+        stats = manager.stats()
+        assert stats["query_subscribers"] == 2
+        assert stats["query_groups"] == 1
+        assert stats["dedup_factor"] == 2.0
         states = {sid_a: ResultSet(), sid_b: ResultSet()}
         drain(sess_a, states)
         drain(sess_b, states)

@@ -19,6 +19,7 @@ corruption point.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
@@ -30,7 +31,12 @@ from hypothesis import strategies as st
 
 from repro.persistence.log import DeltaLog
 from repro.persistence.replay import ReplayError, replay_tables
-from repro.persistence.segment import RECORD_HEADER, decode_payload, iter_records
+from repro.persistence.segment import (
+    COMPRESS_THRESHOLD,
+    RECORD_HEADER,
+    decode_payload,
+    iter_records,
+)
 from repro.workloads.marketplace import build_marketplace_world
 from repro.workloads.rts import build_rts_world
 from repro.workloads.traffic import build_traffic_world
@@ -204,6 +210,17 @@ def test_untouched_log_recovers_final_tick(workload):
     state = replay_tables(run.path)
     assert state.tick == TICKS - 1
     assert state.tables == run.states[TICKS - 1]
+    # Deflate earns its keep: a commit record large enough to be compressed
+    # takes at most half the bytes of the JSON it encodes.
+    compressed = 0
+    for content in run.segments.values():
+        for _, payload in iter_records(content):
+            record = decode_payload(payload)
+            raw = len(json.dumps(record, separators=(",", ":"), default=repr))
+            if record.get("k") == "c" and raw >= COMPRESS_THRESHOLD:
+                compressed += 1
+                assert raw >= 2 * len(payload), (record["t"], raw, len(payload))
+    assert compressed > 0
 
 
 @pytest.mark.parametrize("workload", sorted(BUILDERS))
