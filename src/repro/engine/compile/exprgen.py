@@ -26,12 +26,15 @@ A second entry point, :meth:`ExprGen.boolean`, emits a fragment whose
 *truthiness* equals ``bool(value)`` — used for filter guards, where
 comparisons can skip materializing the tri-state ``None``/``True``/
 ``False`` result entirely.
+
+:func:`row_function` wraps both modes into one compiled function of a
+value tuple, which is how the delta operators evaluate expressions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.engine.expressions import (
     _FUNCTIONS,
@@ -45,9 +48,10 @@ from repro.engine.expressions import (
     SetLiteral,
     UnaryOp,
     Variable,
+    resolve_batch_column,
 )
 
-__all__ = ["ExprGen", "KernelDecline", "SourceBuilder"]
+__all__ = ["ExprGen", "KernelDecline", "SourceBuilder", "row_function"]
 
 
 class KernelDecline(Exception):
@@ -308,3 +312,56 @@ class ExprGen:
         if not guards:
             return call
         return f"(None if {' or '.join(guards)} else {call})"
+
+
+def row_function(
+    names: Sequence[str], exprs: Sequence[Expression], *, guard: bool = False
+) -> Callable[[tuple], Any]:
+    """Compile *exprs* into one function of a value tuple laid out as *names*.
+
+    The function returns the tuple of the expressions' values or, with
+    ``guard=True`` and a single predicate, a value whose truthiness equals
+    the predicate's.  Expressions outside the generator's grammar, and rows
+    the generated code cannot evaluate (mismatched operand types), go
+    through :meth:`Expression.evaluate` on a row dict, so values and errors
+    always match the interpreted path.
+    """
+    names = tuple(names)
+    # Last position wins on duplicate names, as in ``dict(zip(names, values))``.
+    positions = {name: k for k, name in enumerate(names)}
+
+    def interpreted(values: tuple) -> Any:
+        row = dict(zip(names, values))
+        if guard:
+            return exprs[0].evaluate(row)
+        return tuple(expr.evaluate(row) for expr in exprs)
+
+    def resolver(node: Any) -> str:
+        name = (
+            node.name
+            if isinstance(node, Variable)
+            else resolve_batch_column(node.name, names)
+        )
+        if name not in positions:
+            raise KernelDecline(node.name)
+        return f"_r[{positions[name]}]"
+
+    builder = SourceBuilder()
+    gen = ExprGen(resolver, builder)
+    try:
+        if guard:
+            body = gen.boolean(exprs[0])
+        else:
+            body = "(" + "".join(f"{gen.value(expr)}, " for expr in exprs) + ")"
+    except KernelDecline:
+        return interpreted
+    source = (
+        "def _row_fn(_r):\n"
+        "    try:\n"
+        f"        return {body}\n"
+        "    except (TypeError, ValueError, ArithmeticError):\n"
+        "        return _interpreted(_r)\n"
+    )
+    env = dict(builder.env, _interpreted=interpreted)
+    exec(compile(source, "<repro-row-function>", "exec"), env)
+    return env["_row_fn"]

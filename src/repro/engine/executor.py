@@ -268,6 +268,9 @@ class Executor:
         #: it pins the id so a garbage-collected plan can never hand its id
         #: (and therefore this view) to an unrelated new plan.
         self._incremental: dict[int, tuple[LogicalPlan, IncrementalView]] = {}
+        #: Final statistics of views dropped by a refresh error, so the
+        #: report's counters only ever grow.
+        self._dropped_views: list[dict[str, Any]] = []
         #: The compiled tick pipeline (shared-subplan DAG) and its
         #: tick-scoped materializations.
         self._tick_pipeline: _TickPipeline | None = None
@@ -418,7 +421,10 @@ class Executor:
         start = time.perf_counter()
         try:
             rows = view.refresh()
-        except EngineError:
+        except EngineError as exc:
+            stats = self._view_stats(id(plan), view, "dropped")
+            stats.update(reason=type(exc).__name__, message=str(exc))
+            self._dropped_views.append(stats)
             self._incremental.pop(id(plan), None)
             return None
         return rows, time.perf_counter() - start
@@ -645,16 +651,22 @@ class Executor:
         return report
 
     def incremental_report(self) -> list[dict[str, Any]]:
-        """Refresh statistics for every registered incremental view."""
-        report = []
-        for key, (_plan, view) in self._incremental.items():
-            entry = self._cache.get(key)
-            stats = view.stats()
-            stats["plan"] = (
-                entry.planned.optimized.node_label() if entry is not None else "?"
-            )
-            report.append(stats)
-        return report
+        """Refresh statistics of every incremental view: the registered ones
+        (``state: "live"``), then those a refresh error dropped (``state:
+        "dropped"``, final counters plus the error's class as ``reason`` and
+        its ``message``)."""
+        live = [
+            self._view_stats(key, view, "live")
+            for key, (_plan, view) in self._incremental.items()
+        ]
+        return live + [dict(stats) for stats in self._dropped_views]
+
+    def _view_stats(self, key: int, view: IncrementalView, state: str) -> dict[str, Any]:
+        entry = self._cache.get(key)
+        stats: dict[str, Any] = view.stats()
+        stats["plan"] = entry.planned.optimized.node_label() if entry is not None else "?"
+        stats["state"] = state
+        return stats
 
     def fixpoint_report(self) -> dict[str, int]:
         """Cumulative counters of every live :class:`FixpointOp`.

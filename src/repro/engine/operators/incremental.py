@@ -12,7 +12,9 @@ from per-tick deltas:
 * :class:`DeltaFilterOp` / :class:`DeltaProjectOp` propagate both sides of
   a delta through pure row expressions,
 * :class:`DeltaJoinOp` implements the classic bilinear join-delta rule
-  ``Δ(A⋈B) = ΔA⋈Bnew ∪ Anew⋈ΔB ∖ ΔA⋈ΔB`` for equi and cross joins,
+  ``Δ(A⋈B) = ΔA⋈Bnew ∪ Anew⋈ΔB ∖ ΔA⋈ΔB`` for equi and cross joins; each
+  term fetches only the rows of the full side the opposite delta can meet
+  (by key, or through a persistent index for band joins),
 * :class:`DeltaAggregateOp` keeps per-group accumulators and re-aggregates
   only the groups a delta touches (O(1) maintenance for sum/count/avg,
   group-local refolds for min/max and friends),
@@ -20,6 +22,9 @@ from per-tick deltas:
   versions it is keyed by, and the fallback ladder: version-identical →
   serve cached; delta available → maintain; anything else
   (:class:`DeltaUnavailable`, :class:`IncrementalError`) → full rebuild.
+
+Every expression a delta operator evaluates is compiled once, into one
+function of a value tuple (:func:`repro.engine.compile.exprgen.row_function`).
 
 Which plans are lowered to this form — and which fall back to the batch or
 row paths — is decided at plan time by
@@ -37,14 +42,16 @@ tolerance).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from collections import Counter
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.engine.aggregates import make_accumulator
 from repro.engine.algebra import AggregateSpec
 from repro.engine.batch import DeltaBatch
 from repro.engine.errors import ExecutionError
-from repro.engine.expressions import BatchCompileError, Expression, compile_batch
+from repro.engine.expressions import ColumnRef, Expression, Literal, resolve_batch_column
 from repro.engine.operators.base import PhysicalOperator
 from repro.engine.table import Table
 
@@ -59,11 +66,29 @@ __all__ = [
     "DeltaFilterOp",
     "DeltaProjectOp",
     "BandIndexProbe",
+    "InverseBandProbe",
     "DeltaJoinOp",
     "DeltaAggregateOp",
     "DeltaUnionOp",
     "IncrementalView",
 ]
+
+
+def _row_function(
+    names: Sequence[str], exprs: Sequence[Expression], *, guard: bool = False
+) -> Callable[[tuple], Any]:
+    # Imported late: the compile package imports this one through the planner.
+    from repro.engine.compile.exprgen import row_function
+
+    return row_function(names, exprs, guard=guard)
+
+
+def column_positions(names: Sequence[str], exprs: Sequence[Expression]) -> tuple | None:
+    """Where each expression, a bare column reference, sits in *names*."""
+    found = [
+        resolve_batch_column(e.name, names) if isinstance(e, ColumnRef) else None for e in exprs
+    ]
+    return None if None in found else tuple(names.index(name) for name in found)
 
 
 class DeltaUnavailable(ExecutionError):
@@ -97,58 +122,19 @@ class DeltaContext:
         self.scan_deltas = scan_deltas
 
 
-class _TupleColumn:
-    """A column view over a list of value tuples: ``rows[k][pos]``.
-
-    The delta operators compile their expressions *once* (at construction)
-    with :func:`repro.engine.expressions.compile_batch` against these
-    views, then re-bind ``rows`` to each delta side per refresh — the same
-    compile-once/evaluate-per-index trick the batch path uses, instead of
-    materializing a dict per delta row.
-    """
-
-    __slots__ = ("rows", "pos")
-
-    def __init__(self, pos: int):
-        self.rows: Sequence[tuple] = ()
-        self.pos = pos
-
-    def __getitem__(self, k: int) -> Any:
-        return self.rows[k][self.pos]
-
-
-class _RowsEvaluator:
-    """Compile expressions over tuple rows with the given column names."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, names: Sequence[str]):
-        self.columns = {name: _TupleColumn(pos) for pos, name in enumerate(names)}
-
-    def compile(self, expr: Expression):
-        """A per-index evaluator, or ``None`` if compilation is unsupported
-        (callers then fall back to dict-based ``Expression.evaluate``)."""
-        try:
-            return compile_batch(expr, self.columns)
-        except BatchCompileError:
-            return None
-
-    def bind(self, rows: Sequence[tuple]) -> None:
-        for column in self.columns.values():
-            column.rows = rows
-
-
 class DeltaOperator:
     """Base class for incremental operators.
 
-    Each node can do three things:
+    Each node can do four things:
 
     * :meth:`delta` — the signed change of its output for the refresh
       described by a :class:`DeltaContext`, *updating any internal state*
       as a side effect (so it must be called exactly once per refresh),
     * :meth:`full_rows` — its complete current output as value tuples
-      (stateless nodes execute their lowered ``full_plan``; scans read the
-      version-cached columnar snapshot; aggregates serve their state),
+      (scans read the version-cached columnar snapshot, aggregates serve
+      their state, filters/projections above one transform that state,
+      other stateless nodes execute their lowered ``full_plan``),
+    * :meth:`lookup` — fetch current output rows by key, where it can,
     * :meth:`rebuild` — discard state and re-derive it from current data.
 
     ``names`` matches the row-dict keys the row/batch paths would produce,
@@ -176,6 +162,16 @@ class DeltaOperator:
             raise ExecutionError(f"{type(self).__name__} has no full plan")
         names = self.names
         return [tuple(row[n] for n in names) for row in self.full_plan.rows()]
+
+    @property
+    def stateful(self) -> bool:
+        """Whether the subtree maintains an output of its own (an aggregate)."""
+        return any(child.stateful for child in self.children)
+
+    def lookup(self, positions: tuple[int, ...]) -> Callable[[tuple], list[tuple]] | None:
+        """A function from a key to the current output rows whose columns at
+        *positions* equal it, or ``None`` when this node cannot fetch by key."""
+        return None
 
     def rebuild(self) -> None:
         for child in self.children:
@@ -225,6 +221,18 @@ class DeltaScanOp(DeltaOperator):
             return []
         return list(zip(*(batch.column(c) for c in self._columns)))
 
+    def lookup(self, positions: tuple[int, ...]) -> Callable[[tuple], list[tuple]] | None:
+        """Fetch by the table's key column (:meth:`Table.get_by_key`)."""
+        table, columns = self.table, self._columns
+        if table.key is None or positions != (columns.index(table.key),):
+            return None
+
+        def fetch(key: tuple) -> list[tuple]:
+            row = table.get_by_key(key[0])
+            return [] if row is None else [tuple(row[c] for c in columns)]
+
+        return fetch
+
     def label(self) -> str:
         return f"DeltaScan({self.table.name})"
 
@@ -262,44 +270,11 @@ class DeltaFilterOp(DeltaOperator):
     ):
         super().__init__(child.names, (child,), full_plan)
         self.predicate = predicate
-        self._evaluator = _RowsEvaluator(self.names)
-        # One pass per AND-conjunct over the surviving indices, exactly like
-        # BatchFilterOp: specialized comparisons where possible, generic
-        # compiled closures otherwise, dict evaluation as the last resort.
-        from repro.engine.expressions import BinaryOp
-        from repro.engine.operators.batch_ops import _fast_comparison_pass
-
-        conjuncts = (
-            predicate.conjuncts() if isinstance(predicate, BinaryOp) else [predicate]
-        )
-        self._passes = []
-        for conjunct in conjuncts:
-            fast = _fast_comparison_pass(conjunct, self._evaluator.columns)
-            if fast is not None:
-                self._passes.append(fast)
-                continue
-            fn = self._evaluator.compile(conjunct)
-            if fn is None:
-                self._passes = None
-                break
-            self._passes.append(lambda sel, fn=fn: [k for k in sel if fn(k)])
+        #: The compiled predicate: one call per value tuple.
+        self.keep = _row_function(self.names, [predicate], guard=True)
 
     def _filter(self, rows: Sequence[tuple]) -> list[tuple]:
-        if not rows:
-            return []
-        if self._passes is not None:
-            self._evaluator.bind(rows)
-            selection: Sequence[int] = range(len(rows))
-            for conjunct_pass in self._passes:
-                selection = conjunct_pass(selection)
-                if not selection:
-                    return []
-            return [rows[k] for k in selection]
-        predicate = self.predicate
-        names = self.names
-        return [
-            values for values in rows if predicate.evaluate(dict(zip(names, values)))
-        ]
+        return list(filter(self.keep, rows))
 
     def delta(self, ctx: DeltaContext) -> DeltaBatch:
         child_delta = self.children[0].delta(ctx)
@@ -312,6 +287,14 @@ class DeltaFilterOp(DeltaOperator):
             self._filter(child_delta.removed),
             netted=child_delta.netted,
         )
+
+    def full_rows(self) -> list[tuple]:
+        child = self.children[0]
+        return self._filter(child.full_rows()) if child.stateful else super().full_rows()
+
+    def lookup(self, positions: tuple[int, ...]) -> Callable[[tuple], list[tuple]] | None:
+        fetch = self.children[0].lookup(positions)
+        return None if fetch is None else lambda key: self._filter(fetch(key))
 
     def label(self) -> str:
         return f"DeltaFilter({self.predicate!r})"
@@ -328,24 +311,10 @@ class DeltaProjectOp(DeltaOperator):
     ):
         super().__init__([name for name, _ in projections], (child,), full_plan)
         self.projections = list(projections)
-        self._evaluator = _RowsEvaluator(child.names)
-        fns = [self._evaluator.compile(expr) for _, expr in projections]
-        self._compiled = fns if all(fn is not None for fn in fns) else None
+        self._row = _row_function(child.names, [expr for _, expr in projections])
 
     def _project(self, rows: Sequence[tuple]) -> list[tuple]:
-        if not rows:
-            return []
-        if self._compiled is not None:
-            self._evaluator.bind(rows)
-            fns = self._compiled
-            return [tuple(fn(k) for fn in fns) for k in range(len(rows))]
-        child_names = self.children[0].names
-        projections = self.projections
-        out = []
-        for values in rows:
-            row = dict(zip(child_names, values))
-            out.append(tuple(expr.evaluate(row) for _, expr in projections))
-        return out
+        return list(map(self._row, rows))
 
     def delta(self, ctx: DeltaContext) -> DeltaBatch:
         child_delta = self.children[0].delta(ctx)
@@ -357,6 +326,17 @@ class DeltaProjectOp(DeltaOperator):
             self._project(child_delta.removed),
         ).net()
 
+    def full_rows(self) -> list[tuple]:
+        child = self.children[0]
+        return self._project(child.full_rows()) if child.stateful else super().full_rows()
+
+    def lookup(self, positions: tuple[int, ...]) -> Callable[[tuple], list[tuple]] | None:
+        """Fetch through a projection that passes the key columns through."""
+        child = self.children[0]
+        passed = column_positions(child.names, [self.projections[p][1] for p in positions])
+        fetch = None if passed is None else child.lookup(passed)
+        return None if fetch is None else lambda key: self._project(fetch(key))
+
     def label(self) -> str:
         return f"DeltaProject({', '.join(name for name, _ in self.projections)})"
 
@@ -365,12 +345,10 @@ class BandIndexProbe:
     """Persistent-index probing for :class:`DeltaJoinOp`'s ``ΔA ⋈ Bnew`` term.
 
     A keyless band join's delta rule joins each left-delta row against the
-    *entire* current right side — which :meth:`DeltaOperator.full_rows`
-    materializes with a full table scan, exactly the per-tick O(table) cost
-    the incremental path exists to avoid.  When the right side is a base
-    table with a registered range-capable index over the probe columns,
-    this spec probes that index per delta row instead: the unchanged side
-    is never rescanned, and per-refresh work drops to O(|Δ| · candidates).
+    *entire* current right side.  When the right side is a base table with
+    a registered range-capable index over the probe columns, this spec
+    probes that index per delta row instead, so the per-refresh work is
+    O(|Δ| · candidates) and the unchanged side is never rescanned.
 
     The index is re-resolved on **every refresh** (:meth:`find_index`), so
     indexes the advisor creates or evicts after the view was registered are
@@ -387,6 +365,8 @@ class BandIndexProbe:
         self.advisor_hook = None
         #: Delta rows joined through the index (introspection/tests).
         self.index_probes = 0
+        #: The probing of the left side for ``Anew ⋈ ΔB``, when it has one.
+        self.inverse: InverseBandProbe | None = None
 
     def find_index(self):
         """The best registered range-capable index over the probe columns
@@ -396,18 +376,6 @@ class BandIndexProbe:
             [column for column, _, _ in self.dimensions]
         )
         return None if covering is None else covering[1]
-
-    def bounds_of(self, left_row: Mapping[str, Any]) -> dict[str, tuple[float, float]] | None:
-        """Per-column probe bounds for one left row, or ``None`` when a
-        bound is null/inverted (the join condition cannot match then)."""
-        out: dict[str, tuple[float, float]] = {}
-        for column, low_expr, high_expr in self.dimensions:
-            low = low_expr.evaluate(left_row)
-            high = high_expr.evaluate(left_row)
-            if low is None or high is None or high < low:
-                return None
-            out[column] = (float(low), float(high))
-        return out
 
     def candidates(
         self, index, bounds: Mapping[str, tuple[float, float]], left_values: tuple
@@ -422,6 +390,106 @@ class BandIndexProbe:
         ]
 
 
+class _MaxBag:
+    """A counted multiset of values that knows its maximum."""
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+        self.ordered: list = []  # the distinct values, ascending
+
+    def update(self, value: Any, sign: int) -> None:
+        count = self.counts[value] + sign
+        if count < 0:
+            raise IncrementalError(f"removal of untracked band width {value!r}")
+        if count == 0:
+            del self.counts[value]
+            del self.ordered[bisect_left(self.ordered, value)]
+            return
+        if count == 1 and sign > 0:
+            insort(self.ordered, value)
+        self.counts[value] = count
+
+    def top(self) -> Any:
+        return self.ordered[-1] if self.ordered else None
+
+
+class InverseBandProbe:
+    """Index probing for the ``Anew ⋈ ΔB`` term of a keyless band join.
+
+    A band ``A − w_lo ≤ v ≤ A + w_hi`` (``A`` a left column, each ``w`` a
+    left column or a constant) inverts to ``A ∈ [v − max w_hi, v + max
+    w_lo]``: a box to probe the left base table's range index with, per
+    ``ΔB`` value ``v``.  The maxima come from counted multisets maintained
+    from ``ΔA`` (:meth:`track`) and rebuilt with the view (:meth:`reset`).
+    The box is widened by a few ulps: ``x − r ≤ v`` does not imply
+    ``x ≤ v + r`` in floating point.  Candidates pass the left side's
+    filters here and the full join condition in the caller.
+    """
+
+    def __init__(
+        self,
+        scan: "DeltaScanOp",
+        filters: Sequence[Callable[[tuple], Any]],
+        columns: Sequence[str],
+        positions: Sequence[int],
+        widths: Sequence[Expression],
+    ):
+        #: The left side: a base-table scan under compiled filter predicates.
+        self.scan = scan
+        self.table = scan.table
+        self.filters = list(filters)
+        #: Per dimension: the left table's column ``A``, the position of ``v``
+        #: in right rows, and which bags hold its ``w_lo`` and ``w_hi``.
+        self.columns = list(columns)
+        self.positions = list(positions)
+        distinct = list(dict.fromkeys(widths))
+        self.bag_of = [distinct.index(width) for width in widths]
+        self.widths = _row_function(scan.names, distinct)
+        self.bags = [_MaxBag() for _ in distinct]
+
+    def find_index(self):
+        """The left table's best covering range index, re-resolved per refresh."""
+        covering = self.table.find_index_covering(self.columns)
+        return None if covering is None else covering[1]
+
+    def track(self, rows: Sequence[tuple], sign: int) -> None:
+        bags, widths = self.bags, self.widths
+        for values in rows:
+            for bag, width in zip(bags, widths(values)):
+                if width is not None:
+                    bag.update(width, sign)
+
+    def reset(self) -> None:
+        """Re-derive the multisets from the left side's current rows."""
+        self.bags = [_MaxBag() for _ in self.bags]
+        rows = self.scan.full_rows()
+        self.track([row for row in rows if all(keep(row) for keep in self.filters)], 1)
+
+    def candidates(self, index, rows: Sequence[tuple]) -> list[tuple]:
+        """Combined ``left + right`` candidate rows for right-delta *rows*."""
+        tops = [self.bags[k].top() for k in self.bag_of]
+        if None in tops:
+            return []  # no left row has a non-null width, so none can match
+        table = self.table
+        columns = table.schema.names
+        dimensions = list(zip(self.columns, self.positions, tops[::2], tops[1::2]))
+        out: list[tuple] = []
+        for right in rows:
+            box = {}
+            for column, position, w_lo, w_hi in dimensions:
+                v = right[position]
+                if v is None:
+                    break
+                pad = 4 * math.ulp(abs(v) + abs(w_lo) + abs(w_hi))
+                box[column] = (v - w_hi - pad, v + w_lo + pad)
+            else:
+                for row in map(table.get, index.range_search([box[c] for c in index.columns])):
+                    values = tuple(row[c] for c in columns)
+                    if all(keep(values) for keep in self.filters):
+                        out.append(values + right)
+        return out
+
+
 class DeltaJoinOp(DeltaOperator):
     """Incremental join via the bilinear delta rule.
 
@@ -430,21 +498,17 @@ class DeltaJoinOp(DeltaOperator):
 
         Δ(A ⋈ B) = ΔA ⋈ Bnew  +  Anew ⋈ ΔB  −  ΔA ⋈ ΔB
 
-    Every term joins a (small) delta against either the other side's full
-    current state or the other delta, so the work per refresh is
-    O(|Δ| + |full side|) rather than O(|A|·|B| matches).  The full side of
-    a term is only materialized when the opposite delta is non-empty — on a
-    tick where only one input changed, the other side is never scanned.
-
-    Without keys (``left_keys == []``) every row pair is a candidate and
-    ``residual`` carries the whole join condition — this is how cross joins
-    and the Figure-2 band-join shape are maintained; the per-refresh cost
-    becomes O(|Δ| · |full side|), which the view's churn guard keeps below
-    the cost of a full re-execution.  For the band-join shape specifically,
-    a ``band_probe`` (:class:`BandIndexProbe`) built by the incremental
-    planner lets the ``ΔA ⋈ Bnew`` terms probe a persistent index on the
-    right base table instead of rescanning it — the unchanged side is then
-    never materialized at all.
+    A term that needs a side's current state fetches only the rows the
+    opposite delta can meet, so a refresh costs O(|Δ| · candidates), not
+    O(|Δ| · |side|).  :attr:`paths` records each term's path on the latest
+    refresh: ``key`` (:meth:`DeltaOperator.lookup` of the keys the delta
+    names), ``index`` (the band join's ``ΔA ⋈ Bnew`` through
+    :class:`BandIndexProbe`), ``inverse-index`` (its ``Anew ⋈ ΔB`` through
+    :class:`InverseBandProbe`) or ``scan`` (the whole side, hashed).
+    :attr:`join_candidates` / :attr:`join_rows` count the pairs examined
+    and the rows emitted.  Without keys every pair is a candidate and
+    ``residual`` carries the whole join condition — this is how cross
+    joins and the Figure-2 band-join shape are maintained.
 
     ``how="left"`` additionally maintains the null-padded rows of a left
     outer join.  The outer part is *non*-monotonic — an insert on the right
@@ -456,6 +520,7 @@ class DeltaJoinOp(DeltaOperator):
     where ``m(a)`` counts a row's surviving matches (key equality plus
     residual, mirroring the row path's ``matched`` flag) and ``m_old`` is
     recovered as ``m_new − Δm`` from the right-side delta — no extra state.
+    Only left rows whose key the right delta names can have ``Δm ≠ 0``.
     """
 
     def __init__(
@@ -476,70 +541,43 @@ class DeltaJoinOp(DeltaOperator):
         self.how = how
         self.band_probe = band_probe
         self._null_pad = (None,) * len(right.names)
-        self._left_eval = _RowsEvaluator(left.names)
-        self._right_eval = _RowsEvaluator(right.names)
-        self._left_key_fns = self._compile_keys(self._left_eval, left_keys)
-        self._right_key_fns = self._compile_keys(self._right_eval, right_keys)
-        self._residual_eval = _RowsEvaluator(self.names)
-        self._residual_fn = (
-            None if residual is None else self._residual_eval.compile(residual)
+        self._keep = (
+            None if residual is None else _row_function(self.names, [residual], guard=True)
         )
-
-    @staticmethod
-    def _compile_keys(evaluator: _RowsEvaluator, keys: Sequence[Expression]):
-        fns = [evaluator.compile(k) for k in keys]
-        return fns if all(fn is not None for fn in fns) else None
+        #: Per side: its join key of a row, and its by-key fetch (when every
+        #: key is a bare column of a side that can fetch by it).
+        self._key_of = (
+            _row_function(left.names, self.left_keys),
+            _row_function(right.names, self.right_keys),
+        )
+        self._fetch = tuple(
+            side.lookup(column_positions(side.names, keys) or ())
+            for side, keys in ((left, self.left_keys), (right, self.right_keys))
+        )
+        self._bounds = self._inverse = None
+        if band_probe is not None:
+            self._bounds = _row_function(
+                left.names, [e for _, low, high in band_probe.dimensions for e in (low, high)]
+            )
+            self._inverse = band_probe.inverse
+        self.paths: dict[str, str] = {}
+        self.join_candidates = 0
+        self.join_rows = 0
 
     # -- key / residual evaluation ---------------------------------------------------
 
-    def _keys_of(
-        self,
-        evaluator: _RowsEvaluator,
-        fns,
-        names: tuple[str, ...],
-        keys: Sequence[Expression],
-        rows: Sequence[tuple],
-    ) -> list[tuple | None]:
-        """Evaluate the join key for each row; ``None`` marks a null key
-        (never matches, mirroring the hash-join paths)."""
-        if not keys:  # cross join: single shared bucket
-            return [() for _ in rows]
-        out: list[tuple | None] = []
-        if fns is not None:
-            evaluator.bind(rows)
-            for k in range(len(rows)):
-                key = tuple(fn(k) for fn in fns)
-                out.append(None if any(v is None for v in key) else key)
-            return out
-        for values in rows:
-            row = dict(zip(names, values))
-            key = tuple(k.evaluate(row) for k in keys)
-            out.append(None if any(v is None for v in key) else key)
-        return out
-
-    def _left_keys_of(self, rows: Sequence[tuple]) -> list[tuple | None]:
-        return self._keys_of(
-            self._left_eval, self._left_key_fns, self.children[0].names, self.left_keys, rows
-        )
-
-    def _right_keys_of(self, rows: Sequence[tuple]) -> list[tuple | None]:
-        return self._keys_of(
-            self._right_eval, self._right_key_fns, self.children[1].names, self.right_keys, rows
-        )
+    @staticmethod
+    def _keys(key_of: Callable[[tuple], tuple], rows: Sequence[tuple]) -> list[tuple | None]:
+        """The join key of each row; ``None`` marks a null key (never
+        matches, mirroring the hash-join paths)."""
+        return [None if None in key else key for key in map(key_of, rows)]
 
     def _surviving(self, candidates: list[tuple]) -> list[tuple]:
         """Filter candidate combined rows through the residual predicate."""
-        if self.residual is None or not candidates:
+        self.join_candidates += len(candidates)
+        if self._keep is None:
             return candidates
-        if self._residual_fn is not None:
-            self._residual_eval.bind(candidates)
-            keep = self._residual_fn
-            return [values for k, values in enumerate(candidates) if keep(k)]
-        residual = self.residual
-        names = self.names
-        return [
-            values for values in candidates if residual.evaluate(dict(zip(names, values)))
-        ]
+        return list(filter(self._keep, candidates))
 
     def _probe(
         self,
@@ -569,6 +607,26 @@ class DeltaJoinOp(DeltaOperator):
                 table.setdefault(key, []).append(values)
         return table
 
+    def _side(
+        self, term: str, side: int, keys: Sequence[tuple | None]
+    ) -> tuple[list[tuple], list[tuple | None]]:
+        """The current rows of child *side* that rows with join *keys* can
+        meet, with their keys: fetched by key when it can, else all rows."""
+        fetch = self._fetch[side]
+        if fetch is None:
+            self.paths[term] = "scan"
+            rows = self.children[side].full_rows()
+            return rows, self._keys(self._key_of[side], rows)
+        self.paths[term] = "key"
+        rows: list[tuple] = []
+        row_keys: list[tuple | None] = []
+        for key in dict.fromkeys(keys):
+            if key is not None:
+                fetched = fetch(key)
+                rows += fetched
+                row_keys += [key] * len(fetched)
+        return rows, row_keys
+
     def _band_bounds(
         self, rows: Sequence[tuple]
     ) -> tuple[list[tuple[tuple, dict[str, tuple[float, float]]]], int, float, int]:
@@ -577,24 +635,23 @@ class DeltaJoinOp(DeltaOperator):
         Returns the usable ``(values, bounds)`` pairs plus the probe/width
         statistics the advisor consumes — the one place those numbers are
         computed, whether the refresh ends up on the index or the hash
-        fallback path.
+        fallback path.  A row with a null or inverted bound cannot match.
         """
-        probe = self.band_probe
-        left_names = self.children[0].names
+        columns = [column for column, _, _ in self.band_probe.dimensions]
         pairs: list[tuple[tuple, dict[str, tuple[float, float]]]] = []
-        n_probes = 0
         width_sum = 0.0
-        width_count = 0
         for values in rows:
-            bounds = probe.bounds_of(dict(zip(left_names, values)))
-            if bounds is None:
-                continue
-            n_probes += 1
-            for low, high in bounds.values():
-                width_sum += high - low
-                width_count += 1
-            pairs.append((values, bounds))
-        return pairs, n_probes, width_sum, width_count
+            flat = self._bounds(values)
+            bounds: dict[str, tuple[float, float]] = {}
+            for column, low, high in zip(columns, flat[::2], flat[1::2]):
+                if low is None or high is None or high < low:
+                    break
+                bounds[column] = (float(low), float(high))
+            else:
+                pairs.append((values, bounds))
+                for low, high in bounds.values():
+                    width_sum += high - low
+        return pairs, len(pairs), width_sum, len(pairs) * len(columns)
 
     def _probe_band(self, index, rows: Sequence[tuple], out: list[tuple]) -> None:
         """Join delta rows against the right side via its persistent index.
@@ -642,59 +699,57 @@ class DeltaJoinOp(DeltaOperator):
         left, right = self.children
         dl = left.delta(ctx)
         dr = right.delta(ctx)
+        self.paths = {}
         if dl.is_empty() and dr.is_empty():
             return DeltaBatch.empty(self.names)
+        if self._inverse is not None:
+            self._inverse.track(dl.removed, -1)
+            self._inverse.track(dl.added, 1)
         added: list[tuple] = []
         removed: list[tuple] = []
-        lnames, rnames = left.names, right.names
+        padded = self.how == "left"
 
-        dl_add_keys = self._left_keys_of(dl.added)
-        dl_rem_keys = self._left_keys_of(dl.removed)
-        dr_add_keys = self._right_keys_of(dr.added)
-        dr_rem_keys = self._right_keys_of(dr.removed)
+        left_key, right_key = self._key_of
+        dl_add_keys = self._keys(left_key, dl.added)
+        dl_rem_keys = self._keys(left_key, dl.removed)
+        dr_add_keys = self._keys(right_key, dr.added)
+        dr_rem_keys = self._keys(right_key, dr.removed)
         dr_add_hash = self._hash(dr.added, dr_add_keys)
         dr_rem_hash = self._hash(dr.removed, dr_rem_keys)
 
+        # ΔA ⋈ Bnew — the padding terms also count Bnew matches of the
+        # left rows the right delta names.
         band_index = None
-        if (
-            self.band_probe is not None
-            and not self.left_keys
-            and self.how == "inner"
-            and not dl.is_empty()
-        ):
+        if self.band_probe is not None and not dl.is_empty():
             band_index = self.band_probe.find_index()
-
         b_hash: dict[tuple, list[tuple]] | None = None
-        if band_index is None and (
-            not dl.is_empty() or (self.how == "left" and not dr.is_empty())
-        ):
-            b_rows = right.full_rows()
-            b_hash = self._hash(b_rows, self._right_keys_of(b_rows))
-        a_rows: list[tuple] | None = None
-        a_keys: list[tuple | None] | None = None
-        if not dr.is_empty():
-            a_rows = left.full_rows()
-            a_keys = self._left_keys_of(a_rows)
-
-        # ΔA ⋈ Bnew
-        if not dl.is_empty():
-            if band_index is not None:
-                self._probe_band(band_index, dl.added, added)
-                self._probe_band(band_index, dl.removed, removed)
-            else:
-                self._probe(dl.added, dl_add_keys, b_hash, added)
-                self._probe(dl.removed, dl_rem_keys, b_hash, removed)
-                if (
-                    self.band_probe is not None
-                    and self.band_probe.advisor_hook is not None
-                    and not self.left_keys
-                    and self.how == "inner"
-                ):
-                    self._record_band_activity(dl)
+        if band_index is not None:
+            self.paths["ΔA⋈B"] = "index"
+            self._probe_band(band_index, dl.added, added)
+            self._probe_band(band_index, dl.removed, removed)
+        elif not dl.is_empty() or (padded and not dr.is_empty()):
+            wanted = dl_add_keys + dl_rem_keys
+            if padded:
+                wanted += dr_add_keys + dr_rem_keys
+            b_hash = self._hash(*self._side("ΔA⋈B", 1, wanted))
+            self._probe(dl.added, dl_add_keys, b_hash, added)
+            self._probe(dl.removed, dl_rem_keys, b_hash, removed)
+            if self.band_probe is not None and self.band_probe.advisor_hook is not None:
+                self._record_band_activity(dl)
         # Anew ⋈ ΔB
+        a_rows: list[tuple] = []
+        a_keys: list[tuple | None] = []
         if not dr.is_empty():
-            self._probe(a_rows, a_keys, dr_add_hash, added)
-            self._probe(a_rows, a_keys, dr_rem_hash, removed)
+            inverse_index = None if self._inverse is None else self._inverse.find_index()
+            if inverse_index is not None:
+                self.paths["A⋈ΔB"] = "inverse-index"
+                candidates = self._inverse.candidates
+                added.extend(self._surviving(candidates(inverse_index, dr.added)))
+                removed.extend(self._surviving(candidates(inverse_index, dr.removed)))
+            else:
+                a_rows, a_keys = self._side("A⋈ΔB", 0, dr_add_keys + dr_rem_keys)
+                self._probe(a_rows, a_keys, dr_add_hash, added)
+                self._probe(a_rows, a_keys, dr_rem_hash, removed)
         # − ΔA ⋈ ΔB (sign of each pair is the negated product of the sides')
         if not dl.is_empty() and not dr.is_empty():
             self._probe(dl.added, dl_add_keys, dr_add_hash, removed)
@@ -702,7 +757,7 @@ class DeltaJoinOp(DeltaOperator):
             self._probe(dl.removed, dl_rem_keys, dr_add_hash, added)
             self._probe(dl.removed, dl_rem_keys, dr_rem_hash, removed)
 
-        if self.how == "left":
+        if padded:
             pad = self._null_pad
 
             def m_delta(values: tuple, key: tuple | None) -> int:
@@ -710,19 +765,18 @@ class DeltaJoinOp(DeltaOperator):
                     values, key, dr_rem_hash
                 )
 
-            if not dr.is_empty():
-                # Padding term 1: current left rows whose surviving match
-                # count crossed zero because of the right-side delta.
-                for values, key in zip(a_rows, a_keys):
-                    dm = m_delta(values, key)
-                    if dm == 0:
-                        continue
-                    m_new = self._count_matches(values, key, b_hash)
-                    m_old = m_new - dm
-                    if m_old == 0 and m_new > 0:
-                        removed.append(values + pad)
-                    elif m_old > 0 and m_new == 0:
-                        added.append(values + pad)
+            # Padding term 1: current left rows whose surviving match count
+            # crossed zero because of the right-side delta.
+            for values, key in zip(a_rows, a_keys):
+                dm = m_delta(values, key)
+                if dm == 0:
+                    continue
+                m_new = self._count_matches(values, key, b_hash)
+                m_old = m_new - dm
+                if m_old == 0 and m_new > 0:
+                    removed.append(values + pad)
+                elif m_old > 0 and m_new == 0:
+                    added.append(values + pad)
             # Padding term 2: delta left rows that were unmatched *before*
             # this refresh (together with term 1 this emits a pad exactly
             # for added rows with no current match, and retracts the pad of
@@ -733,17 +787,28 @@ class DeltaJoinOp(DeltaOperator):
             for values, key in zip(dl.removed, dl_rem_keys):
                 if self._count_matches(values, key, b_hash) - m_delta(values, key) == 0:
                     removed.append(values + pad)
-        return DeltaBatch(self.names, added, removed).net()
+        result = DeltaBatch(self.names, added, removed).net()
+        self.join_rows += len(result)
+        return result
+
+    def rebuild(self) -> None:
+        super().rebuild()
+        if self._inverse is not None:
+            self._inverse.reset()
 
     def label(self) -> str:
         if not self.left_keys:
             cond = "cross" if self.residual is None else f"on={self.residual!r}"
-            return f"DeltaJoin({self.how}, {cond})"
-        keys = ", ".join(
-            f"{l!r}={r!r}" for l, r in zip(self.left_keys, self.right_keys)
-        )
-        extra = "" if self.residual is None else f", residual={self.residual!r}"
-        return f"DeltaJoin({self.how}, {keys}{extra})"
+            text = f"DeltaJoin({self.how}, {cond})"
+        else:
+            keys = ", ".join(
+                f"{l!r}={r!r}" for l, r in zip(self.left_keys, self.right_keys)
+            )
+            extra = "" if self.residual is None else f", residual={self.residual!r}"
+            text = f"DeltaJoin({self.how}, {keys}{extra})"
+        if not self.paths:
+            return text
+        return f"{text} [{', '.join(f'{t}: {p}' for t, p in self.paths.items())}]"
 
 
 #: Aggregates maintained by running addition/subtraction — O(1) per delta row.
@@ -776,8 +841,11 @@ class DeltaAggregateOp(DeltaOperator):
     Sum/count/avg update in O(1) per delta row.  Order-insensitive but
     non-subtractable aggregates (min, max, median, any, all, union,
     choose) re-fold *only the groups the delta touched*, from the stored
-    per-group value multiset — never from the base table.
+    per-group value multiset — never from the base table.  The maintained
+    output serves :meth:`full_rows` and per-group :meth:`lookup`.
     """
+
+    stateful = True
 
     def __init__(
         self,
@@ -791,71 +859,31 @@ class DeltaAggregateOp(DeltaOperator):
         self.group_names = list(group_names)
         self.group_indices = list(group_indices)
         self.aggregates = list(aggregates)
-        self._needs_row = any(spec.argument is not None for spec in self.aggregates)
         self._fast_specs = [
             i for i, spec in enumerate(self.aggregates) if spec.func in _FAST_AGGS
         ]
         self._groups: dict[tuple, _GroupState] = {}
         self._out: dict[tuple, tuple] = {}
-        self._evaluator = _RowsEvaluator(child.names)
-        fns = [
-            None if spec.argument is None else self._evaluator.compile(spec.argument)
-            for spec in self.aggregates
-        ]
-        compilable = all(
-            fn is not None or spec.argument is None
-            for fn, spec in zip(fns, self.aggregates)
+        #: Row → the argument value of every aggregate (``count(*)`` counts 1).
+        self._args = _row_function(
+            child.names,
+            [Literal(1) if spec.argument is None else spec.argument for spec in aggregates],
         )
-        self._compiled_args = fns if compilable else None
-        # Bare column references (the common aggregate argument) read the
-        # value straight out of the tuple, skipping even the compiled call.
-        from repro.engine.expressions import ColumnRef, resolve_batch_column
-
-        self._arg_positions: list[int | None] = []
-        for spec in self.aggregates:
-            position = None
-            if isinstance(spec.argument, ColumnRef):
-                resolved = resolve_batch_column(spec.argument.name, child.names)
-                if resolved is not None:
-                    position = child.names.index(resolved)
-            self._arg_positions.append(position)
 
     # -- state maintenance -------------------------------------------------------------
-
-    def _arg_values(self, child_names: tuple[str, ...], values: tuple) -> tuple:
-        row = dict(zip(child_names, values)) if self._needs_row else None
-        return tuple(
-            1 if spec.argument is None else spec.argument.evaluate(row)
-            for spec in self.aggregates
-        )
 
     def _process_rows(
         self, rows: Sequence[tuple], sign: int, dirty: dict[tuple, tuple | None] | None
     ) -> None:
         """Fold one delta side (or, with ``dirty=None``, a full rebuild pass)
         into the group states."""
-        if not rows:
-            return
         indices = self.group_indices
-        child_names = self.children[0].names
-        compiled = self._compiled_args
-        positions = self._arg_positions
-        if compiled is not None:
-            self._evaluator.bind(rows)
-        for k, values in enumerate(rows):
+        args_of = self._args
+        for values in rows:
             key = tuple(values[i] for i in indices)
             if dirty is not None and key not in dirty:
                 dirty[key] = self._out.get(key)
-            if compiled is not None:
-                args = tuple(
-                    values[pos]
-                    if pos is not None
-                    else (1 if fn is None else fn(k))
-                    for pos, fn in zip(positions, compiled)
-                )
-            else:
-                args = self._arg_values(child_names, values)
-            self._apply(key, args, sign)
+            self._apply(key, args_of(values), sign)
 
     def _apply(self, key: tuple, args: tuple, sign: int) -> None:
         group = self._groups.get(key)
@@ -945,6 +973,13 @@ class DeltaAggregateOp(DeltaOperator):
     def full_rows(self) -> list[tuple]:
         return list(self._out.values())
 
+    def lookup(self, positions: tuple[int, ...]) -> Callable[[tuple], list[tuple]] | None:
+        """Fetch one group's output row by its group columns."""
+        if not positions or positions != tuple(range(len(self.group_names))):
+            return None
+        out = self._out
+        return lambda key: [out[key]] if key in out else []
+
     def label(self) -> str:
         aggs = ", ".join(spec.label() for spec in self.aggregates)
         return f"DeltaAggregate(by=[{', '.join(self.group_names)}], {aggs})"
@@ -987,8 +1022,7 @@ class IncrementalView:
 
     A *churn guard* bounds the delta path: when the pending mutations exceed
     ``churn_threshold`` of the total referenced rows, maintenance can cost
-    more than a (batch) re-execution — especially for the keyless join terms
-    — so the view rebuilds instead.  A world where everything moves every
+    more than a (batch) re-execution, so the view rebuilds instead.  A world where everything moves every
     tick therefore degrades gracefully to full execution, and after
     ``disable_after`` *consecutive* guard trips the view raises
     :class:`IncrementalDisabled` so the executor can drop it entirely and
@@ -1121,12 +1155,17 @@ class IncrementalView:
     # -- introspection ------------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
+        """Refresh counters, plus the work of every delta join summed:
+        ``join_candidates`` pairs examined and ``join_rows`` rows emitted."""
+        joins = [op for op in self.root.walk() if isinstance(op, DeltaJoinOp)]
         return {
             "full_refreshes": self.full_refreshes,
             "delta_refreshes": self.delta_refreshes,
             "noop_hits": self.noop_hits,
             "guard_trips": self.guard_trips,
             "cached_rows": sum(self._counts.values()),
+            "join_candidates": sum(op.join_candidates for op in joins),
+            "join_rows": sum(op.join_rows for op in joins),
         }
 
     def explain(self) -> str:

@@ -13,20 +13,24 @@ Fallback rules (mirroring the docstring in ``docs/ARCHITECTURE.md``):
   a delta of the input does not determine a delta of the output without
   re-sorting, so these always fall back.
 * Joins lower to :class:`~repro.engine.operators.incremental.DeltaJoinOp`:
-  equi joins (inner and left outer, the accum-loop shape) with hashed key
-  probing, and keyless inner joins (cross products and non-equi conditions
-  such as the Figure-2 band join) whose per-refresh cost the view's churn
-  guard keeps below a full re-execution.  Keyless *left* joins fall back —
-  their padding terms would re-probe every left row.
+  equi joins (inner and left outer, the accum-loop shape), whose terms
+  fetch the opposite side by key where it can, and keyless inner joins
+  (cross products and non-equi conditions such as the Figure-2 band join).
+  A band join whose right side is a base table gets a
+  :class:`~repro.engine.operators.incremental.BandIndexProbe` and, when
+  its left side is a filtered base table too, an
+  :class:`~repro.engine.operators.incremental.InverseBandProbe`, so its
+  terms probe persistent indexes.  Keyless *left* joins fall back — their
+  padding terms would re-probe every left row.
 * Aggregates using ``first`` / ``last`` / ``collect`` — input-order
   dependent, which a maintained multiset cannot reproduce; all other
   combinators lower to
   :class:`~repro.engine.operators.incremental.DeltaAggregateOp`.
 
 Every stateless node also carries a lowered physical plan for its *full*
-current output (used by join delta terms and full rebuilds), so the
-incremental path reuses the columnar batch machinery rather than
-reimplementing evaluation.
+current output (used by full rebuilds and by join terms no key or index
+serves), so the incremental path reuses the columnar batch machinery
+rather than reimplementing evaluation.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.engine.algebra import (
 )
 from repro.engine.catalog import Catalog
 from repro.engine.errors import SchemaError
-from repro.engine.expressions import BinaryOp, and_all
+from repro.engine.expressions import BinaryOp, ColumnRef, Expression, Literal, UnaryOp, and_all
 from repro.engine.operators.incremental import (
     MAINTAINABLE_AGGS,
     BandIndexProbe,
@@ -56,6 +60,8 @@ from repro.engine.operators.incremental import (
     DeltaUnionOp,
     DeltaValuesOp,
     IncrementalView,
+    InverseBandProbe,
+    column_positions,
 )
 from repro.engine.optimizer.physical import (
     PhysicalPlanner,
@@ -156,22 +162,18 @@ class IncrementalPlanner:
             # whole right side for the padding terms; not worth maintaining.
             return None
         # Non-equi inner condition (e.g. the Figure-2 band join): maintain it
-        # as a keyless join with the condition as residual.  Per-refresh cost
-        # is O(|Δ| · |other side|), bounded by the view's churn guard — and
-        # zero when nothing moved, which is the case the tick loop cares
-        # about.  When the right side is a base table whose band columns a
-        # registered index covers, the ΔA terms probe that index instead of
-        # rescanning the table (the index is re-resolved per refresh, so
-        # advisor-created indexes help without re-registering the view).
+        # as a keyless join with the condition as residual.  When the sides
+        # are base tables whose band columns registered indexes cover, the
+        # ΔA terms probe the right table's index and the ΔB terms the left
+        # one's with the inverted band, so a refresh costs O(|Δ| ·
+        # candidates); otherwise a term crosses its delta with the whole
+        # other side.  Indexes are re-resolved per refresh, so
+        # advisor-created ones help without re-registering the view.
+        probe = self._band_probe(plan, conjuncts, left_schema, right_schema)
+        if probe is not None:
+            probe.inverse = self._inverse_band(left, probe)
         return DeltaJoinOp(
-            left,
-            right,
-            [],
-            [],
-            plan.condition,
-            self._full_plan(plan),
-            how=how,
-            band_probe=self._band_probe(plan, conjuncts, left_schema, right_schema),
+            left, right, [], [], plan.condition, self._full_plan(plan), how=how, band_probe=probe
         )
 
     def _band_probe(self, plan: Join, conjuncts, left_schema, right_schema):
@@ -199,6 +201,30 @@ class IncrementalPlanner:
             )
         return probe
 
+    @staticmethod
+    def _inverse_band(left: DeltaOperator, probe: BandIndexProbe) -> InverseBandProbe | None:
+        """The probing of the left side for ``Anew ⋈ ΔB``, when it is a
+        filtered base-table scan and every bound is ``A − w_lo`` / ``A + w_hi``
+        with ``A`` a left column and each ``w`` a left column or constant."""
+        filters, scan = [], left
+        while isinstance(scan, DeltaFilterOp):
+            filters.append(scan.keep)
+            scan = scan.children[0]
+        if not isinstance(scan, DeltaScanOp):
+            return None
+        columns, positions, widths = [], [], []
+        for column, low, high in probe.dimensions:
+            low_split, high_split = _band_split(low, -1), _band_split(high, 1)
+            if low_split is None or high_split is None or low_split[0] != high_split[0]:
+                return None
+            found = column_positions(left.names, [low_split[0]])
+            if found is None:
+                return None
+            columns.append(scan.table.schema.names[found[0]])
+            positions.append(probe.table.schema.names.index(column))
+            widths += [low_split[1], high_split[1]]
+        return InverseBandProbe(scan, filters, columns, positions, widths)
+
     def _build_aggregate(self, plan: Aggregate) -> DeltaOperator | None:
         if any(spec.func not in MAINTAINABLE_AGGS for spec in plan.aggregates):
             return None
@@ -214,3 +240,21 @@ class IncrementalPlanner:
 
     def _full_plan(self, plan: LogicalPlan):
         return self.physical_planner.lower(plan)
+
+
+def _band_split(bound: Expression, sign: int) -> tuple[ColumnRef, Expression] | None:
+    """Split a band bound into ``(A, w)`` with ``bound = A + sign·w``, where
+    ``A`` is a column and ``w`` a column or a constant; ``None`` otherwise."""
+    if isinstance(bound, ColumnRef):
+        return bound, Literal(0)
+    if not (
+        isinstance(bound, BinaryOp)
+        and bound.op in ("+", "-")
+        and isinstance(bound.left, ColumnRef)
+        and isinstance(bound.right, (ColumnRef, Literal))
+    ):
+        return None
+    width = bound.right
+    if (bound.op == "+") != (sign > 0):
+        width = UnaryOp("-", width)
+    return bound.left, width
