@@ -13,14 +13,10 @@ from repro.engine.batch import ColumnBatch, IndirectColumn
 from repro.engine.algebra import (
     Aggregate,
     AggregateSpec,
-    Distinct,
     Join,
-    Limit,
     LogicalPlan,
     Project,
     Select,
-    Sort,
-    SortKey,
     TableScan,
     Union,
     Values,
@@ -68,14 +64,10 @@ __all__ = [
     "IndirectColumn",
     "Aggregate",
     "AggregateSpec",
-    "Distinct",
     "Join",
-    "Limit",
     "LogicalPlan",
     "Project",
     "Select",
-    "Sort",
-    "SortKey",
     "TableScan",
     "Union",
     "Values",

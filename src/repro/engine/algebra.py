@@ -31,10 +31,6 @@ __all__ = [
     "Join",
     "Aggregate",
     "AggregateSpec",
-    "Sort",
-    "SortKey",
-    "Limit",
-    "Distinct",
     "Union",
     "RecursiveRef",
     "Fixpoint",
@@ -201,10 +197,12 @@ class Project(LogicalPlan):
 class Join(LogicalPlan):
     """Join two inputs on a boolean condition.
 
-    ``how`` is ``"inner"``, ``"left"`` (left outer) or ``"cross"``.  The
-    condition may be any expression over the concatenated schemas; the
-    physical planner recognises equi-join and band-join (spatial range)
-    shapes and picks hash or index joins accordingly.
+    ``how`` is ``"inner"``, ``"left"`` (left outer) or ``"cross"``; a cross
+    join has no condition, and an inner or left join without one is a
+    cross product too.  The condition may be any expression over the
+    concatenated schemas; the physical planner recognises equi-join and
+    band-join (spatial range) shapes and picks hash or index joins
+    accordingly.
     """
 
     def __init__(
@@ -216,6 +214,8 @@ class Join(LogicalPlan):
     ):
         if how not in ("inner", "left", "cross"):
             raise PlanError(f"unsupported join type {how!r}")
+        if how == "cross" and condition is not None:
+            raise PlanError("a cross join takes no condition; use an inner join")
         self.left = left
         self.right = right
         self.condition = condition
@@ -296,78 +296,6 @@ class Aggregate(LogicalPlan):
     def node_label(self) -> str:
         aggs = ", ".join(spec.label() for spec in self.aggregates)
         return f"Aggregate(by=[{', '.join(self.group_by)}], {aggs})"
-
-
-@dataclass(frozen=True)
-class SortKey:
-    """A sort key: an expression and a direction."""
-
-    expression: Expression
-    ascending: bool = True
-
-
-class Sort(LogicalPlan):
-    """Sort rows by one or more keys."""
-
-    def __init__(self, child: LogicalPlan, keys: Sequence[SortKey]):
-        self.child = child
-        self.keys = tuple(keys)
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Sort":
-        (child,) = children
-        return Sort(child, self.keys)
-
-    def output_schema(self, catalog: Catalog) -> Schema:
-        return self.child.output_schema(catalog)
-
-    def node_label(self) -> str:
-        keys = ", ".join(
-            f"{k.expression!r}{'' if k.ascending else ' DESC'}" for k in self.keys
-        )
-        return f"Sort({keys})"
-
-
-class Limit(LogicalPlan):
-    """Keep only the first *count* rows."""
-
-    def __init__(self, child: LogicalPlan, count: int):
-        if count < 0:
-            raise PlanError("limit must be non-negative")
-        self.child = child
-        self.count = count
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Limit":
-        (child,) = children
-        return Limit(child, self.count)
-
-    def output_schema(self, catalog: Catalog) -> Schema:
-        return self.child.output_schema(catalog)
-
-    def node_label(self) -> str:
-        return f"Limit({self.count})"
-
-
-class Distinct(LogicalPlan):
-    """Remove duplicate rows."""
-
-    def __init__(self, child: LogicalPlan):
-        self.child = child
-
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Distinct":
-        (child,) = children
-        return Distinct(child)
-
-    def output_schema(self, catalog: Catalog) -> Schema:
-        return self.child.output_schema(catalog)
 
 
 class Union(LogicalPlan):

@@ -182,11 +182,6 @@ class ColumnBatch:
                 append(row.get(name))
         return cls(names, columns)
 
-    @classmethod
-    def from_columns(cls, names: Sequence[str], columns: Mapping[str, list]) -> "ColumnBatch":
-        """Build a compacted batch (selection = all) from existing lists."""
-        return cls(names, columns)
-
     # -- introspection ----------------------------------------------------------------
 
     def __len__(self) -> int:

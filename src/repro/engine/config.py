@@ -30,7 +30,6 @@ _PRESET_ENV_VAR = "REPRO_ENGINE_PRESET"
 class EngineConfig:
     """Immutable switchboard for every optional engine path.
 
-    ``optimize``        run the logical rewrite/join-reorder passes.
     ``use_batch``       lower fusable plans onto the columnar batch operators.
     ``use_incremental`` maintain delta-incremental views for standing queries.
     ``use_mqo``         share common subplans across the tick's query set.
@@ -48,7 +47,6 @@ class EngineConfig:
                         index, idle ticks before evicting one.
     """
 
-    optimize: bool = True
     use_batch: bool = True
     use_incremental: bool = True
     use_mqo: bool = True

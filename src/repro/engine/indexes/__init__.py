@@ -1,22 +1,18 @@
 """Index structures for the main-memory engine.
 
 All indexes implement the :class:`repro.engine.table.TableIndex` protocol
-(insert/delete/update notifications plus ``lookup`` and ``range_search``),
-so physical operators and the planner can treat them interchangeably:
+(insert/delete/update notifications plus ``range_search``), so physical
+operators and the planner can treat them interchangeably:
 
-* :class:`HashIndex` — equality lookups on one or more columns.
 * :class:`SortedIndex` — one-dimensional range scans.
 * :class:`GridIndex` — uniform spatial grid, O(1) maintenance for
   continuously moving objects.
-* :class:`KdTreeIndex` — linear-space spatial tree.
 * :class:`RangeTreeIndex` — the paper's orthogonal range tree with
   Θ(n log^{d-1} n) space (Section 4.2).
 """
 
 from repro.engine.indexes.grid_index import GridIndex
-from repro.engine.indexes.hash_index import HashIndex
-from repro.engine.indexes.kdtree import KdTreeIndex
 from repro.engine.indexes.range_tree import RangeTreeIndex
 from repro.engine.indexes.sorted_index import SortedIndex
 
-__all__ = ["HashIndex", "SortedIndex", "GridIndex", "KdTreeIndex", "RangeTreeIndex"]
+__all__ = ["SortedIndex", "GridIndex", "RangeTreeIndex"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import product
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.engine.table import RowId, Table, TableIndex
 
@@ -70,14 +70,6 @@ class GridIndex(TableIndex):
         self._positions = {}
         for rowid in table.row_ids():
             self.on_insert(rowid, table.get(rowid))
-
-    def lookup(self, key: Any) -> Iterator[RowId]:
-        """Equality lookup: return rows in the cell containing *key* whose
-        coordinates match exactly."""
-        if not isinstance(key, tuple):
-            key = (key,)
-        bounds = [(k, k) for k in key]
-        yield from self.range_search(bounds)
 
     def range_search(self, bounds: Sequence[tuple[Any, Any]]) -> list[RowId]:
         """Row ids inside the axis-aligned box given by *bounds*.

@@ -273,12 +273,6 @@ class RangeTreeIndex(TableIndex):
 
     # -- queries --------------------------------------------------------------------------
 
-    def lookup(self, key: Any) -> Iterator[RowId]:
-        if not isinstance(key, tuple):
-            key = (key,)
-        bounds = [(k, k) for k in key]
-        yield from self.range_search(bounds)
-
     def range_search(self, bounds: Sequence[tuple[Any, Any]]) -> Iterator[RowId]:
         self._ensure_built()
         if self._tree is None or self._size == 0:

@@ -51,15 +51,6 @@ class SortedIndex(TableIndex):
                 self._entries.append((value, rowid))
         self._entries.sort()
 
-    def lookup(self, key: Any) -> Iterator[RowId]:
-        if isinstance(key, tuple):
-            key = key[0]
-        lo = bisect.bisect_left(self._entries, (key, -1))
-        for value, rowid in self._entries[lo:]:
-            if value != key:
-                break
-            yield rowid
-
     def range_search(self, bounds: Sequence[tuple[Any, Any]]) -> Iterator[RowId]:
         """Yield row ids whose value lies within the (single) bound pair."""
         low, high = bounds[0]

@@ -31,54 +31,38 @@ from repro.engine.operators.incremental import (
     DeltaScanOp,
     DeltaUnionOp,
     DeltaUnavailable,
-    DeltaValuesOp,
     IncrementalDisabled,
     IncrementalError,
     IncrementalView,
 )
 from repro.engine.operators.joins import (
-    BandJoinOp,
-    CrossJoinOp,
     HashJoinOp,
-    IndexNestedLoopJoinOp,
     IndexProbeJoinOp,
     NestedLoopJoinOp,
     RangeProbeJoinOp,
 )
-from repro.engine.operators.misc import DistinctOp, LimitOp, SortOp, UnionOp
+from repro.engine.operators.misc import UnionOp
 from repro.engine.operators.shared import (
     BatchSharedSourceOp,
     EffectSinkOp,
     MaterializedSourceOp,
     fold_rows_to_partials,
 )
-from repro.engine.operators.scan import (
-    IndexEqualityScanOp,
-    IndexRangeScanOp,
-    TableScanOp,
-    ValuesOp,
-)
+from repro.engine.operators.scan import IndexRangeScanOp, TableScanOp, ValuesOp
 
 __all__ = [
     "PhysicalOperator",
     "TableScanOp",
     "ValuesOp",
-    "IndexEqualityScanOp",
     "IndexRangeScanOp",
     "FilterOp",
     "ProjectOp",
     "NestedLoopJoinOp",
     "HashJoinOp",
-    "IndexNestedLoopJoinOp",
-    "BandJoinOp",
     "RangeProbeJoinOp",
     "IndexProbeJoinOp",
-    "CrossJoinOp",
     "ExchangeOp",
     "HashAggregateOp",
-    "SortOp",
-    "LimitOp",
-    "DistinctOp",
     "UnionOp",
     "FixpointOp",
     "LinearStep",
@@ -100,7 +84,6 @@ __all__ = [
     "BandIndexProbe",
     "DeltaOperator",
     "DeltaScanOp",
-    "DeltaValuesOp",
     "DeltaFilterOp",
     "DeltaProjectOp",
     "DeltaJoinOp",

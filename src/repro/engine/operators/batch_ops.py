@@ -13,8 +13,8 @@ the workloads).
 
 Output-ordering contract: every batch operator produces rows in exactly the
 order its row-at-a-time twin would, so downstream order-sensitive
-consumers (``first``/``last``/``collect`` aggregates, ``Limit``) cannot
-tell the paths apart.
+consumers (``first``/``last``/``collect`` aggregates) cannot tell the
+paths apart.
 
 :class:`BatchBridgeOp` is the boundary: a regular
 :class:`~repro.engine.operators.base.PhysicalOperator` that executes the

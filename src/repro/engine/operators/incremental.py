@@ -62,7 +62,6 @@ __all__ = [
     "DeltaContext",
     "DeltaOperator",
     "DeltaScanOp",
-    "DeltaValuesOp",
     "DeltaFilterOp",
     "DeltaProjectOp",
     "BandIndexProbe",
@@ -235,23 +234,6 @@ class DeltaScanOp(DeltaOperator):
 
     def label(self) -> str:
         return f"DeltaScan({self.table.name})"
-
-
-class DeltaValuesOp(DeltaOperator):
-    """A constant inline relation: its delta is always empty."""
-
-    def __init__(self, names: Sequence[str], rows: Sequence[Mapping[str, Any]]):
-        super().__init__(names)
-        self._rows = [tuple(row.get(n) for n in self.names) for row in rows]
-
-    def delta(self, ctx: DeltaContext) -> DeltaBatch:
-        return DeltaBatch.empty(self.names)
-
-    def full_rows(self) -> list[tuple]:
-        return list(self._rows)
-
-    def label(self) -> str:
-        return f"DeltaValues({len(self._rows)} rows)"
 
 
 class DeltaFilterOp(DeltaOperator):

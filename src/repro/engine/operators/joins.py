@@ -5,13 +5,15 @@ The SGL workload is dominated by self-joins with spatial range predicates
 small cross products in effect computation.  The planner chooses between:
 
 * :class:`NestedLoopJoinOp` — the fallback; also the only operator that
-  supports arbitrary residual predicates and left-outer semantics directly.
+  supports arbitrary residual predicates and left-outer semantics directly,
+  and (without a condition) the cross product.
 * :class:`HashJoinOp` — equi-joins; builds a hash table on the right input.
-* :class:`IndexNestedLoopJoinOp` — uses a table index on the inner side for
-  equality keys computed from the outer row.
-* :class:`BandJoinOp` — joins on per-dimension distance bounds
-  (``|a.x − b.x| ≤ r``) using an on-the-fly grid built from the inner input;
-  this is the set-at-a-time analogue of the accum-loop in Figure 2.
+* :class:`RangeProbeJoinOp` — band joins on per-row computed bounds
+  (``u.x >= x - range && u.x <= x + range``) through a transient grid built
+  from the inner input; the set-at-a-time analogue of Figure 2's
+  accum-loop.
+* :class:`IndexProbeJoinOp` — the same band joins probing a persistent
+  index on the inner table.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 __all__ = [
     "NestedLoopJoinOp",
     "HashJoinOp",
-    "IndexNestedLoopJoinOp",
-    "BandJoinOp",
-    "CrossJoinOp",
+    "RangeProbeJoinOp",
     "IndexProbeJoinOp",
     "band_probe_candidates",
 ]
@@ -44,27 +44,12 @@ def _merge(left: dict[str, Any], right: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-class CrossJoinOp(PhysicalOperator):
-    """Cartesian product of two inputs (right side materialized)."""
-
-    def __init__(self, left: PhysicalOperator, right: PhysicalOperator, schema: Schema):
-        super().__init__(schema, (left, right))
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        right_rows = self.children[1].rows()
-        for left_row in self.children[0]:
-            for right_row in right_rows:
-                yield _merge(left_row, right_row)
-
-    def label(self) -> str:
-        return "CrossJoin"
-
-
 class NestedLoopJoinOp(PhysicalOperator):
     """Nested-loop join with an arbitrary predicate.
 
-    Supports inner and left-outer joins.  The right input is materialized
-    once per execution (it is re-read every tick anyway).
+    Supports inner and left-outer joins; without a condition it is the
+    cross product.  The right input is materialized once per execution
+    (it is re-read every tick anyway).
     """
 
     def __init__(
@@ -150,107 +135,6 @@ class HashJoinOp(PhysicalOperator):
         )
         extra = "" if self.residual is None else f", residual={self.residual!r}"
         return f"HashJoin({self.how}, {keys}{extra})"
-
-
-class IndexNestedLoopJoinOp(PhysicalOperator):
-    """For each outer row, probe a table index on the inner side.
-
-    ``key_fn`` maps an outer row to the index key; ``fetch`` maps an index
-    key to an iterable of inner rows (already qualified).  The planner wires
-    these up against the catalog so the operator itself stays storage
-    agnostic.
-    """
-
-    def __init__(
-        self,
-        outer: PhysicalOperator,
-        schema: Schema,
-        key_fn: Callable[[dict[str, Any]], Any],
-        fetch: Callable[[Any], Iterator[dict[str, Any]]],
-        residual: Expression | None = None,
-        index_label: str = "index",
-    ):
-        super().__init__(schema, (outer,))
-        self.key_fn = key_fn
-        self.fetch = fetch
-        self.residual = residual
-        self.index_label = index_label
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        residual = self.residual
-        for outer_row in self.children[0]:
-            key = self.key_fn(outer_row)
-            if key is None:
-                continue
-            for inner_row in self.fetch(key):
-                combined = _merge(outer_row, inner_row)
-                if residual is None or residual.evaluate(combined):
-                    yield combined
-
-    def label(self) -> str:
-        return f"IndexNestedLoopJoin({self.index_label})"
-
-
-class BandJoinOp(PhysicalOperator):
-    """Spatial band join: match rows whose coordinates are within a radius.
-
-    ``left_coords`` / ``right_coords`` name the coordinate columns on each
-    side (same dimensionality) and ``radius`` is the per-dimension bound —
-    exactly the ``u.x >= x-range && u.x <= x+range`` shape of Figure 2.
-    The inner (right) input is bucketed into a uniform grid with cell size
-    equal to the radius, so each outer row probes at most 3^d cells.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        left_coords: Sequence[str],
-        right_coords: Sequence[str],
-        radius: float,
-        schema: Schema,
-        residual: Expression | None = None,
-    ):
-        super().__init__(schema, (left, right))
-        if len(left_coords) != len(right_coords):
-            raise ValueError("coordinate lists must have the same dimensionality")
-        self.left_coords = list(left_coords)
-        self.right_coords = list(right_coords)
-        self.radius = float(radius)
-        self.residual = residual
-
-    def _cell(self, coords: Sequence[float]) -> tuple[int, ...]:
-        size = self.radius if self.radius > 0 else 1.0
-        return tuple(int(c // size) for c in coords)
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        grid: dict[tuple[int, ...], list[tuple[tuple[float, ...], dict[str, Any]]]] = defaultdict(list)
-        dims = len(self.right_coords)
-        for right_row in self.children[1]:
-            coords = tuple(float(right_row[c]) for c in self.right_coords)
-            grid[self._cell(coords)].append((coords, right_row))
-        radius = self.radius
-        residual = self.residual
-        # Precompute neighbour cell offsets (-1, 0, 1)^d.
-        offsets: list[tuple[int, ...]] = [()]
-        for _ in range(dims):
-            offsets = [o + (d,) for o in offsets for d in (-1, 0, 1)]
-        for left_row in self.children[0]:
-            left_pos = tuple(float(left_row[c]) for c in self.left_coords)
-            base = self._cell(left_pos)
-            for offset in offsets:
-                cell = tuple(b + o for b, o in zip(base, offset))
-                for coords, right_row in grid.get(cell, ()):
-                    if all(abs(a - b) <= radius for a, b in zip(left_pos, coords)):
-                        combined = _merge(left_row, right_row)
-                        if residual is None or residual.evaluate(combined):
-                            yield combined
-
-    def label(self) -> str:
-        pairs = ", ".join(
-            f"|{l}-{r}|<={self.radius}" for l, r in zip(self.left_coords, self.right_coords)
-        )
-        return f"BandJoin({pairs})"
 
 
 class RangeProbeJoinOp(PhysicalOperator):

@@ -1,99 +1,13 @@
-"""Sort, limit, distinct and union operators."""
+"""The union operator."""
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
-from repro.engine.algebra import SortKey
 from repro.engine.operators.base import PhysicalOperator
 from repro.engine.schema import Schema
 
-__all__ = ["SortOp", "LimitOp", "DistinctOp", "UnionOp"]
-
-
-def _sort_value_key(value: Any) -> tuple[int, Any]:
-    """Make heterogenous values orderable: nulls first, then by type name."""
-    if value is None:
-        return (0, 0)
-    if isinstance(value, bool):
-        return (1, value)
-    if isinstance(value, (int, float)):
-        return (2, value)
-    if isinstance(value, str):
-        return (3, value)
-    return (4, repr(value))
-
-
-class SortOp(PhysicalOperator):
-    """Materialize the input and sort it by the given keys."""
-
-    def __init__(self, child: PhysicalOperator, keys: Sequence[SortKey]):
-        super().__init__(child.schema, (child,))
-        self.keys = list(keys)
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        rows = self.children[0].rows()
-        for key in reversed(self.keys):
-            rows.sort(
-                key=lambda row: _sort_value_key(key.expression.evaluate(row)),
-                reverse=not key.ascending,
-            )
-        yield from rows
-
-    def label(self) -> str:
-        keys = ", ".join(
-            f"{k.expression!r}{'' if k.ascending else ' DESC'}" for k in self.keys
-        )
-        return f"Sort({keys})"
-
-
-class LimitOp(PhysicalOperator):
-    """Stop after *count* rows."""
-
-    def __init__(self, child: PhysicalOperator, count: int):
-        super().__init__(child.schema, (child,))
-        self.count = count
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        if self.count == 0:
-            return
-        produced = 0
-        for row in self.children[0]:
-            yield row
-            produced += 1
-            if produced >= self.count:
-                break
-
-    def label(self) -> str:
-        return f"Limit({self.count})"
-
-
-class DistinctOp(PhysicalOperator):
-    """Drop duplicate rows (comparing all columns)."""
-
-    def __init__(self, child: PhysicalOperator):
-        super().__init__(child.schema, (child,))
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        seen: set[tuple[Any, ...]] = set()
-        names = self.children[0].schema.names
-        for row in self.children[0]:
-            key = tuple(_hashable(row.get(name)) for name in names)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
-
-    def label(self) -> str:
-        return "Distinct"
-
-
-def _hashable(value: Any) -> Any:
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return repr(value)
+__all__ = ["UnionOp"]
 
 
 class UnionOp(PhysicalOperator):

@@ -1,12 +1,12 @@
-"""Scan operators: full table scans, inline values and index scans.
+"""Scan operators: full table scans, inline values and index range scans.
 
 Row-ownership contract: every operator in this module is a *source* — it
 reads the table's stored row dicts (shared references, via
 :meth:`Table.rows` / :meth:`Table.get`) and emits a **fresh copy** of each
 row (``_qualify_row`` always copies).  Downstream operators may therefore
 mutate or adopt the dicts they receive without corrupting the table.
-Pass-through operators (filter, sort, limit, distinct, union) preserve that
-ownership; projection, join and aggregation build new dicts of their own.
+Pass-through operators (filter, union) preserve that ownership;
+projection, join and aggregation build new dicts of their own.
 The batch path gives the same guarantee once, in bulk: values are copied
 into column lists by :meth:`Table.to_batch` and rows materialized fresh at
 the :class:`~repro.engine.operators.batch_ops.BatchBridgeOp` boundary.
@@ -20,7 +20,7 @@ from repro.engine.operators.base import PhysicalOperator
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 
-__all__ = ["TableScanOp", "ValuesOp", "IndexEqualityScanOp", "IndexRangeScanOp"]
+__all__ = ["TableScanOp", "ValuesOp", "IndexRangeScanOp"]
 
 
 def _qualify_row(row: Mapping[str, Any], alias: str | None) -> dict[str, Any]:
@@ -65,25 +65,6 @@ class ValuesOp(PhysicalOperator):
 
     def label(self) -> str:
         return f"Values({len(self._rows)} rows)"
-
-
-class IndexEqualityScanOp(PhysicalOperator):
-    """Fetch rows whose indexed column(s) equal a constant key."""
-
-    def __init__(self, table: Table, schema: Schema, index_name: str, key: Any, alias: str | None = None):
-        super().__init__(schema)
-        self.table = table
-        self.index_name = index_name
-        self.key = key
-        self.alias = alias
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        index = self.table.index(self.index_name)
-        for rowid in index.lookup(self.key):
-            yield _qualify_row(self.table.get(rowid), self.alias)
-
-    def label(self) -> str:
-        return f"IndexEqualityScan({self.table.name}.{self.index_name} = {self.key!r})"
 
 
 class IndexRangeScanOp(PhysicalOperator):

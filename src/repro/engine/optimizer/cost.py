@@ -15,17 +15,14 @@ from dataclasses import dataclass
 
 from repro.engine.algebra import (
     Aggregate,
-    Distinct,
     Exchange,
     Fixpoint,
     Join,
-    Limit,
     LogicalPlan,
     Project,
     RecursiveRef,
     Select,
     ShardedScan,
-    Sort,
     TableScan,
     Union,
     Values,
@@ -144,12 +141,6 @@ class CostModel:
             return self._join_cardinality(plan)
         if isinstance(plan, Aggregate):
             return self._aggregate_cardinality(plan)
-        if isinstance(plan, Distinct):
-            return max(1.0, 0.9 * self.cardinality(plan.child))
-        if isinstance(plan, Sort):
-            return self.cardinality(plan.child)
-        if isinstance(plan, Limit):
-            return min(float(plan.count), self.cardinality(plan.child))
         if isinstance(plan, Union):
             return self.cardinality(plan.left) + self.cardinality(plan.right)
         if isinstance(plan, Fixpoint):
@@ -172,7 +163,7 @@ class CostModel:
     def _join_cardinality(self, plan: Join) -> float:
         left = self.cardinality(plan.left)
         right = self.cardinality(plan.right)
-        if plan.how == "cross" or plan.condition is None:
+        if plan.condition is None:
             return left * right
         selectivity = self.join_condition_selectivity(plan.condition, plan.left, plan.right)
         cardinality = left * right * selectivity
@@ -251,16 +242,6 @@ class CostModel:
             child = self.cost(plan.child)
             card = self.cardinality(plan)
             return PlanCost(card, child.cost + child.cardinality * self.HASH_COST + card)
-        if isinstance(plan, (Sort, Distinct)):
-            child = self.cost(plan.child)
-            import math
-
-            sort_cost = child.cardinality * max(1.0, math.log2(child.cardinality + 2))
-            return PlanCost(child.cardinality, child.cost + sort_cost)
-        if isinstance(plan, Limit):
-            child = self.cost(plan.child)
-            card = self.cardinality(plan)
-            return PlanCost(card, child.cost + card)
         if isinstance(plan, Union):
             left = self.cost(plan.left)
             right = self.cost(plan.right)
@@ -290,7 +271,7 @@ class CostModel:
         left = self.cost(plan.left)
         right = self.cost(plan.right)
         card = self.cardinality(plan)
-        if plan.how == "cross" or plan.condition is None:
+        if plan.condition is None:
             work = left.cardinality * right.cardinality
         else:
             conjuncts = (

@@ -9,9 +9,8 @@ the query on the batch/row paths.
 
 Fallback rules (mirroring the docstring in ``docs/ARCHITECTURE.md``):
 
-* ``Sort`` / ``Limit`` / ``Distinct`` — non-monotonic or order-defining;
-  a delta of the input does not determine a delta of the output without
-  re-sorting, so these always fall back.
+* Scans, selections, projections and unions lower one-to-one; any other
+  node (``Values``, ``Fixpoint``, …) falls back.
 * Joins lower to :class:`~repro.engine.operators.incremental.DeltaJoinOp`:
   equi joins (inner and left outer, the accum-loop shape), whose terms
   fetch the opposite side by key where it can, and keyless inner joins
@@ -43,7 +42,6 @@ from repro.engine.algebra import (
     Select,
     TableScan,
     Union,
-    Values,
 )
 from repro.engine.catalog import Catalog
 from repro.engine.errors import SchemaError
@@ -58,7 +56,6 @@ from repro.engine.operators.incremental import (
     DeltaProjectOp,
     DeltaScanOp,
     DeltaUnionOp,
-    DeltaValuesOp,
     IncrementalView,
     InverseBandProbe,
     column_positions,
@@ -102,11 +99,6 @@ class IncrementalPlanner:
         if isinstance(plan, TableScan):
             table = self.catalog.table(plan.table_name)
             return DeltaScanOp(table, plan.output_schema(self.catalog).names)
-        if isinstance(plan, Values):
-            wanted = set(plan.schema.names)
-            if not all(set(row) == wanted for row in plan.rows):
-                return None
-            return DeltaValuesOp(plan.schema.names, plan.rows)
         if isinstance(plan, Select):
             child = self._build(plan.child)
             if child is None:
@@ -127,7 +119,7 @@ class IncrementalPlanner:
             if left is None or right is None:
                 return None
             return DeltaUnionOp(left, right, self._full_plan(plan))
-        # Sort / Limit / Distinct / anything unknown: not delta-correct.
+        # Anything else (Values, Fixpoint, …) stays on the full paths.
         return None
 
     def _build_join(self, plan: Join) -> DeltaOperator | None:
@@ -136,7 +128,7 @@ class IncrementalPlanner:
         if left is None or right is None:
             return None
         how = "left" if plan.how == "left" else "inner"
-        if plan.how == "cross" or plan.condition is None:
+        if plan.condition is None:
             if how == "left":
                 # Keyless left join (see below): not worth maintaining.
                 return None

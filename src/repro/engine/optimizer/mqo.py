@@ -43,15 +43,12 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.engine.algebra import (
     Aggregate,
-    Distinct,
     Fixpoint,
     Join,
-    Limit,
     LogicalPlan,
     Project,
     RecursiveRef,
     Select,
-    Sort,
     TableScan,
     Union,
     Values,
@@ -244,18 +241,6 @@ def _fingerprint(plan: LogicalPlan, aliases: list[str]) -> str:
             for spec in plan.aggregates
         )
         return f"γ[{groups}|{aggs}]({child})"
-    if isinstance(plan, Sort):
-        child = _fingerprint(plan.child, aliases)
-        mapping = tokens()
-        keys = ", ".join(
-            f"{_canon_expr(k.expression, mapping)}{'' if k.ascending else ' desc'}"
-            for k in plan.keys
-        )
-        return f"sort[{keys}]({child})"
-    if isinstance(plan, Limit):
-        return f"limit[{plan.count}]({_fingerprint(plan.child, aliases)})"
-    if isinstance(plan, Distinct):
-        return f"distinct({_fingerprint(plan.child, aliases)})"
     if isinstance(plan, Union):
         left = _fingerprint(plan.left, aliases)
         right = _fingerprint(plan.right, aliases)
@@ -353,10 +338,10 @@ def _shareable(plan: LogicalPlan) -> bool:
         # round; materializing one round's result would be wrong for all
         # the others.
         return False
-    if isinstance(plan, (Select, Project, Aggregate, Union, Distinct, Sort, Limit)):
+    if isinstance(plan, (Select, Project, Aggregate, Union)):
         return True
     if isinstance(plan, Join):
-        return plan.how != "cross" and plan.condition is not None
+        return plan.condition is not None
     return False
 
 

@@ -10,13 +10,15 @@ The physical planner chooses operator implementations:
   the kernel compiler, so a fused kernel is just another batch operator —
   the root of the subtree or a child of interpreted batch operators,
 * selections directly above a base-table scan use an index
-  (:class:`IndexRangeScanOp` / :class:`IndexEqualityScanOp`) when one covers
-  the predicate columns, keeping the rest as a residual filter — index
-  scans win over the batch path because they skip rows entirely,
-* joins become hash joins (equi conjuncts), range-probe joins (the
-  Figure 2 "units within range" shape), or nested-loop joins; a
-  range-probe join is columnar only as a compiled kernel — interpreted,
-  the grid-accelerated row operators beat a batch nested loop,
+  (:class:`IndexRangeScanOp`) when one covers the predicate's constant
+  bounds, re-checking the predicate as a filter — index scans win over
+  the batch path because they skip rows entirely,
+* joins become hash joins (equi conjuncts), band joins (the Figure 2
+  "units within range" shape: :class:`IndexProbeJoinOp` when a registered
+  index covers the inner side, else :class:`RangeProbeJoinOp`), or
+  nested-loop joins, which also serve condition-less cross products; a
+  band join is columnar only as a compiled kernel — interpreted, the
+  grid-accelerated row operators beat a batch nested loop,
 * everything else lowers one-to-one on the row path, with children again
   free to choose the batch path below.
 """
@@ -27,17 +29,14 @@ from typing import Any, Sequence
 
 from repro.engine.algebra import (
     Aggregate,
-    Distinct,
     Exchange,
     Fixpoint,
     Join,
-    Limit,
     LogicalPlan,
     Project,
     RecursiveRef,
     Select,
     ShardedScan,
-    Sort,
     TableScan,
     Union,
     Values,
@@ -66,21 +65,16 @@ from repro.engine.operators import (
     BatchProjectOp,
     BatchTableScanOp,
     BatchValuesOp,
-    CrossJoinOp,
-    DistinctOp,
     ExchangeOp,
     FilterOp,
     HashAggregateOp,
     HashJoinOp,
-    IndexEqualityScanOp,
     IndexProbeJoinOp,
     IndexRangeScanOp,
-    LimitOp,
     NestedLoopJoinOp,
     PhysicalOperator,
     ProjectOp,
     RangeProbeJoinOp,
-    SortOp,
     TableScanOp,
     UnionOp,
     ValuesOp,
@@ -122,12 +116,11 @@ def inner_scan_info(
 def match_band_index(
     catalog: Catalog, plan: LogicalPlan, dimensions: Sequence[tuple[str, Any, Any]]
 ) -> tuple[Table, str, str | None, list[Expression]] | None:
-    """Match a band-join inner side against a registered range-capable index.
+    """Match a band-join inner side against a registered index.
 
     ``dimensions`` are the probe triples from :func:`_extract_range_probe`;
-    coverage is decided by :meth:`Table.find_index_covering` (maximal
-    probe-column subset, hash indexes excluded — their ``range_search`` is
-    a linear fallback, no better than the transient grid).  Returns
+    coverage is decided by :meth:`Table.find_index_covering` (the index
+    over the largest subset of the probe columns).  Returns
     ``(table, index_name, scan alias, folded Select predicates)``.
     """
     info = inner_scan_info(catalog, plan)
@@ -248,12 +241,6 @@ class PhysicalPlanner:
             return HashAggregateOp(
                 child, plan.group_by, plan.aggregates, plan.output_schema(self.catalog)
             )
-        if isinstance(plan, Sort):
-            return SortOp(self.lower(plan.child), plan.keys)
-        if isinstance(plan, Limit):
-            return LimitOp(self.lower(plan.child), plan.count)
-        if isinstance(plan, Distinct):
-            return DistinctOp(self.lower(plan.child))
         if isinstance(plan, Union):
             left = self.lower(plan.left)
             right = self.lower(plan.right)
@@ -343,12 +330,10 @@ class PhysicalPlanner:
 
     def _lower_join(self, plan: Join) -> PhysicalOperator:
         schema = plan.output_schema(self.catalog)
-        if plan.how == "cross" or plan.condition is None:
-            left = self.lower(plan.left)
-            right = self.lower(plan.right)
-            if plan.how == "left":
-                return NestedLoopJoinOp(left, right, None, schema, how="left")
-            return CrossJoinOp(left, right, schema)
+        if plan.condition is None:
+            return NestedLoopJoinOp(
+                self.lower(plan.left), self.lower(plan.right), None, schema, how=plan.how
+            )
         left_schema = plan.left.output_schema(self.catalog)
         right_schema = plan.right.output_schema(self.catalog)
         conjuncts = (
@@ -400,7 +385,7 @@ class PhysicalPlanner:
         """Lower a band join to a persistent-index probe when one applies.
 
         The inner side must be a (possibly filtered) base-table scan with a
-        registered range-capable index over probe columns; the transient
+        registered index over probe columns; the transient
         grid stays as fallback for every other shape.  A matched index
         always wins: it skips the per-execution rebuild of a grid over the
         whole inner side (``CostModel.band_join_work`` encodes the same
@@ -480,8 +465,8 @@ class PhysicalPlanner:
         checked with :func:`batch_supported` against the child's *batch*
         column names (which equal the row dicts' keys), so a chosen batch
         plan cannot fail to compile at runtime.  Nodes that decline —
-        index-friendly selections, range-probe joins no kernel took, sorts,
-        limits — put their ancestors on the row path, while their children
+        index-friendly selections, range-probe joins no kernel took,
+        unions — put their ancestors on the row path, while their children
         may still batch independently via :meth:`lower`.
         """
         if isinstance(plan, SharedScan):
@@ -527,7 +512,7 @@ class PhysicalPlanner:
         if left is None or right is None:
             return None
         schema = plan.output_schema(self.catalog)
-        if plan.how == "cross" or plan.condition is None:
+        if plan.condition is None:
             return BatchNestedLoopJoinOp(left, right, None, schema, how=plan.how if plan.how == "left" else "inner")
         left_schema = plan.left.output_schema(self.catalog)
         right_schema = plan.right.output_schema(self.catalog)

@@ -62,10 +62,10 @@ class Planner:
 
     Configuration comes from one :class:`~repro.engine.config.EngineConfig`
     (``config=``, default :meth:`~repro.engine.config.EngineConfig.from_env`):
-    ``optimize=False`` skips rewrites and join reordering (the optimizer
-    tests compare results against it); ``use_indexes=False``
-    forces pure scan plans; ``use_batch=False`` forces row-at-a-time plans
-    instead of the columnar batch path.
+    ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
+    forces row-at-a-time plans instead of the columnar batch path.  An
+    unrewritten plan can still be lowered as written through
+    ``physical_planner.lower``.
     """
 
     def __init__(
@@ -79,16 +79,13 @@ class Planner:
             config = EngineConfig.from_env()
         self.catalog = catalog
         self.config = config
-        self.optimize = config.optimize
         self.cost_model = CostModel(catalog, use_indexes=config.use_indexes)
         self.physical_planner = PhysicalPlanner(catalog, config, index_advisor=index_advisor)
 
     def plan(self, logical: LogicalPlan) -> PlannedQuery:
         """Produce a physical plan for *logical*."""
-        optimized = logical
-        if self.optimize:
-            optimized = apply_standard_rewrites(logical, self.catalog)
-            optimized = reorder_joins(optimized, self.catalog, self.cost_model)
+        optimized = apply_standard_rewrites(logical, self.catalog)
+        optimized = reorder_joins(optimized, self.catalog, self.cost_model)
         physical = self.physical_planner.lower(optimized)
         estimated = self.cost_model.cost(optimized)
         return PlannedQuery(logical, optimized, physical, estimated)
@@ -105,7 +102,3 @@ class Planner:
         return IncrementalPlanner(self.catalog, self.physical_planner).build_view(
             optimized
         )
-
-    def estimate(self, logical: LogicalPlan) -> PlanCost:
-        """Cost a logical plan without lowering it (used by adaptive search)."""
-        return self.cost_model.cost(logical)

@@ -21,8 +21,6 @@ from typing import Callable
 
 from repro.engine.algebra import (
     Aggregate,
-    Distinct,
-    Fixpoint,
     Join,
     LogicalPlan,
     Project,
@@ -38,7 +36,6 @@ __all__ = [
     "split_conjunctions",
     "push_down_selections",
     "merge_selections",
-    "drop_distinct_over_fixpoint",
     "apply_standard_rewrites",
 ]
 
@@ -184,25 +181,9 @@ def push_down_selections(plan: LogicalPlan, catalog: Catalog) -> LogicalPlan:
     return rewrite(plan)
 
 
-def drop_distinct_over_fixpoint(plan: LogicalPlan) -> LogicalPlan:
-    """Remove ``Distinct`` directly above a ``Fixpoint``.
-
-    The fixpoint accumulator is a set by construction (every produced row
-    is deduplicated into it before the next round), so an outer Distinct
-    over its full output is a no-op.  A Fixpoint with ``distinct_on`` set
-    still qualifies: restricting the dedup key only removes *more* rows.
-    """
-    plan = _rewrite_children(plan, drop_distinct_over_fixpoint)
-    if isinstance(plan, Distinct) and isinstance(plan.child, Fixpoint):
-        return plan.child
-    return plan
-
-
 def apply_standard_rewrites(plan: LogicalPlan, catalog: Catalog) -> LogicalPlan:
     """The default rewrite pipeline used by the planner."""
     plan = expand_sharded_scans(plan)
     plan = split_conjunctions(plan)
     plan = push_down_selections(plan, catalog)
-    plan = merge_selections(plan)
-    plan = drop_distinct_over_fixpoint(plan)
-    return plan
+    return merge_selections(plan)

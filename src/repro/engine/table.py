@@ -517,48 +517,6 @@ class Table:
         so replayed inserts can't collide with rows already present)."""
         self._next_rowid = max(self._next_rowid, next_rowid)
 
-    def apply_row_changes(
-        self, changes: Iterable[tuple[RowId, Mapping[str, Any] | None]]
-    ) -> None:
-        """Apply replayed ``(rowid, new row | None)`` changes verbatim.
-
-        The low-level write path of WAL replay and log-based catch-up:
-        rows land under their original rowids (``None`` deletes), indexes
-        and the key map stay consistent, versions bump and the change log
-        records every entry — live cursors on a recovering table keep
-        streaming.  Values are trusted (they were validated when the log
-        was written), so no schema coercion happens here.
-        """
-        self._check_writable()
-        for rowid, new in changes:
-            old = self._rows.get(rowid)
-            if new is None:
-                if old is None:
-                    continue
-                del self._rows[rowid]
-                if self.key is not None:
-                    self._key_map.pop(old[self.schema.resolve(self.key)], None)
-                for index in self._indexes.values():
-                    index.on_delete(rowid, old)
-                self._version += 1
-                self._log_change(rowid, old)
-            else:
-                row = dict(new)
-                self._rows[rowid] = row
-                if self.key is not None:
-                    key_col = self.schema.resolve(self.key)
-                    if old is not None:
-                        self._key_map.pop(old[key_col], None)
-                    self._key_map[row[key_col]] = rowid
-                for index in self._indexes.values():
-                    if old is not None:
-                        index.on_update(rowid, old, row)
-                    else:
-                        index.on_insert(rowid, row)
-                self._version += 1
-                self._log_change(rowid, old if old is not None else _NOT_PRESENT)
-            self._next_rowid = max(self._next_rowid, rowid + 1)
-
     # -- freeze / snapshot --------------------------------------------------------
 
     def freeze(self) -> None:
@@ -623,18 +581,15 @@ class Table:
         return None
 
     def find_index_covering(self, columns: Sequence[str]) -> tuple[str, "TableIndex"] | None:
-        """The best range-capable index whose key columns are all among
-        *columns*.
+        """The best index whose key columns are all among *columns*.
 
         The single coverage rule shared by the band-join planner, the
         incremental band probe and the index advisor: an index over a
         subset of the probe dimensions can still serve ``range_search``
         (uncovered dimensions are re-checked on the fetched rows), so
         among eligible indexes the one covering the most probe columns
-        wins; indexes whose range search is a linear fallback
-        (``range_capable = False``) never qualify.  Returns
-        ``(index_name, index)`` or ``None`` — also ``None`` when a column
-        does not exist in the schema.
+        wins.  Returns ``(index_name, index)`` or ``None`` — also ``None``
+        when a column does not exist in the schema.
         """
         try:
             wanted = {self.schema.resolve(c) for c in columns}
@@ -642,8 +597,6 @@ class Table:
             return None
         best: tuple[str, "TableIndex"] | None = None
         for name, index in self._indexes.items():
-            if not index.range_capable:
-                continue
             index_columns = tuple(index.columns)
             if not index_columns or not all(c in wanted for c in index_columns):
                 continue
@@ -736,11 +689,11 @@ class TableIndex:
     #: The resolved column names this index is keyed on.
     columns: tuple[str, ...] = ()
 
-    #: Whether ``range_search`` is genuinely sub-linear.  Structures whose
-    #: range search is a linear fallback (the hash index) set this False so
-    #: the band-join planner and advisor never pick them over the
-    #: transient-grid path.
-    range_capable: bool = True
+    def range_search(self, bounds: Sequence[tuple[Any, Any]]) -> Iterable[RowId]:
+        """Row ids whose key columns fall inside the per-column ``(low,
+        high)`` bounds (``None`` = unbounded).  May over-approximate;
+        callers re-check the exact predicate."""
+        raise NotImplementedError
 
     def on_insert(self, rowid: RowId, row: Mapping[str, Any]) -> None:
         raise NotImplementedError

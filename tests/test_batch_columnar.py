@@ -17,12 +17,10 @@ from repro.engine.algebra import (
     Aggregate,
     AggregateSpec,
     Join,
-    Limit,
     Project,
     Select,
-    Sort,
-    SortKey,
     TableScan,
+    Union,
 )
 from repro.engine.batch import ColumnBatch, IndirectColumn
 from repro.engine.catalog import Catalog
@@ -227,13 +225,10 @@ PLANS = {
         ["t.team"],
         [AggregateSpec("n", "count"), AggregateSpec("power", "sum", col("u.hp") + col("t.bonus"))],
     ),
-    # Sort/Limit stay on the row path but their subtree should still batch.
-    "sort-limit-above-batch": lambda: Limit(
-        Sort(
-            Select(TableScan("units"), col("x").gt(lit(60))),
-            [SortKey(col("x")), SortKey(col("id"))],
-        ),
-        25,
+    # Union stays on the row path but its subtrees should still batch.
+    "union-above-batch": lambda: Union(
+        Project(Select(TableScan("units"), col("x").gt(lit(60))), [("id", col("id"))]),
+        Project(Select(TableScan("units"), col("hp").lt(lit(10))), [("id", col("id"))]),
     ),
 }
 

@@ -17,7 +17,7 @@ from repro.workloads import build_rts_world
 class TestPresets:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.optimize and config.use_batch and config.use_incremental
+        assert config.use_batch and config.use_incremental
         assert config.use_mqo and config.use_indexes and config.auto_index
         assert not config.use_compiled  # opt-in until the preset asks
 

@@ -11,16 +11,13 @@ from repro.engine import (
     Column,
     DataType,
     EngineConfig,
-    Distinct,
     Executor,
     Join,
-    Limit,
+    PlanError,
     Planner,
     Project,
     Schema,
     Select,
-    Sort,
-    SortKey,
     TableScan,
     Union,
     Values,
@@ -32,7 +29,6 @@ from repro.engine.aggregates import combine_values, make_accumulator
 from repro.engine.algebra import explain
 from repro.engine.indexes import SortedIndex
 from repro.engine.operators import (
-    BandJoinOp,
     FilterOp,
     HashJoinOp,
     NestedLoopJoinOp,
@@ -123,12 +119,6 @@ class TestOperators:
 
     def test_sort_limit_distinct_union(self, unit_catalog):
         executor = Executor(unit_catalog)
-        sorted_plan = Sort(TableScan("unit"), [SortKey(col("health"), ascending=False)])
-        rows = executor.execute(Limit(sorted_plan, 5)).rows
-        assert len(rows) == 5
-        assert rows[0]["health"] >= rows[-1]["health"]
-        distinct = Distinct(Project(TableScan("unit"), {"player": col("player")}))
-        assert len(executor.execute(distinct)) == 4
         union = Union(Project(TableScan("unit"), {"p": col("player")}),
                       Project(TableScan("unit"), {"p": col("player")}))
         assert len(executor.execute(union)) == 200
@@ -141,6 +131,13 @@ class TestOperators:
         rows = executor.execute(plan).rows
         assert len(rows) == 2
         assert rows[0]["j"] == 7
+
+    def test_cross_join_rejects_a_condition(self):
+        # "cross" means "no condition": every lowering of a cross join is a
+        # plain product, so an accepted condition would be lost.
+        a, b = TableScan("unit", alias="a"), TableScan("unit", alias="b")
+        with pytest.raises(PlanError, match="cross join"):
+            Join(a, b, col("a.id").eq(col("b.id")), how="cross")
 
     def test_left_join_produces_nulls(self, unit_catalog):
         executor = Executor(unit_catalog)
@@ -177,17 +174,22 @@ class TestOperators:
             for b in rows
             if abs(a["x"] - b["x"]) <= radius and abs(a["y"] - b["y"]) <= radius
         )
-        schema_a = table.schema.qualify("a")
-        schema_b = table.schema.qualify("b")
-        band = BandJoinOp(
-            TableScanOp(table, schema_a, "a"),
-            TableScanOp(table, schema_b, "b"),
-            ["a.x", "a.y"],
-            ["b.x", "b.y"],
-            radius,
-            schema_a.concat(schema_b),
+        band = Join(
+            TableScan("unit", alias="a"),
+            TableScan("unit", alias="b"),
+            and_all(
+                [
+                    col("b.x").ge(col("a.x") - lit(radius)),
+                    col("b.x").le(col("a.x") + lit(radius)),
+                    col("b.y").ge(col("a.y") - lit(radius)),
+                    col("b.y").le(col("a.y") + lit(radius)),
+                ]
+            ),
         )
-        assert len(band.rows()) == expected
+        executor = Executor(unit_catalog, EngineConfig.reference())
+        physical = executor.prepare(band, cache=False).physical
+        assert any(isinstance(op, RangeProbeJoinOp) for op in physical.walk())
+        assert len(physical.rows()) == expected
 
     def test_filter_and_values_op_counts(self):
         schema = Schema([Column("v", DataType.NUMBER)])
@@ -275,11 +277,11 @@ class TestOptimizer:
         assert {r["self.id"]: r["cnt"] for r in rows} == expected
 
     def test_unoptimized_planner_still_correct(self, unit_catalog):
-        fast = Executor(unit_catalog, EngineConfig.from_env().replace(optimize=True))
-        slow = Executor(unit_catalog, EngineConfig.from_env().replace(optimize=False))
         plan = self.fig2_plan()
-        fast_rows = {(r["self.id"], r["cnt"]) for r in fast.execute(plan).rows}
-        slow_rows = {(r["self.id"], r["cnt"]) for r in slow.execute(plan, cache=False).rows}
+        fast_rows = {(r["self.id"], r["cnt"]) for r in Executor(unit_catalog).execute(plan).rows}
+        # Lowered as written: no rewrites, no join reordering.
+        unrewritten = Planner(unit_catalog).physical_planner.lower(plan)
+        slow_rows = {(r["self.id"], r["cnt"]) for r in unrewritten.rows()}
         assert fast_rows == slow_rows
 
     def test_join_graph_extraction(self, unit_catalog):
@@ -312,10 +314,8 @@ class TestOptimizer:
             col("a.health").gt(lit(90)),
         )
         reordered = reorder_joins(split_conjunctions(plan), unit_catalog, cost_model)
-        executor = Executor(unit_catalog, EngineConfig.from_env().replace(optimize=False))
-        original = executor.execute(plan, cache=False).rows
-        new = executor.execute(reordered, cache=False).rows
-        assert len(original) == len(new)
+        lower = Planner(unit_catalog).physical_planner.lower
+        assert len(lower(plan).rows()) == len(lower(reordered).rows())
 
     def test_index_scan_selected_for_constant_range(self, unit_catalog):
         table = unit_catalog.table("unit")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import Catalog, Column, DataType, Schema, Table
 from repro.engine.errors import CatalogError, ExecutionError
-from repro.engine.indexes import GridIndex, HashIndex, KdTreeIndex, RangeTreeIndex, SortedIndex
+from repro.engine.indexes import GridIndex, RangeTreeIndex, SortedIndex
 from repro.engine.statistics import estimate_selectivity
 from repro.engine.expressions import col, lit
 
@@ -184,18 +184,6 @@ class TestChangeLog:
 
 
 class TestIndexMaintenance:
-    def test_hash_index_lookup_and_maintenance(self):
-        table = make_table()
-        table.attach_index("team", HashIndex(["team"]))
-        ids = [table.insert({"id": i, "team": i % 3}) for i in range(9)]
-        index = table.index("team")
-        assert len(list(index.lookup(0))) == 3
-        table.update(ids[0], {"team": 1})
-        assert len(list(index.lookup(0))) == 2
-        assert len(list(index.lookup(1))) == 4
-        table.delete(ids[1])
-        assert len(list(index.lookup(1))) == 3
-
     def test_sorted_index_range(self):
         table = make_table()
         table.attach_index("x", SortedIndex("x"))
@@ -220,9 +208,9 @@ class TestIndexMaintenance:
         catalog = Catalog()
         schema = make_table().schema
         catalog.create_table("unit", schema, key="id")
-        catalog.create_index("unit", "by_team", HashIndex(["team"]))
+        catalog.create_index("unit", "by_team", SortedIndex("team"))
         with pytest.raises(CatalogError):
-            catalog.create_index("unit", "by_team", HashIndex(["team"]))
+            catalog.create_index("unit", "by_team", SortedIndex("team"))
         catalog.drop_index("unit", "by_team")
         with pytest.raises(CatalogError):
             catalog.table("unit").index("by_team")
@@ -238,7 +226,7 @@ def brute_range(rows, bounds):
 
 
 class TestSpatialIndexCorrectness:
-    @pytest.mark.parametrize("index_cls", [GridIndex, KdTreeIndex, RangeTreeIndex])
+    @pytest.mark.parametrize("index_cls", [GridIndex, RangeTreeIndex])
     def test_matches_brute_force(self, index_cls):
         table = make_table()
         rng = random.Random(3)
@@ -294,25 +282,18 @@ class TestSpatialIndexCorrectness:
         assert got == expected
 
     def test_range_tree_space_blowup(self):
-        """The layered tree uses asymptotically more entries than the kd-tree."""
+        """The layered tree stores asymptotically more entries than the n a
+        linear-space structure needs."""
         rng = random.Random(1)
         points = [((rng.random() * 100, rng.random() * 100), i) for i in range(512)]
         tree = RangeTreeIndex(["x", "y"])
         tree.build_from_points(points)
-        kd = KdTreeIndex(["x", "y"])
-        kd.build_from_points(points)
-        assert tree.node_count() > 4 * kd.node_count()
+        assert tree.node_count() > 4 * len(points)
         assert tree.estimated_bytes(16) == tree.node_count() * 16
         # Super-linear total space: the bytes per point grow with n.
         small = RangeTreeIndex(["x", "y"])
         small.build_from_points(points[:128])
         assert tree.estimated_bytes(16) / 512 > small.estimated_bytes(16) / 128
-
-    def test_kdtree_nearest(self):
-        kd = KdTreeIndex(["x", "y"])
-        kd.build_from_points([((0, 0), "a"), ((10, 10), "b"), ((2, 1), "c")])
-        assert kd.nearest((1, 1)) == "c"
-        assert kd.nearest((9, 9)) == "b"
 
 
 class TestStatistics:

@@ -2,9 +2,9 @@
 
 Covers the engine layer (Fixpoint lowering, semi-naive vs naive
 equivalence, the version-vector result cache, warm restarts under
-insert-only churn, the Distinct-over-Fixpoint rewrite), the runtime layer
-(grid reachability/influence as fixpoint plans, parity with the A*/BFS
-oracles, tick counters), and the SGL frontend (``reach`` compiled vs
+insert-only churn), the runtime layer (grid reachability/influence as
+fixpoint plans, parity with the A*/BFS oracles, tick counters), and the
+SGL frontend (``reach`` compiled vs
 interpreted on the contagion workload, MQO sharing of identical closures
 across scripts).
 """
@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro import ExecutionMode, GameWorld
 from repro.engine import EngineConfig
 from repro.engine.algebra import (
-    Distinct,
     Fixpoint,
     Join,
     Project,
@@ -31,7 +30,6 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import Executor
 from repro.engine.expressions import BinaryOp, ColumnRef
 from repro.engine.operators.fixpoint import FixpointOp
-from repro.engine.optimizer.rules import drop_distinct_over_fixpoint
 from repro.engine.schema import Column, Schema
 from repro.runtime.debug.inspector import TickInspector
 from repro.runtime.pathfinding import (
@@ -146,15 +144,6 @@ class TestSemiNaiveEquivalence:
         assert report["operators"] == 1
         assert report["total_rounds"] == 6
         assert report["total_delta_rows"] == 6  # the seed row + one node per round
-
-    def test_distinct_over_fixpoint_is_dropped(self):
-        plan = closure_plan()
-        assert drop_distinct_over_fixpoint(Distinct(plan)) is plan
-        # The rewrite also reaches Fixpoints nested under other operators.
-        wrapped = Project(Distinct(plan), {"node": ColumnRef("node")})
-        rewritten = drop_distinct_over_fixpoint(wrapped)
-        assert isinstance(rewritten, Project)
-        assert rewritten.child is plan
 
 
 class TestCachingAndWarmRestart:

@@ -27,11 +27,8 @@ from repro.engine.algebra import (
     Aggregate,
     AggregateSpec,
     Join,
-    Limit,
     Project,
     Select,
-    Sort,
-    SortKey,
     TableScan,
 )
 from repro.engine.batch import DeltaBatch
@@ -308,9 +305,12 @@ class TestFallbackRules:
         return Executor(catalog).register_incremental(plan)
 
     def test_sort_limit_fall_back(self):
-        base = TableScan("units")
-        assert not self._register(Sort(base, [SortKey(col("x"))]))
-        assert not self._register(Limit(base, 5))
+        """A keyless left join falls back: its padding terms would re-probe
+        every left row."""
+        a, b = TableScan("units", alias="a"), TableScan("units", alias="b")
+        assert not self._register(Join(a, b, None, how="left"))
+        band = col("b.x").ge(col("a.x") - lit(5.0)).and_(col("b.x").le(col("a.x") + lit(5.0)))
+        assert not self._register(Join(a, b, band, how="left"))
 
     def test_order_dependent_aggregates_fall_back(self):
         for func in ("first", "last", "collect"):

@@ -27,7 +27,7 @@ from repro.engine import (
     col,
     lit,
 )
-from repro.engine.indexes import GridIndex, HashIndex, RangeTreeIndex, SortedIndex
+from repro.engine.indexes import GridIndex, RangeTreeIndex, SortedIndex
 from repro.engine.operators import (
     DeltaJoinOp,
     IndexProbeJoinOp,
@@ -133,15 +133,6 @@ class TestIndexProbePlanning:
         ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
         probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
         assert probes and probes[0].index_name == "xy"
-
-    def test_hash_index_is_not_probed(self):
-        # Pin the interpreted plan shape: under use_compiled the grid
-        # rebuild is exactly the core the kernel compiler fuses away.
-        catalog = _make_catalog()
-        catalog.create_index("unit", "h", HashIndex(["x", "y"]))
-        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
-        assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
-        assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
 
     def test_no_index_falls_back_to_grid_rebuild(self):
         catalog = _make_catalog()
