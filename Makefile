@@ -3,12 +3,14 @@
 # `make examples` = the examples smoke job (every script in examples/),
 # `make bench-fixpoint` = the semi-naive fixpoint + warm re-closure gates,
 # `make cov` = the coverage job (pytest --cov, fails under the floor),
-# `make e2e-check` = the end-to-end check job (benchmarks/e2e, every workload traced).
+# `make e2e-check` = the end-to-end check job (benchmarks/e2e, every workload traced),
+# `make e2e-digests` = one `workload state_digest` line per e2e workload; run it on two
+# commits and `diff` the outputs to show a change leaves behaviour untouched.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test smoke examples lint cov bench bench-fixpoint e2e-check
+.PHONY: check test smoke examples lint cov bench bench-fixpoint e2e-check e2e-digests
 
 ## Run the tier-1 test suite plus a quickstart smoke run (CI gate).
 check: test smoke
@@ -56,3 +58,11 @@ e2e-check:
 		else echo "$$out"; echo "FAILED  $$workload"; exit 1; fi; \
 	done; echo "all e2e workloads checked"
 
+## `workload state_digest` for every BENCHMARK.json workload, untraced, at
+## --seed 3 --ticks 60 (~30 s); identical output means identical final state.
+e2e-digests:
+	@for workload in $(E2E_WORKLOADS); do \
+		out=$$($(PYTHON) benchmarks/e2e/run.py --workload $$workload --seed 3 --ticks 60 2>&1) \
+			|| { echo "$$out"; echo "FAILED  $$workload"; exit 1; }; \
+		echo "$$workload $$(echo "$$out" | sed -n 's/.*digest=\([0-9a-f]*\).*/\1/p')"; \
+	done

@@ -28,14 +28,15 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
-from repro.engine.errors import ExecutionError
+from repro.engine.compile.exprgen import row_function
+from repro.engine.errors import ExecutionError, ExpressionError
 from repro.engine.executor import Executor, TickQuerySpec
 from repro.engine.expressions import Expression
 from repro.engine.optimizer.adaptive import IndexAdvisor
 from repro.runtime.effects import CombinedEffects, EffectStore
 from repro.runtime.reactive import FiredHandler, Handler, ReactiveDispatcher
 from repro.runtime.scheduler import MultiTickScheduler
-from repro.runtime.transactions import TransactionEngine, TransactionReport
+from repro.runtime.transactions import CompiledConstraint, TransactionEngine, TransactionReport
 from repro.runtime.updates import (
     ExpressionUpdater,
     OwnershipRegistry,
@@ -44,7 +45,14 @@ from repro.runtime.updates import (
     UpdateRule,
 )
 from repro.sgl.ast_nodes import ClassDecl, NumberLiteral, Program, SglExpression, StateFieldDecl
-from repro.sgl.compiler import CompiledProgram, SGLCompiler
+from repro.sgl.compiler import (
+    CompiledProgram,
+    LoweringContext,
+    ObjectBinding,
+    SGLCompiler,
+    lower_expression,
+)
+from repro.sgl.errors import SGLCompileError
 from repro.sgl.interpreter import ScriptInterpreter
 from repro.sgl.ir import ACTOR_COLUMN, EffectAssignment, TARGET_COLUMN, TransactionRequest, VALUE_COLUMN
 from repro.sgl.multitick import pc_variable_name, segment_script
@@ -432,7 +440,7 @@ class GameWorld:
     def add_component(self, component: UpdateComponent) -> None:
         """Register an update component (physics, pathfinding, transactions …)."""
         if isinstance(component, TransactionEngine):
-            component.set_constraint_evaluator(self._evaluate_constraint)
+            component.set_constraint_evaluator(self._evaluate_condition, self._compile_constraint)
             self._transaction_engine = component
         self.updates.register(component)
 
@@ -921,15 +929,36 @@ class GameWorld:
 
     # -- expression evaluation services --------------------------------------------------------------------
 
-    def _evaluate_constraint(
-        self, constraint: SglExpression, class_name: str, row: Mapping[str, Any]
-    ) -> bool:
-        value = self.interpreter.evaluate_expression(constraint, class_name, row, self)
-        return bool(value)
+    def _compile_constraint(
+        self, constraint: SglExpression, class_name: str
+    ) -> CompiledConstraint | None:
+        """Lower a transaction constraint to one generated row function.
+
+        ``None`` — the interpreter decides — when the constraint does not
+        lower (a read through a reference derefs committed state) or reads
+        anything but a declared state field of ``self``; a bare ``self``
+        lowers to its key column, where the interpreter sees an object.
+        """
+        decl = self.program.class_named(class_name)
+        if decl is None:
+            return None
+        context = LoweringContext(
+            self.program, decl, "self", objects={"self": ObjectBinding(class_name, "self")}
+        )
+        try:
+            lowered = lower_expression(constraint, context)
+        except (SGLCompileError, ExpressionError):
+            return None
+        names = tuple(sorted(lowered.columns()))
+        attributes = tuple(name.removeprefix("self.") for name in names)
+        if any(decl.state_field(a) is None for a in attributes):
+            return None
+        return attributes, row_function(names, [lowered], guard=True)
 
     def _evaluate_condition(
         self, condition: Any, class_name: str, row: Mapping[str, Any]
     ) -> bool:
+        """A handler condition or transaction constraint, against one row."""
         if callable(condition):
             return bool(condition(row))
         return bool(self.interpreter.evaluate_expression(condition, class_name, row, self))

@@ -50,7 +50,7 @@ from repro.sgl.multitick import ScriptSegment, SegmentedScript, segment_script
 from repro.sgl.semantics import AnalyzedProgram, COMBINATOR_ALIASES
 from repro.engine.expressions import FunctionCall
 
-__all__ = ["WorldView", "InterpretationResult", "ScriptInterpreter", "evaluate_constraint"]
+__all__ = ["WorldView", "InterpretationResult", "ScriptInterpreter"]
 
 
 class WorldView(Protocol):
@@ -171,19 +171,6 @@ class ScriptInterpreter:
         script = ScriptDecl("<expr>", class_name, self_name, Block(()), line=0)
         execution = _Execution(self, script, world, InterpretationResult())
         return execution.eval(expr, env)
-
-
-def evaluate_constraint(
-    interpreter: ScriptInterpreter,
-    constraint: SglExpression,
-    class_name: str,
-    self_row: Mapping[str, Any],
-    world: WorldView,
-    self_name: str = "self",
-) -> bool:
-    """Evaluate a transaction constraint; null results count as violations."""
-    value = interpreter.evaluate_expression(constraint, class_name, self_row, world, self_name)
-    return bool(value)
 
 
 class _Execution:
