@@ -9,7 +9,7 @@ the executor.  Multi-process execution lives in :mod:`repro.shard`.
 """
 
 from repro.engine.aggregates import AGGREGATE_NAMES, Accumulator, combine_values, make_accumulator
-from repro.engine.batch import ColumnBatch, IndirectColumn
+from repro.engine.batch import ColumnBatch
 from repro.engine.algebra import (
     Aggregate,
     AggregateSpec,
@@ -61,7 +61,6 @@ __all__ = [
     "combine_values",
     "make_accumulator",
     "ColumnBatch",
-    "IndirectColumn",
     "Aggregate",
     "AggregateSpec",
     "Join",

@@ -1,4 +1,4 @@
-"""Columnar batches for the vectorized execution path.
+"""Columnar batches for the compiled-kernel execution path.
 
 The row-at-a-time iterator model (:mod:`repro.engine.operators.base`)
 materializes one dict per row per operator.  For the tick loop — where the
@@ -7,21 +7,14 @@ paper) — that dict churn dominates the per-tick cost.  A
 :class:`ColumnBatch` instead stores a relation as parallel Python lists,
 one per column, plus a *selection vector* of surviving physical indices:
 
-* filters shrink the selection vector without touching the value lists,
 * alias qualification renames columns while *sharing* the value lists,
-* projections and joins gather values with list comprehensions instead of
+* compiled kernels (:mod:`repro.engine.compile.kernels`) read input columns
+  by index and build their output columns in one fused loop, instead of
   building a dict per intermediate row.
 
 Row dicts are only materialized once, at the boundary back to the caller
 (:meth:`ColumnBatch.to_rows`, used by
 :class:`~repro.engine.operators.batch_ops.BatchBridgeOp`).
-
-:class:`IndirectColumn` is the small trick that lets join operators reuse
-the compiled expression machinery of
-:func:`repro.engine.expressions.compile_batch` without materializing the
-cross product: it presents ``values[indices[k]]`` under plain
-``__getitem__``, so a predicate compiled against a pair of indirect columns
-evaluates lazily over candidate join pairs.
 """
 
 from __future__ import annotations
@@ -29,28 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Iterable, Mapping, Sequence
 
-__all__ = ["ColumnBatch", "DeltaBatch", "IndirectColumn"]
-
-
-class IndirectColumn:
-    """A virtual column ``values[indices[k]]`` supporting ``__getitem__``.
-
-    Used by the batch join operators to evaluate compiled expressions over
-    candidate (left, right) index pairs without first gathering the pair
-    columns into new lists.
-    """
-
-    __slots__ = ("values", "indices")
-
-    def __init__(self, values: Sequence[Any], indices: Sequence[int]):
-        self.values = values
-        self.indices = indices
-
-    def __getitem__(self, k: int) -> Any:
-        return self.values[self.indices[k]]
-
-    def __len__(self) -> int:
-        return len(self.indices)
+__all__ = ["ColumnBatch", "DeltaBatch"]
 
 
 class DeltaBatch:

@@ -6,8 +6,8 @@ loop.  Column access is delegated to a *resolver* callback supplied by the
 kernel compiler (it knows whether the current row is a batch index, a join
 pair, or a set of aggregate-output locals).
 
-The generated code reproduces :meth:`Expression.evaluate` /
-:func:`~repro.engine.expressions.compile_batch` semantics exactly:
+The generated code reproduces :meth:`Expression.evaluate` semantics
+exactly:
 
 * arithmetic and ordered comparisons are null-safe (any ``None`` operand
   yields ``None``), division additionally yields ``None`` on a zero
@@ -57,19 +57,18 @@ __all__ = ["ExprGen", "KernelDecline", "SourceBuilder", "row_function"]
 class KernelDecline(Exception):
     """Raised when a plan fragment cannot be compiled into a kernel.
 
-    Callers catch this and fall back to the interpreted operator tree, so
-    raising it is always safe — never an error surfaced to users.
+    Callers catch this and fall back to the row operators, so raising it
+    is always safe — never an error surfaced to users.
     ``reason`` is one of :attr:`REASONS` and is what
     ``Executor.kernel_report()["declined_by_reason"]`` counts by.
     """
 
-    #: ``index-select``: the interpreted planner would answer a Select from
-    #: an index scan (rows in index order); ``join-shape``: outer/cross
-    #: join, a side that is not a Select chain over a leaf, or a condition
-    #: that is neither equi nor band; ``expression``: something is not
-    #: provably batch-compilable, or output names collide; ``bare-leaf``:
-    #: the Select/Project/Aggregate stack sits on something that is not a
-    #: scan or join with a batch source.
+    #: ``index-select``: the row planner would answer a Select from an
+    #: index scan (rows in index order); ``join-shape``: a join side no
+    #: batch operator serves (e.g. a Fixpoint, or a join over one);
+    #: ``expression``: something is not provably batch-compilable, or
+    #: output names collide; ``bare-leaf``: the Select/Project/Aggregate
+    #: stack sits on a node with no batch operator (e.g. a Union).
     REASONS = ("index-select", "join-shape", "expression", "bare-leaf")
 
     def __init__(self, detail: str = "", reason: str = "expression"):
@@ -106,7 +105,7 @@ class ExprGen:
     def __init__(self, resolver: Callable[[Any], str], builder: SourceBuilder):
         #: Maps a ColumnRef/Variable node to a Python fragment reading its
         #: value for the current row (Variables bind by exact key only,
-        #: matching ``compile_batch``); raises :class:`KernelDecline` when
+        #: matching ``batch_supported``); raises :class:`KernelDecline` when
         #: the name does not resolve.
         self.resolver = resolver
         self.builder = builder

@@ -1,45 +1,47 @@
 """Plan-to-kernel compilation: one fused Python function per pipeline.
 
-The batch path (:mod:`repro.engine.operators.batch_ops`) already avoids
-per-row dicts, but it still interprets the physical tree operator by
-operator — every filter is a separate pass allocating a selection list,
-every aggregate argument goes through a compiled-closure dispatch per
-element.  This module walks an *optimized logical plan* and, when the
-whole pipeline fits a fusable shape, emits a single Python function that
-runs scan → filter → join → project → aggregate in one loop nest over the
-input column lists.  The source is built by codegen
-(:mod:`repro.engine.compile.exprgen`), ``compile()``d once, and cached by
-the MQO plan fingerprint, so repeated ticks and deduped standing queries
-pay codegen exactly once.
+Kernels are the engine's columnar layer: with ``use_batch`` on, the
+physical planner offers every Select / Project / Aggregate / Join it
+lowers to this module first, and a plan no kernel takes runs on the row
+operators.  The compiler walks an *optimized logical plan* and emits a
+single Python function that runs scan → filter → join → project →
+aggregate in one loop nest over the input column lists.  The source is
+built by codegen (:mod:`repro.engine.compile.exprgen`), ``compile()``d
+once, and cached by the MQO plan fingerprint, so repeated ticks and
+deduped standing queries pay codegen exactly once.
 
-Fusable shapes — everything else falls back to the interpreted tree:
+Fusable shapes:
 
 * a stack of ``Select`` / ``Project`` / ``Aggregate`` nodes over a core;
-* the core is a leaf (``TableScan`` / ``SharedScan``) or an inner ``Join``
-  whose sides are ``Select``-chains over leaves and whose condition is an
-  equi-join or the band-join (range probe) shape.
+* the core is a batch input (a ``TableScan`` / ``SharedScan`` / ``Values``
+  leaf) or a ``Join`` — inner, left or cross; equi-join (hash), band join
+  (range probe, inner only) or any other condition (nested loop).  Each
+  join side is a ``Select`` chain over a leaf, fused into the kernel, or
+  any subtree the planner lowers to a batch operator (another kernel),
+  which becomes a kernel input.
 
 Equivalence contract: a kernel produces *exactly* the rows, in exactly
-the order, that the interpreted operators it replaces would produce, and
-feeds the index advisor the same probe statistics.  Plan *choice* stays
-identical too.  A band join follows the interpreted planner's own rule:
-when a registered range-capable index covers probe columns of the inner
-table the kernel probes that index
-(:class:`~repro.engine.operators.joins.IndexProbeJoinOp`'s loop: candidates
-in the index's ``range_search`` order, every bound re-checked, the inner
-side's Select predicates folded into the residual, the index re-resolved
-per execution), otherwise it builds
+the order, that the row operators it replaces would produce — probe rows
+in order, their matches in build order, a left join's NULL-padded row
+where an unmatched probe row sits — and feeds the index advisor the same
+probe statistics.  Plan *choice* stays identical too.  A band join
+follows the row planner's own rule: when a registered range-capable
+index covers probe columns of the inner table the kernel probes that
+index (:class:`~repro.engine.operators.joins.IndexProbeJoinOp`'s loop:
+candidates in the index's ``range_search`` order, every bound re-checked,
+the inner side's Select predicates folded into the residual, the index
+re-resolved per execution), otherwise it builds
 :class:`~repro.engine.operators.joins.RangeProbeJoinOp`'s transient grid.
 The compiler declines — with a reason, see :class:`KernelDecline` —
-whenever the interpreted planner would answer a Select from an index
-scan, whenever an expression is not provably batch-compilable, and for
-order-pathological shapes like duplicate aggregate output names.
+whenever the row planner would answer a Select from an index scan,
+whenever an expression is not provably batch-compilable, when a join side
+has no batch operator (e.g. a ``Fixpoint``), and for order-pathological
+shapes like duplicate aggregate output names.
 
 ``SharedScan`` leaves become kernel inputs served by the tick pipeline's
-shared materializations.  A :class:`KernelOp` is a batch operator like any
-other: the physical planner tries it first at every node of a batch tree,
-so it can be the root under a :class:`BatchBridgeOp` or a child of
-interpreted batch operators, and ``EffectSink`` fusion composes unchanged.
+shared materializations.  A :class:`KernelOp` is a batch operator: the
+root of a batch tree under a :class:`BatchBridgeOp` or an input of
+another kernel, and ``EffectSink`` fusion composes unchanged.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.engine.algebra import (
     Select,
     TableScan,
 )
+from repro.engine.aggregates import combine_values
 from repro.engine.batch import ColumnBatch
 from repro.engine.compile.exprgen import ExprGen, KernelDecline, SourceBuilder
 from repro.engine.errors import SchemaError
@@ -66,11 +69,7 @@ from repro.engine.expressions import (
     batch_supported,
     resolve_batch_column,
 )
-from repro.engine.operators.batch_ops import (
-    BatchOperator,
-    BatchTableScanOp,
-    _fold_values,
-)
+from repro.engine.operators.batch_ops import BatchOperator
 from repro.engine.operators.joins import band_probe_candidates
 from repro.engine.optimizer.mqo import SharedScan, fingerprint_plan
 from repro.engine.optimizer.physical import (
@@ -190,6 +189,13 @@ class _BandCore:
 
 
 @dataclass
+class _LoopCore:
+    left_filters: list[Expression]
+    right_filters: list[Expression]
+    residual: list[Expression]
+
+
+@dataclass
 class _Pipeline:
     core: Any
     stages: list[Any]
@@ -202,6 +208,8 @@ class _Pipeline:
     #: loop) instead of building the transient grid (RangeProbeJoinOp's):
     #: ``(inner table, index name, probe columns in the table's names)``.
     index_probe: tuple[Table, str, tuple[str, ...]] | None = None
+    #: A left join: an unmatched probe row emits one NULL-padded row.
+    outer: bool = False
 
 
 def _conjuncts_of(predicate: Expression) -> list[Expression]:
@@ -210,14 +218,18 @@ def _conjuncts_of(predicate: Expression) -> list[Expression]:
     return [predicate]
 
 
-def _strip_selects(plan: LogicalPlan) -> tuple[list[Select], LogicalPlan]:
-    """Peel a Select chain; returns (selects outermost-first, the base node)."""
+def _join_side(plan: LogicalPlan) -> tuple[list[Select], LogicalPlan]:
+    """Split a join side into the Select chain the kernel fuses (outermost
+    first) and the node it reads as an input: a chain over a leaf fuses,
+    any other side is one input."""
     selects: list[Select] = []
     node = plan
     while isinstance(node, Select):
         selects.append(node)
         node = node.child
-    return selects, node
+    if isinstance(node, (TableScan, SharedScan)):
+        return selects, node
+    return [], plan
 
 
 def _side_filters(selects: list[Select]) -> list[Expression]:
@@ -230,13 +242,12 @@ def _side_filters(selects: list[Select]) -> list[Expression]:
 
 
 def _decline_if_index_scan(planner: Any, selects: list[Select], leaf: LogicalPlan) -> None:
-    """Decline when the interpreted planner would index-scan this Select-over-scan.
+    """Decline when the row planner would index-scan this Select-over-scan.
 
-    Mirrors ``_lower_select`` / ``_lower_batch_node`` exactly: only the
-    Select node *directly* above a ``TableScan`` is eligible, and only
-    with ``use_indexes`` on.  When it matches, the interpreted path
-    produces rows in index order, so the kernel must decline to stay
-    equivalent.
+    Mirrors ``_lower_select`` exactly: only the Select node *directly*
+    above a ``TableScan`` is eligible, and only with ``use_indexes`` on.
+    When it matches, the row path produces rows in index order, so the
+    kernel must decline to stay equivalent.
     """
     if not planner.config.use_indexes or not selects or not isinstance(leaf, TableScan):
         return
@@ -244,22 +255,12 @@ def _decline_if_index_scan(planner: Any, selects: list[Select], leaf: LogicalPla
         raise KernelDecline("index scan preferred", "index-select")
 
 
-def _leaf_batch_op(leaf: LogicalPlan, planner: Any) -> BatchOperator:
-    """Build the batch source operator for a pipeline leaf."""
-    op: BatchOperator | None = None
-    if isinstance(leaf, TableScan):
-        if planner.catalog.has_table(leaf.table_name):
-            table = planner.catalog.table(leaf.table_name)
-            op = BatchTableScanOp(table, leaf.output_schema(planner.catalog), leaf.alias)
-    else:  # SharedScan
-        if planner.shared_lowering is not None:
-            op = planner.shared_lowering.batch_source(leaf)
-        if op is None:
-            # No shared materialization available: serve the consumer's own
-            # equivalent source subtree, like the interpreted fallback does.
-            op = planner._lower_batch(leaf.source)
+def _batch_input(node: LogicalPlan, planner: Any, reason: str) -> BatchOperator:
+    """The batch operator a kernel reads *node* through: a leaf source or
+    another kernel, as the planner lowers it."""
+    op = planner._lower_batch(node)
     if op is None:
-        raise KernelDecline("leaf has no batch source", "bare-leaf")
+        raise KernelDecline(f"no batch operator for {type(node).__name__}", reason)
     return op
 
 
@@ -282,15 +283,13 @@ def _analyze(plan: LogicalPlan, planner: Any) -> _Pipeline:
         stack.append(node)
         node = node.child
 
-    if isinstance(node, (TableScan, SharedScan)):
-        if isinstance(stack[-1], Select):
-            _decline_if_index_scan(planner, [stack[-1]], node)
-        leaf = _leaf_batch_op(node, planner)
-        pipeline = _Pipeline(_ScanCore(), [], [leaf], tuple(leaf.names), None, "", 1)
-    elif isinstance(node, Join):
+    if isinstance(node, Join):
         pipeline = _analyze_join(node, planner)
     else:
-        raise KernelDecline(type(node).__name__, "bare-leaf")
+        if isinstance(stack[-1], Select):
+            _decline_if_index_scan(planner, [stack[-1]], node)
+        leaf = _batch_input(node, planner, "bare-leaf")
+        pipeline = _Pipeline(_ScanCore(), [], [leaf], tuple(leaf.names), None, "", 1)
     pipeline.fused_nodes += len(stack)
 
     names = pipeline.out_names
@@ -334,25 +333,27 @@ def _analyze(plan: LogicalPlan, planner: Any) -> _Pipeline:
 
 
 def _analyze_join(join: Join, planner: Any) -> _Pipeline:
-    """The stage-less pipeline of a join core and its sides' Select chains."""
+    """The stage-less pipeline of a join core and its sides' Select chains.
+
+    The core follows the row planner's choice: equi keys make a hash join
+    (any ``how``), an inner band condition a range probe, and everything
+    else — no condition included — a nested loop.
+    """
     catalog = planner.catalog
-    if join.how != "inner" or join.condition is None:
-        raise KernelDecline(f"{join.how} join", "join-shape")
-    left_selects, left_leaf = _strip_selects(join.left)
-    right_selects, right_leaf = _strip_selects(join.right)
-    for leaf in (left_leaf, right_leaf):
-        if not isinstance(leaf, (TableScan, SharedScan)):
-            raise KernelDecline(f"join side over {type(leaf).__name__}", "join-shape")
-    conjuncts = _conjuncts_of(join.condition)
+    left_selects, left_leaf = _join_side(join.left)
+    right_selects, right_leaf = _join_side(join.right)
+    conjuncts = [] if join.condition is None else _conjuncts_of(join.condition)
     left_schema = join.left.output_schema(catalog)
     right_schema = join.right.output_schema(catalog)
     equi = _extract_equi_keys(conjuncts, left_schema, right_schema)
-    probe = None if equi else _extract_range_probe(conjuncts, left_schema, right_schema)
-    if not equi and not probe:
-        raise KernelDecline("neither equi nor band", "join-shape")
-    # The interpreted planner's band-join rule: a registered index covering
-    # probe columns is probed (the inner side's own operator tree, index
-    # scans included, is bypassed); otherwise the transient grid.
+    probe = (
+        None
+        if equi or join.how != "inner"
+        else _extract_range_probe(conjuncts, left_schema, right_schema)
+    )
+    # The row planner's band-join rule: a registered index covering probe
+    # columns is probed (the inner side's own operator tree, index scans
+    # included, is bypassed); otherwise the transient grid.
     matched = (
         match_band_index(catalog, join.right, probe[0])
         if probe and planner.config.use_indexes
@@ -361,8 +362,8 @@ def _analyze_join(join: Join, planner: Any) -> _Pipeline:
     _decline_if_index_scan(planner, left_selects, left_leaf)
     if matched is None:
         _decline_if_index_scan(planner, right_selects, right_leaf)
-    left_op = _leaf_batch_op(left_leaf, planner)
-    right_op = _leaf_batch_op(right_leaf, planner)
+    left_op = _batch_input(left_leaf, planner, "join-shape")
+    right_op = _batch_input(right_leaf, planner, "join-shape")
     left_names = tuple(left_op.names)
     right_names = tuple(right_op.names)
     combined = left_names + right_names
@@ -377,6 +378,10 @@ def _analyze_join(join: Join, planner: Any) -> _Pipeline:
         _require_batch(left_keys, left_names)
         _require_batch(right_keys, right_names)
         core: Any = _EquiCore(left_filters, right_filters, left_keys, right_keys, residual)
+    elif not probe:
+        residual = conjuncts
+        _require_batch(right_filters, right_names)
+        core = _LoopCore(left_filters, right_filters, residual)
     else:
         dimensions, residual = probe
         for column, low, high in dimensions:
@@ -402,7 +407,9 @@ def _analyze_join(join: Join, planner: Any) -> _Pipeline:
         hook = planner.band_hook(join.right, dimensions)
     _require_batch(residual, combined)
     fused = 1 + len(left_selects) + len(right_selects)
-    return _Pipeline(core, [], [left_op, right_op], combined, hook, "", fused, index_probe)
+    return _Pipeline(
+        core, [], [left_op, right_op], combined, hook, "", fused, index_probe, join.how == "left"
+    )
 
 
 def _signature(pipeline: _Pipeline) -> str:
@@ -413,11 +420,11 @@ def _signature(pipeline: _Pipeline) -> str:
     instance's* evaluation and probe order, so two fingerprint-equal plans
     with different in-memory shapes must not share a kernel.
     """
-    parts: list[str] = [type(pipeline.core).__name__]
+    parts: list[str] = [type(pipeline.core).__name__ + ("+outer" if pipeline.outer else "")]
     for op in pipeline.leaf_ops:
         parts.append(",".join(op.names))
     core = pipeline.core
-    if isinstance(core, (_EquiCore, _BandCore)):
+    if isinstance(core, (_EquiCore, _BandCore, _LoopCore)):
         parts.append(";".join(repr(e) for e in core.left_filters))
         parts.append(";".join(repr(e) for e in core.right_filters))
         parts.append(";".join(repr(e) for e in core.residual))
@@ -552,9 +559,42 @@ class _LocalCtx:
 # -- code generation -------------------------------------------------------------------------
 
 #: Aggregates folded with inline running state; everything else gathers
-#: the group's values and defers to ``_fold_values`` (exact batch-path
+#: the group's values and defers to ``_fold_values`` (exact row-path
 #: semantics either way).
 _INLINE_AGGS = ("count", "sum", "min", "max")
+
+
+def _fold_values(func: str, values: Sequence[Any]) -> Any:
+    """Combine one group's values in a single pass.
+
+    Semantics match :class:`repro.engine.aggregates.Accumulator` exactly —
+    ``None`` values are skipped, each function's identity is returned for an
+    all-null group — but the hot combinators avoid per-value method
+    dispatch.  Exotic combinators fall back to
+    :func:`repro.engine.aggregates.combine_values`.
+    """
+    if func == "count":
+        return sum(1 for v in values if v is not None)
+    if func == "sum":
+        acc = None
+        for v in values:
+            if v is not None:
+                acc = v if acc is None else acc + v
+        return 0 if acc is None else acc
+    if func == "min":
+        present = [v for v in values if v is not None]
+        return min(present) if present else None
+    if func == "max":
+        present = [v for v in values if v is not None]
+        return max(present) if present else None
+    if func == "avg":
+        present = [v for v in values if v is not None]
+        return sum(present) / len(present) if present else None
+    if func == "any":
+        return any(bool(v) for v in values if v is not None)
+    if func == "all":
+        return all(bool(v) for v in values if v is not None)
+    return combine_values(func, values)
 
 
 class _Codegen:
@@ -586,13 +626,17 @@ class _Codegen:
         if var is None:
             var = self.b.temp("_col")
             self._col_cache[key] = var
-            self.head_line(f"{var} = _in{input_idx}.columns[{name!r}]")
+            source = f"_in{input_idx}.columns[{name!r}]"
+            if input_idx == 1 and self.p.outer:
+                # A left join's padded row reads position -1: a trailing NULL.
+                source = f"[*{source}, None]"
+            self.head_line(f"{var} = {source}")
         return var
 
     def gen(self, ctx: Any) -> ExprGen:
         def resolver(node: Any) -> str:
             if isinstance(node, Variable):
-                # Variables bind by exact key only (compile_batch semantics).
+                # Variables bind by exact key only (batch_supported semantics).
                 if node.name not in ctx.names:
                     raise KernelDecline(node.name)
                 return ctx.fragment(node.name)
@@ -620,6 +664,8 @@ class _Codegen:
             return self._emit_scan_core()
         if isinstance(core, _EquiCore):
             return self._emit_equi_core(core)
+        if isinstance(core, _LoopCore):
+            return self._emit_loop_core(core)
         return self._emit_band_core(core)
 
     def _emit_scan_core(self) -> _ZipRowCtx:
@@ -685,20 +731,58 @@ class _Codegen:
         for key in core.left_keys:
             var = self.b.temp("_q")
             self.line(f"{var} = {lgen.value(key)}")
-            self.line(f"if {var} is None: continue")
+            if not self.p.outer:
+                self.line(f"if {var} is None: continue")
             probe_vars.append(var)
         probe_tuple = "(" + ", ".join(probe_vars) + ("," if len(probe_vars) == 1 else "") + ")"
         matches = self.b.temp("_m")
-        self.line(f"{matches} = {bget}({probe_tuple})")
-        self.line(f"if {matches} is None: continue")
-        self.line(f"for _j in {matches}:")
+        if self.p.outer:
+            # A NULL key matches nothing; the probe row is still padded.
+            present = " and ".join(f"{var} is not None" for var in probe_vars)
+            self.line(f"{matches} = {bget}({probe_tuple}) if {present} else None")
+        else:
+            self.line(f"{matches} = {bget}({probe_tuple})")
+            self.line(f"if {matches} is None: continue")
+        return self._emit_matches(matches, _PairCtx(left_ctx, right_ctx), core.residual)
+
+    def _emit_loop_core(self, core: _LoopCore) -> _PairCtx:
+        """NestedLoopJoinOp's loop: every probe row against the right
+        side's surviving rows, in order."""
+        left_ctx = _BatchCtx(tuple(self.p.leaf_ops[0].names), 0, "_i", self)
+        right_ctx = _BatchCtx(tuple(self.p.leaf_ops[1].names), 1, "_j", self)
+        rsel = self._emit_side_selection(right_ctx, core.right_filters)
+        self.line("for _i in _in0.indices():")
         self.indent += 1
-        pair = _PairCtx(left_ctx, right_ctx)
-        self.emit_filters(pair, core.residual)
+        self.emit_filters(left_ctx, core.left_filters)
+        return self._emit_matches(rsel, _PairCtx(left_ctx, right_ctx), core.residual)
+
+    def _emit_matches(
+        self, candidates: str, pair: _PairCtx, residual: list[Expression]
+    ) -> _PairCtx:
+        """Loop ``_j`` over the right rows among *candidates* (``None`` for
+        none) that pass the residual, in order; a left join's probe row
+        with no such row gets the single padded position -1."""
+        if not self.p.outer:
+            self.line(f"for _j in {candidates}:")
+            self.indent += 1
+            self.emit_filters(pair, residual)
+            return pair
+        if residual:
+            kept = self.b.temp("_mk")
+            self.line(f"{kept} = []")
+            self.line(f"for _j in {candidates} or ():")
+            base = self.indent
+            self.indent += 1
+            self.emit_filters(pair, residual)
+            self.line(f"{kept}.append(_j)")
+            self.indent = base
+            candidates = kept
+        self.line(f"for _j in {candidates} or _PAD:")
+        self.indent += 1
         return pair
 
     def _emit_side_selection(self, ctx: _BatchCtx, filters: list[Expression]) -> str:
-        """Bind a band-join side's surviving indices (its Select chain applied)."""
+        """Bind a join side's surviving indices (its Select chain applied)."""
         sel = self.b.temp("_sel")
         source = f"_in{ctx.input_idx}.indices()"
         if not filters:
@@ -930,9 +1014,8 @@ class _Codegen:
         # When every argument-taking aggregate reads the same value, gather
         # it into one per-group list (a single dict op + append per row —
         # the cheapest possible accumulation) and fold at C speed in the
-        # epilogue.  This is the interpreted batch aggregate's own
-        # gather-then-fold algorithm minus its per-spec overhead, so
-        # equivalence is structural.
+        # epilogue.  Every spec folds the same gathered values the row
+        # path's accumulators see, so equivalence is structural.
         arg_frags = {v for spec, (v, _) in zip(stage.aggregates, values) if spec.argument is not None}
         if len(arg_frags) == 1:
             return self._emit_gather_aggregate(stage, ctx, values, arg_frags.pop())
@@ -1052,9 +1135,8 @@ class _Codegen:
 
         Applicable when all argument-taking aggregates read the same value;
         the gathered list then serves every spec — ``len`` for row counts,
-        C-speed ``sum``/``min``/``max`` for proven-non-None inputs, and the
-        interpreted path's own ``_fold`` for everything else (which makes
-        the fold semantics equal by construction).
+        C-speed ``sum``/``min``/``max`` for proven-non-None inputs, and
+        ``_fold`` for everything else (the accumulators' semantics).
         """
         grouped = bool(stage.group_columns)
         lst = self.b.temp("_ls")
@@ -1163,6 +1245,7 @@ class _Codegen:
         env = dict(self.b.env)
         env["_ColumnBatch"] = ColumnBatch
         env["_fold"] = _fold_values
+        env["_PAD"] = (-1,)
         env["_scan_cols"] = _scan_columns
         env["__names"] = tuple(self.p.out_names)
         exec(compile(source, "<repro-kernel>", "exec"), env)
@@ -1182,18 +1265,18 @@ class _Codegen:
 class KernelLowering:
     """The planner-side hook that serves fused kernels during lowering.
 
-    Installed on :class:`PhysicalPlanner` (``kernel_lowering`` attribute)
-    by the executor when compilation is enabled; :meth:`lower` is offered
-    every Select/Project/Aggregate/Join the planner lowers to batch form
-    and returns a :class:`KernelOp`, or ``None`` to continue with the
-    interpreted operators.  Programs are cached in the executor-owned
-    ``cache`` dict, keyed by the MQO fingerprint plus the structural
-    signature, and dropped with the plan cache on catalog-shape changes.
+    Built by :class:`PhysicalPlanner` (its ``kernel_lowering`` attribute)
+    whenever ``use_batch`` is on; :meth:`lower` is offered every
+    Select/Project/Aggregate/Join the planner lowers and returns a
+    :class:`KernelOp`, or ``None`` to run the node on the row operators.
+    Programs are cached in ``cache`` — the executor passes the dict it
+    owns — keyed by the MQO fingerprint plus the structural signature,
+    and dropped with the plan cache on catalog-shape changes.
 
     A plan outside the fusable grammar is a *decline*, counted by reason.
     Anything else that goes wrong in analysis or codegen also falls back
-    to the interpreted operators, but is counted as an *error*: it is a
-    compiler bug, not an unfusable plan.
+    to the row operators, but is counted as an *error*: it is a compiler
+    bug, not an unfusable plan.
     """
 
     def __init__(self, cache: dict[Any, KernelProgram] | None = None):

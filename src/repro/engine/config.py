@@ -1,18 +1,18 @@
 """Engine configuration: one frozen object instead of scattered boolean flags.
 
-Every optional engine path (batch operators, incremental views, shared
-subplans, index plans, the index advisor, kernel compilation, semi-naive
-fixpoints) is switched by one :class:`EngineConfig`, passed as ``config=``
+Every optional engine path (compiled columnar kernels, incremental views,
+shared subplans, index plans, the index advisor, semi-naive fixpoints) is
+switched by one :class:`EngineConfig`, passed as ``config=``
 to :class:`GameWorld`, the executor, the planner and every
 ``build_*_world`` constructor.  ``config=None`` means
 :meth:`EngineConfig.from_env`.
 
-Named presets (:meth:`EngineConfig.fastest`, :meth:`EngineConfig.reference`,
-:meth:`EngineConfig.debug`) capture the three configurations benchmarks and
-bug reports actually use, and ``REPRO_ENGINE_PRESET`` selects one from the
-environment so CI can run the whole suite under e.g. the fully compiled
-configuration.  To change a few switches on top of the environment's preset,
-write ``EngineConfig.from_env().replace(...)``.
+Named presets (:meth:`EngineConfig.reference`, :meth:`EngineConfig.debug`,
+and :meth:`EngineConfig.fastest`, which is the default) capture the
+configurations benchmarks and bug reports actually use, and
+``REPRO_ENGINE_PRESET`` selects one from the environment so CI can run the
+whole suite under another configuration.  To change a few switches on top
+of the environment's preset, write ``EngineConfig.from_env().replace(...)``.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ _PRESET_ENV_VAR = "REPRO_ENGINE_PRESET"
 class EngineConfig:
     """Immutable switchboard for every optional engine path.
 
-    ``use_batch``       lower fusable plans onto the columnar batch operators.
+    ``use_batch``       lower fusable plans to compiled columnar kernels
+                        (:mod:`repro.engine.compile.kernels`); ``False``
+                        runs every plan on the row operators.
     ``use_incremental`` maintain delta-incremental views for standing queries.
     ``use_mqo``         share common subplans across the tick's query set.
     ``use_indexes``     let the physical planner pick index scans/probes.
     ``auto_index``      run the index advisor (create/evict grid indexes).
-    ``use_compiled``    compile fusable pipelines into per-plan Python
-                        kernels (implies the batch layout; ignored when
-                        ``use_batch`` is off).
     ``use_fixpoint``    evaluate recursive Fixpoint plans semi-naive (each
                         round joins only the previous round's delta);
                         ``False`` runs the naive reference loop over the
@@ -52,7 +51,6 @@ class EngineConfig:
     use_mqo: bool = True
     use_indexes: bool = True
     auto_index: bool = True
-    use_compiled: bool = False
     use_fixpoint: bool = True
     index_create_after: int = 3
     index_evict_after: int = 30
@@ -61,8 +59,8 @@ class EngineConfig:
 
     @classmethod
     def fastest(cls) -> "EngineConfig":
-        """Every optimization on, including kernel compilation."""
-        return cls(use_compiled=True)
+        """The default config under the name the e2e harness uses."""
+        return cls()
 
     @classmethod
     def reference(cls) -> "EngineConfig":
@@ -73,16 +71,15 @@ class EngineConfig:
             use_mqo=False,
             use_indexes=False,
             auto_index=False,
-            use_compiled=False,
             use_fixpoint=False,
         )
 
     @classmethod
     def debug(cls) -> "EngineConfig":
-        """Deterministic single-query plans: compilation, sharing and the
-        self-tuning advisor off, so every query keeps its own inspectable
-        operator tree."""
-        return cls(use_mqo=False, auto_index=False, use_compiled=False)
+        """Deterministic single-query plans: sharing and the self-tuning
+        advisor off, so every query keeps its own inspectable operator
+        tree."""
+        return cls(use_mqo=False, auto_index=False)
 
     @classmethod
     def from_env(cls) -> "EngineConfig":

@@ -252,17 +252,14 @@ class Executor:
         self.catalog = catalog
         self.config = config
         self.index_advisor = index_advisor
-        self.planner = Planner(catalog, config, index_advisor=index_advisor)
-        self.use_incremental = config.use_incremental
         #: Compiled kernel programs, keyed by MQO fingerprint + structural
         #: signature; owned here so catalog-shape invalidation drops them
         #: together with the cached plans that reference them.
         self._kernels: dict[Any, Any] = {}
-        if config.use_compiled and config.use_batch:
-            self._kernel_lowering = KernelLowering(self._kernels)
-            self.planner.physical_planner.kernel_lowering = self._kernel_lowering
-        else:
-            self._kernel_lowering = None
+        self.planner = Planner(
+            catalog, config, index_advisor=index_advisor, kernel_cache=self._kernels
+        )
+        self.use_incremental = config.use_incremental
         self._cache: dict[int, _CachedPlan] = {}
         #: ``id(plan) -> (plan, view)``.  The plan reference is load-bearing:
         #: it pins the id so a garbage-collected plan can never hand its id
@@ -340,14 +337,14 @@ class Executor:
         self._shared_results.clear()
 
     def kernel_report(self) -> dict[str, Any]:
-        """Kernel-compilation counters (all zero when compilation is off).
+        """Kernel-compilation counters (all zero without ``use_batch``).
 
         ``declined`` counts plans outside the fusable grammar and is the
         sum of ``declined_by_reason``; ``errors`` counts analysis/codegen
         failures that were *not* a decline — compiler bugs that fell back
-        to the interpreted operators.
+        to the row operators.
         """
-        lowering = self._kernel_lowering or KernelLowering()
+        lowering = self.planner.physical_planner.kernel_lowering or KernelLowering()
         return {
             "compiled": lowering.compiled,
             "hits": lowering.hits,

@@ -34,10 +34,8 @@ __all__ = [
     "lit",
     "var",
     "and_all",
-    "BatchCompileError",
     "resolve_batch_column",
     "batch_supported",
-    "compile_batch",
 ]
 
 
@@ -565,27 +563,15 @@ def and_all(predicates: Iterable[Expression]) -> Expression:
     return out
 
 
-# -- compiled batch evaluation -------------------------------------------------------
+# -- batch (columnar) name resolution ------------------------------------------------
 #
-# The vectorized execution path (see :mod:`repro.engine.batch`) evaluates
-# expressions over *columns* (parallel value lists indexed by a physical row
-# index) instead of row dicts.  ``compile_batch`` translates an expression
-# tree, once per operator execution, into a tree of small Python closures
-# ``f(i) -> value``: column references become direct list indexing, literals
-# become constants, and interior nodes close over their children's compiled
-# forms.  This removes both the per-row dict materialization and the
-# per-row ``Expression.evaluate`` dispatch from the hot loop; a batch filter
-# is then just ``[i for i in selection if predicate(i)]``.
-#
-# Name resolution happens at compile time against the batch's column names
-# (mirroring :meth:`ColumnRef.evaluate`'s qualified/unqualified fallback),
-# so the planner can prove at *plan* time — via :func:`batch_supported` —
-# that compilation cannot fail at runtime, and fall back to the row path
-# otherwise.
-
-
-class BatchCompileError(ExpressionError):
-    """An expression cannot be compiled for batch execution."""
+# Compiled kernels (:mod:`repro.engine.compile.kernels`) read expressions
+# over *columns* (parallel value lists indexed by a physical row index)
+# instead of row dicts.  Name resolution happens at plan time against the
+# batch's column names (mirroring :meth:`ColumnRef.evaluate`'s
+# qualified/unqualified fallback), so the kernel compiler can prove — via
+# :func:`batch_supported` — that generated code cannot fail to resolve a
+# column at runtime, and decline otherwise.
 
 
 def resolve_batch_column(name: str, names: Sequence[str]) -> str | None:
@@ -608,13 +594,14 @@ def batch_supported(
     names: Sequence[str],
     context: Mapping[str, Any] | None = None,
 ) -> bool:
-    """Whether :func:`compile_batch` is guaranteed to succeed for *expr*
-    over a batch with the given column *names* and optional *context*.
+    """Whether every column of *expr* resolves over a batch with the given
+    column *names* and optional *context*.
 
-    The planner calls this before choosing the batch path so that every
-    plan-time decision is safe: an unresolvable or ambiguous column simply
-    keeps the query on the row-at-a-time path (which will raise the same
-    error the user would have seen anyway, or resolve it via the context).
+    The kernel compiler calls this before committing to the batch path so
+    that every plan-time decision is safe: an unresolvable or ambiguous
+    column simply keeps the query on the row-at-a-time path (which will
+    raise the same error the user would have seen anyway, or resolve it
+    via the context).
     """
     if isinstance(expr, Literal):
         return True
@@ -630,84 +617,3 @@ def batch_supported(
     if isinstance(expr, (UnaryOp, BinaryOp, FunctionCall, Conditional, SetLiteral)):
         return all(batch_supported(child, names, context) for child in expr.children())
     return False
-
-
-def compile_batch(
-    expr: Expression,
-    columns: Mapping[str, Sequence[Any]],
-    context: Mapping[str, Any] | None = None,
-) -> Callable[[int], Any]:
-    """Compile *expr* into a per-index evaluator over *columns*.
-
-    ``columns`` maps column name → an indexable of values (a plain list, or
-    an :class:`~repro.engine.batch.IndirectColumn` inside joins).  The
-    returned callable takes a physical row index and returns the
-    expression's value, with semantics identical to
-    :meth:`Expression.evaluate` on the corresponding row dict.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda i: value
-    if isinstance(expr, ColumnRef):
-        resolved = resolve_batch_column(expr.name, tuple(columns))
-        if resolved is not None:
-            return columns[resolved].__getitem__
-        if context is not None and expr.name in context:
-            value = context[expr.name]
-            return lambda i: value
-        raise BatchCompileError(f"unknown column {expr.name!r} in batch {list(columns)[:8]}")
-    if isinstance(expr, Variable):
-        if context is not None and expr.name in context:
-            value = context[expr.name]
-            return lambda i: value
-        if expr.name in columns:
-            return columns[expr.name].__getitem__
-        raise BatchCompileError(f"unbound variable {expr.name!r}")
-    if isinstance(expr, BinaryOp):
-        left = compile_batch(expr.left, columns, context)
-        right = compile_batch(expr.right, columns, context)
-        op = expr.op
-        if op == "&&":
-            return lambda i: bool(left(i)) and bool(right(i))
-        if op == "||":
-            return lambda i: bool(left(i)) or bool(right(i))
-        fn = _BINARY_OPS[op]
-
-        def binary(i: int, fn=fn, left=left, right=right, op=op) -> Any:
-            lhs = left(i)
-            rhs = right(i)
-            try:
-                return fn(lhs, rhs)
-            except TypeError as exc:
-                raise ExpressionError(f"cannot apply {op!r} to {lhs!r} and {rhs!r}") from exc
-
-        return binary
-    if isinstance(expr, UnaryOp):
-        operand = compile_batch(expr.operand, columns, context)
-        fn = _UNARY_OPS[expr.op]
-        return lambda i: fn(operand(i))
-    if isinstance(expr, FunctionCall):
-        compiled_args = [compile_batch(a, columns, context) for a in expr.args]
-        fn = _FUNCTIONS[expr.name]
-        null_passthrough = expr.name not in _NULL_TOLERANT_FUNCTIONS
-        name = expr.name
-
-        def call(i: int) -> Any:
-            values = [g(i) for g in compiled_args]
-            if null_passthrough and any(v is None for v in values):
-                return None
-            try:
-                return fn(*values)
-            except (TypeError, ValueError) as exc:
-                raise ExpressionError(f"error calling {name}({values})") from exc
-
-        return call
-    if isinstance(expr, Conditional):
-        condition = compile_batch(expr.condition, columns, context)
-        if_true = compile_batch(expr.if_true, columns, context)
-        if_false = compile_batch(expr.if_false, columns, context)
-        return lambda i: if_true(i) if condition(i) else if_false(i)
-    if isinstance(expr, SetLiteral):
-        elements = [compile_batch(e, columns, context) for e in expr.elements]
-        return lambda i: frozenset(e(i) for e in elements)
-    raise BatchCompileError(f"cannot batch-compile {type(expr).__name__}")

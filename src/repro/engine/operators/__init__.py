@@ -1,15 +1,11 @@
-"""Physical query operators: the row iterator model and the batch path."""
+"""Physical query operators: the row iterator model and the batch leaves
+and bridge that compiled kernels plug into."""
 
 from repro.engine.operators.aggregate import HashAggregateOp
 from repro.engine.operators.base import PhysicalOperator
 from repro.engine.operators.batch_ops import (
-    BatchAggregateOp,
     BatchBridgeOp,
-    BatchFilterOp,
-    BatchHashJoinOp,
-    BatchNestedLoopJoinOp,
     BatchOperator,
-    BatchProjectOp,
     BatchTableScanOp,
     BatchValuesOp,
 )
@@ -71,11 +67,6 @@ __all__ = [
     "BatchOperator",
     "BatchTableScanOp",
     "BatchValuesOp",
-    "BatchFilterOp",
-    "BatchProjectOp",
-    "BatchHashJoinOp",
-    "BatchNestedLoopJoinOp",
-    "BatchAggregateOp",
     "BatchBridgeOp",
     "MaterializedSourceOp",
     "BatchSharedSourceOp",

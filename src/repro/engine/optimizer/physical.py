@@ -2,25 +2,20 @@
 
 The physical planner chooses operator implementations:
 
-* a maximal batch-capable subtree (scans, filters, projections, hash and
-  nested-loop joins, aggregation with compilable expressions) lowers to
-  the columnar batch path (:mod:`repro.engine.operators.batch_ops`),
-  bridged back to row dicts at its root by :class:`BatchBridgeOp`; with
-  kernel compilation on, every node of that subtree is first offered to
-  the kernel compiler, so a fused kernel is just another batch operator —
-  the root of the subtree or a child of interpreted batch operators,
+* with ``use_batch`` on, every node is first offered to the kernel
+  compiler (:mod:`repro.engine.compile.kernels`): a fused kernel — over
+  leaf batch sources (:mod:`repro.engine.operators.batch_ops`) or other
+  kernels — is bridged back to row dicts by :class:`BatchBridgeOp`,
 * selections directly above a base-table scan use an index
   (:class:`IndexRangeScanOp`) when one covers the predicate's constant
   bounds, re-checking the predicate as a filter — index scans win over
-  the batch path because they skip rows entirely,
+  kernels because they skip rows entirely,
 * joins become hash joins (equi conjuncts), band joins (the Figure 2
   "units within range" shape: :class:`IndexProbeJoinOp` when a registered
   index covers the inner side, else :class:`RangeProbeJoinOp`), or
-  nested-loop joins, which also serve condition-less cross products; a
-  band join is columnar only as a compiled kernel — interpreted, the
-  grid-accelerated row operators beat a batch nested loop,
-* everything else lowers one-to-one on the row path, with children again
-  free to choose the batch path below.
+  nested-loop joins, which also serve condition-less cross products,
+* everything no kernel takes lowers one-to-one on the row path, with
+  children again free to become kernels below.
 """
 
 from __future__ import annotations
@@ -52,17 +47,10 @@ from repro.engine.expressions import (
     Expression,
     Literal,
     and_all,
-    batch_supported,
-    resolve_batch_column,
 )
 from repro.engine.operators import (
-    BatchAggregateOp,
     BatchBridgeOp,
-    BatchFilterOp,
-    BatchHashJoinOp,
-    BatchNestedLoopJoinOp,
     BatchOperator,
-    BatchProjectOp,
     BatchTableScanOp,
     BatchValuesOp,
     ExchangeOp,
@@ -87,7 +75,6 @@ from repro.engine.operators.fixpoint import (
     _DeltaVariant,
 )
 from repro.engine.schema import Schema
-from repro.engine.table import Table
 
 __all__ = ["PhysicalPlanner", "inner_scan_info", "match_band_index"]
 
@@ -139,8 +126,9 @@ class PhysicalPlanner:
     """Translates optimized logical plans into executable operator trees.
 
     Reads four switches of its :class:`~repro.engine.config.EngineConfig`:
-    ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
-    forces row-at-a-time plans (the oracle of the equivalence tests);
+    ``use_indexes=False`` forces pure scan plans; ``use_batch`` lowers
+    fusable plans to compiled kernels, ``False`` forces row-at-a-time
+    plans (the oracle of the equivalence tests);
     ``use_fixpoint=False`` lowers Fixpoint nodes to the naive reference
     loop (full accumulator every round); and with ``use_fixpoint`` on,
     ``use_incremental`` lowers per-table delta variants of fixpoint steps
@@ -150,6 +138,8 @@ class PhysicalPlanner:
     :class:`~repro.engine.optimizer.adaptive.IndexAdvisor`) receives
     execution-time probe statistics from lowered band joins so it can
     create indexes for join columns that stay hot across ticks.
+    ``kernel_cache`` is the dict compiled kernel programs are kept in; the
+    executor passes the one it clears when plans go stale.
     """
 
     def __init__(
@@ -158,6 +148,7 @@ class PhysicalPlanner:
         config: EngineConfig,
         *,
         index_advisor: Any = None,
+        kernel_cache: dict[Any, Any] | None = None,
     ):
         self.catalog = catalog
         self.config = config
@@ -172,13 +163,15 @@ class PhysicalPlanner:
         #: pipeline lowering — SharedScan then falls back to lowering its
         #: own source subtree, which is always correct.
         self.shared_lowering: Any = None
-        #: Set by the executor when kernel compilation is enabled: an
-        #: object with ``lower(plan, planner)`` returning a fused-kernel
-        #: batch operator for fusable pipelines, or ``None`` to continue
-        #: with the interpreted batch operators.  Consulted at every node
-        #: :meth:`_lower_batch` visits, so unfusable roots still get fused
-        #: subtrees.
+        #: The kernel compiler (``None`` without ``use_batch``), consulted
+        #: at every node :meth:`_lower_batch` visits, so unfusable roots
+        #: still get fused subtrees.
         self.kernel_lowering: Any = None
+        if config.use_batch:
+            # Deferred: the kernel compiler imports this module's helpers.
+            from repro.engine.compile.kernels import KernelLowering
+
+            self.kernel_lowering = KernelLowering(kernel_cache)
         #: ``id(plan) -> (plan, batch operator | None)`` for the nodes
         #: :meth:`_lower_batch` already visited during the outermost
         #: :meth:`lower` call in progress.  A node whose ancestor failed to
@@ -278,9 +271,9 @@ class PhysicalPlanner:
         """Find an index covering the predicate's constant bounds, if any.
 
         Pure decision, no operator construction — shared by the row path
-        (:meth:`_try_index_scan`) and the batch path and kernel compiler
-        (which *decline* when an index applies, since an index scan skips
-        rows entirely).
+        (:meth:`_try_index_scan`) and the kernel compiler (which
+        *declines* when an index applies, since an index scan skips rows
+        entirely).
         Returns ``(index_name, per-column (low, high) bounds)``.
         """
         table = self.catalog.table(table_name)
@@ -441,41 +434,25 @@ class PhysicalPlanner:
     # -- batch (columnar) lowering ----------------------------------------------------
 
     def _lower_batch(self, plan: LogicalPlan) -> BatchOperator | None:
-        """Lower *plan* to a batch operator tree, or ``None`` to stay on rows.
-
-        A fused kernel wins where the kernel compiler accepts the subtree;
-        otherwise the node lowers to its interpreted batch operator over
-        children lowered the same way.
-        """
+        """Lower *plan* to a kernel or a leaf batch source, or ``None`` to
+        stay on rows."""
         memo = self._batch_memo.get(id(plan))
         if memo is not None and memo[0] is plan:
             return memo[1]
-        op = None
-        if self.kernel_lowering is not None:
-            op = self.kernel_lowering.lower(plan, self)
-        if op is None:
-            op = self._lower_batch_node(plan)
+        op = self.kernel_lowering.lower(plan, self) or self._batch_source(plan)
         self._batch_memo[id(plan)] = (plan, op)
         return op
 
-    def _lower_batch_node(self, plan: LogicalPlan) -> BatchOperator | None:
-        """The interpreted batch operator for *plan*'s root node.
-
-        The decision is made entirely at plan time: every expression is
-        checked with :func:`batch_supported` against the child's *batch*
-        column names (which equal the row dicts' keys), so a chosen batch
-        plan cannot fail to compile at runtime.  Nodes that decline —
-        index-friendly selections, range-probe joins no kernel took,
-        unions — put their ancestors on the row path, while their children
-        may still batch independently via :meth:`lower`.
-        """
+    def _batch_source(self, plan: LogicalPlan) -> BatchOperator | None:
+        """The batch operator reading a leaf: a base table, in-plan values,
+        or a tick-shared materialization."""
         if isinstance(plan, SharedScan):
             if self.shared_lowering is not None:
                 source = self.shared_lowering.batch_source(plan)
                 if source is not None:
                     return source
             return self._lower_batch(plan.source)
-        if isinstance(plan, TableScan):
+        if isinstance(plan, TableScan) and self.catalog.has_table(plan.table_name):
             table = self.catalog.table(plan.table_name)
             return BatchTableScanOp(table, plan.output_schema(self.catalog), plan.alias)
         if isinstance(plan, Values):
@@ -483,88 +460,7 @@ class PhysicalPlanner:
             wanted = set(schema.names)
             if all(set(row) == wanted for row in plan.rows):
                 return BatchValuesOp(schema, plan.rows)
-            return None
-        if isinstance(plan, Select):
-            # An index scan skips rows entirely; prefer it over batching.
-            if self.config.use_indexes and isinstance(plan.child, TableScan):
-                if self._match_index(plan.child.table_name, plan.predicate) is not None:
-                    return None
-            child = self._lower_batch(plan.child)
-            if child is None or not batch_supported(plan.predicate, child.names):
-                return None
-            return BatchFilterOp(child, plan.predicate)
-        if isinstance(plan, Project):
-            child = self._lower_batch(plan.child)
-            if child is None:
-                return None
-            if not all(batch_supported(e, child.names) for _, e in plan.projections):
-                return None
-            return BatchProjectOp(child, plan.projections, plan.output_schema(self.catalog))
-        if isinstance(plan, Join):
-            return self._lower_batch_join(plan)
-        if isinstance(plan, Aggregate):
-            return self._lower_batch_aggregate(plan)
         return None
-
-    def _lower_batch_join(self, plan: Join) -> BatchOperator | None:
-        left = self._lower_batch(plan.left)
-        right = self._lower_batch(plan.right)
-        if left is None or right is None:
-            return None
-        schema = plan.output_schema(self.catalog)
-        if plan.condition is None:
-            return BatchNestedLoopJoinOp(left, right, None, schema, how=plan.how if plan.how == "left" else "inner")
-        left_schema = plan.left.output_schema(self.catalog)
-        right_schema = plan.right.output_schema(self.catalog)
-        conjuncts = (
-            plan.condition.conjuncts()
-            if isinstance(plan.condition, BinaryOp)
-            else [plan.condition]
-        )
-        combined_names = left.names + right.names
-        equi = _extract_equi_keys(conjuncts, left_schema, right_schema)
-        if equi:
-            left_keys, right_keys, residual_conjuncts = equi
-            if not all(batch_supported(k, left.names) for k in left_keys):
-                return None
-            if not all(batch_supported(k, right.names) for k in right_keys):
-                return None
-            residual = and_all(residual_conjuncts) if residual_conjuncts else None
-            if residual is not None and not batch_supported(residual, combined_names):
-                return None
-            return BatchHashJoinOp(
-                left, right, left_keys, right_keys, schema, residual=residual, how=plan.how
-            )
-        if plan.how == "inner" and _extract_range_probe(conjuncts, left_schema, right_schema):
-            # Interpreted, the grid/index-probing row operators beat a
-            # batch nested loop on the Figure-2 band-join shape.
-            return None
-        if not batch_supported(plan.condition, combined_names):
-            return None
-        return BatchNestedLoopJoinOp(left, right, plan.condition, schema, how=plan.how)
-
-    def _lower_batch_aggregate(self, plan: Aggregate) -> BatchOperator | None:
-        child = self._lower_batch(plan.child)
-        if child is None:
-            return None
-        try:
-            child_schema = plan.child.output_schema(self.catalog)
-            resolved = [child_schema.resolve(g) for g in plan.group_by]
-        except SchemaError:
-            return None
-        group_columns = []
-        for name in resolved:
-            batch_name = resolve_batch_column(name, child.names)
-            if batch_name is None:
-                return None
-            group_columns.append(batch_name)
-        for spec in plan.aggregates:
-            if spec.argument is not None and not batch_supported(spec.argument, child.names):
-                return None
-        return BatchAggregateOp(
-            child, plan.group_by, group_columns, plan.aggregates, plan.output_schema(self.catalog)
-        )
-
 
     # -- fixpoint (recursive) lowering -------------------------------------------------
 

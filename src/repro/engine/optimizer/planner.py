@@ -63,9 +63,9 @@ class Planner:
     Configuration comes from one :class:`~repro.engine.config.EngineConfig`
     (``config=``, default :meth:`~repro.engine.config.EngineConfig.from_env`):
     ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
-    forces row-at-a-time plans instead of the columnar batch path.  An
-    unrewritten plan can still be lowered as written through
-    ``physical_planner.lower``.
+    forces row-at-a-time plans instead of compiled kernels (whose programs
+    are kept in ``kernel_cache``).  An unrewritten plan can still be
+    lowered as written through ``physical_planner.lower``.
     """
 
     def __init__(
@@ -74,13 +74,16 @@ class Planner:
         config: EngineConfig | None = None,
         *,
         index_advisor=None,
+        kernel_cache: dict | None = None,
     ):
         if config is None:
             config = EngineConfig.from_env()
         self.catalog = catalog
         self.config = config
         self.cost_model = CostModel(catalog, use_indexes=config.use_indexes)
-        self.physical_planner = PhysicalPlanner(catalog, config, index_advisor=index_advisor)
+        self.physical_planner = PhysicalPlanner(
+            catalog, config, index_advisor=index_advisor, kernel_cache=kernel_cache
+        )
 
     def plan(self, logical: LogicalPlan) -> PlannedQuery:
         """Produce a physical plan for *logical*."""

@@ -1,9 +1,10 @@
 """Batch (columnar) execution path: unit tests and row-path equivalence.
 
-The batch path must be indistinguishable from the row path in results —
-only faster.  These tests cover the :class:`ColumnBatch` container, the
-compiled batch expressions, operator-level equivalence on synthetic plans,
-and end-to-end equivalence on the rts / traffic / marketplace workloads.
+The batch path — compiled kernels over column batches — must be
+indistinguishable from the row path in results and row order, only
+faster.  These tests cover the :class:`ColumnBatch` container, kernel
+expression codegen, plan-level equivalence on synthetic plans, and
+end-to-end equivalence on the rts / traffic / marketplace workloads.
 """
 
 from __future__ import annotations
@@ -22,17 +23,18 @@ from repro.engine.algebra import (
     TableScan,
     Union,
 )
-from repro.engine.batch import ColumnBatch, IndirectColumn
+from repro.engine.batch import ColumnBatch
 from repro.engine.catalog import Catalog
+from repro.engine.compile.exprgen import ExprGen, SourceBuilder
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
 from repro.engine.expressions import (
     BinaryOp,
     Conditional,
     FunctionCall,
+    and_all,
     batch_supported,
     col,
-    compile_batch,
     lit,
     resolve_batch_column,
 )
@@ -72,12 +74,7 @@ def test_column_batch_qualify_shares_lists():
     assert qualified.to_rows() == [{"u.a": 1}, {"u.a": 2}]
 
 
-def test_indirect_column():
-    indirect = IndirectColumn([10, 20, 30], [2, 0, 2])
-    assert [indirect[k] for k in range(3)] == [30, 10, 30]
-
-
-# -- compiled batch expressions -----------------------------------------------------
+# -- kernel expression codegen -------------------------------------------------------
 
 
 def _random_rows(n=200, seed=7):
@@ -107,13 +104,21 @@ def _random_rows(n=200, seed=7):
     ],
 )
 def test_compile_batch_matches_row_evaluation(expr):
+    """The code kernels generate for an expression — its value and its
+    filter-guard form — agrees with ``Expression.evaluate`` on every row."""
     rows = _random_rows()
     names = ("x", "y", "n", "maybe")
-    batch = ColumnBatch.from_rows(names, rows)
     assert batch_supported(expr, names)
-    fn = compile_batch(expr, batch.columns)
-    for i, row in enumerate(rows):
-        assert fn(i) == expr.evaluate(row)
+    builder = SourceBuilder()
+    gen = ExprGen(
+        lambda node: f"_r[{names.index(resolve_batch_column(node.name, names))}]", builder
+    )
+    source = f"def _fn(_r):\n    return {gen.value(expr)}, bool({gen.boolean(expr)})\n"
+    env = dict(builder.env)  # constants the generator captured
+    exec(source, env)
+    for row in rows:
+        expected = expr.evaluate(row)
+        assert env["_fn"](tuple(row[name] for name in names)) == (expected, bool(expected))
 
 
 def test_resolve_batch_column_mirrors_row_fallback():
@@ -143,6 +148,7 @@ def _make_catalog(n=500, seed=11):
                 Column("player", DataType.NUMBER),
                 Column("x", DataType.NUMBER),
                 Column("hp", DataType.NUMBER, nullable=True),
+                Column("ref", DataType.NUMBER, nullable=True),
             ]
         ),
     )
@@ -153,6 +159,8 @@ def _make_catalog(n=500, seed=11):
                 "player": i % 3,
                 "x": rng.uniform(0, 100),
                 "hp": None if rng.random() < 0.1 else rng.uniform(0, 100),
+                # A NULL or dangling reference pads a left join's row.
+                "ref": None if i % 7 == 0 else (i * 37) % (n + 50),
             }
         )
     teams = catalog.create_table(
@@ -164,8 +172,35 @@ def _make_catalog(n=500, seed=11):
     return catalog
 
 
-def _norm(rows):
-    return sorted((tuple(sorted(r.items())) for r in rows), key=repr)
+def _accum_glue_plan():
+    """The shape an SGL accum loop compiles to: a left join gluing a
+    grouped band-join aggregate back onto ``self``; units of players 1 and
+    2 have no group, so their rows are padded."""
+    band = Join(
+        Select(TableScan("units", alias="self"), col("self.player").eq(lit(0))),
+        TableScan("units", alias="u"),
+        and_all(
+            [
+                col("u.x").ge(col("self.x") - lit(2)),
+                col("u.x").le(col("self.x") + lit(2)),
+            ]
+        ),
+    )
+    contributions = Project(band, [("__key__", col("self.id")), ("__value__", lit(1))])
+    counts = Project(
+        Aggregate(contributions, ["__key__"], [AggregateSpec("cnt", "sum", col("__value__"))]),
+        [("__accum_key_cnt_1", col("__key__")), ("cnt", col("cnt"))],
+    )
+    glue = Join(
+        Select(TableScan("units", alias="self"), lit(True)),
+        counts,
+        col("self.id").eq(col("__accum_key_cnt_1")),
+        how="left",
+    )
+    cnt = Conditional(col("cnt").eq(lit(None)), lit(0), col("cnt"))
+    return Project(
+        Select(glue, cnt.le(lit(3))), [("__target__", col("self.id")), ("__value__", cnt)]
+    )
 
 
 PLANS = {
@@ -225,6 +260,17 @@ PLANS = {
         ["t.team"],
         [AggregateSpec("n", "count"), AggregateSpec("power", "sum", col("u.hp") + col("t.bonus"))],
     ),
+    # The reference read of an SGL script: NULL and dangling refs pad.
+    "ref-read-left-join": lambda: Project(
+        Join(
+            Select(TableScan("units", alias="self"), col("self.hp").gt(lit(30))),
+            TableScan("units", alias="__ref_u"),
+            col("self.ref").eq(col("__ref_u.id")),
+            how="left",
+        ),
+        [("__target__", col("self.id")), ("__value__", col("__ref_u.x"))],
+    ),
+    "accum-glue-left-join": _accum_glue_plan,
     # Union stays on the row path but its subtrees should still batch.
     "union-above-batch": lambda: Union(
         Project(Select(TableScan("units"), col("x").gt(lit(60))), [("id", col("id"))]),
@@ -238,8 +284,10 @@ def test_batch_row_equivalence(name):
     catalog = _make_catalog()
     plan = PLANS[name]()
     row_rows = Executor(catalog, _config(use_batch=False)).execute(plan).rows
-    batch_rows = Executor(catalog, _config(use_batch=True)).execute(plan).rows
-    assert _norm(batch_rows) == _norm(row_rows)
+    executor = Executor(catalog, _config(use_batch=True))
+    assert executor.execute(plan).rows == row_rows  # same rows, same order
+    report = executor.kernel_report()
+    assert report["declined"] == 0 and report["errors"] == 0, report
 
 
 def test_order_sensitive_equivalence():
@@ -256,7 +304,7 @@ def test_order_sensitive_equivalence():
     )
     row_rows = Executor(catalog, _config(use_batch=False)).execute(plan).rows
     batch_rows = Executor(catalog, _config(use_batch=True)).execute(plan).rows
-    assert _norm(batch_rows) == _norm(row_rows)
+    assert batch_rows == row_rows
 
 
 def test_batch_path_is_chosen_and_flagged():
@@ -266,7 +314,7 @@ def test_batch_path_is_chosen_and_flagged():
     planned = executor.prepare(plan)
     assert planned.uses_batch
     assert isinstance(planned.physical, BatchBridgeOp)
-    assert "Batch" in planned.physical.explain()
+    assert "CompiledKernel" in planned.physical.explain()
     row_planned = Executor(catalog, _config(use_batch=False)).prepare(plan)
     assert not row_planned.uses_batch
 

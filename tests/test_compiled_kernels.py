@@ -2,12 +2,12 @@
 
 The compiler's contract (see :mod:`repro.engine.compile.kernels`) is that
 a fused kernel produces *exactly* the rows, in exactly the order, of the
-interpreted operators it replaces — so every test here compares compiled
-against interpreted execution with plain ``==`` on the row lists, never
-with sorted/normalized views.  Whole-world runs additionally pin the
-stronger property the ``fastest`` preset relies on: kernel compilation is
-a pure performance path and may not change any post-tick state, any
-combined effect, or anything the WAL commits.
+row operators it replaces — so every test here compares kernels against
+row-path execution (``use_batch=False``) with plain ``==`` on the row
+lists, never with sorted/normalized views.  Whole-world runs additionally
+pin the stronger property the default preset relies on: kernel
+compilation is a pure performance path and may not change any post-tick
+state, any combined effect, or anything the WAL commits.
 """
 
 from __future__ import annotations
@@ -20,24 +20,26 @@ from test_equivalence_and_workloads import state_fingerprint
 from test_replay_determinism import WORKLOADS as REPLAY_WORKLOADS
 from test_replay_determinism import rts_churn, run_with_wal, traffic_churn
 
-from repro.engine import EngineConfig
+from repro.engine import Catalog, Column, DataType, EngineConfig, Schema
 from repro.engine.algebra import Aggregate, AggregateSpec, Join, Project, Select, TableScan
 from repro.engine.executor import Executor, TickQuerySpec
 from repro.engine.expressions import and_all, col, lit
 from repro.engine.indexes import GridIndex, RangeTreeIndex, SortedIndex
 from repro.engine.compile import KernelOp
 from repro.engine.operators import (
+    BatchBridgeOp,
     HashAggregateOp,
     HashJoinOp,
     IndexProbeJoinOp,
     RangeProbeJoinOp,
 )
-from repro.engine.optimizer.adaptive import IndexAdvisor
+from repro.engine.optimizer import Planner
+from repro.engine.optimizer.adaptive import AdaptiveQueryManager, IndexAdvisor
 from repro.persistence.replay import replay_tables
 from repro.workloads import build_rts_world, build_traffic_world
 
-INTERP = EngineConfig(use_incremental=False)
-COMPILED = INTERP.replace(use_compiled=True)
+INTERP = EngineConfig(use_batch=False, use_incremental=False)
+COMPILED = EngineConfig(use_incremental=False)
 
 
 # ------------------------------------------------------------------------------------
@@ -167,13 +169,91 @@ class TestExactEquivalence:
 
 
 # ------------------------------------------------------------------------------------
+# every join shape against the row operators
+# ------------------------------------------------------------------------------------
+
+
+def _pair_catalog(seed: int) -> Catalog:
+    """Tables ``a`` and ``b`` with NULL keys and values; either may be empty."""
+    rng = random.Random(seed)
+    catalog = Catalog()
+    schema = Schema(
+        [
+            Column("id", DataType.NUMBER),
+            Column("k", DataType.NUMBER, nullable=True),
+            Column("v", DataType.NUMBER, nullable=True),
+        ]
+    )
+    for name in ("a", "b"):
+        catalog.create_table(name, schema).insert_many(
+            {
+                "id": i,
+                "k": None if rng.random() < 0.2 else rng.randint(0, 5),
+                "v": None if rng.random() < 0.2 else rng.uniform(0, 10),
+            }
+            for i in range(rng.randint(0, 20))
+        )
+    return catalog
+
+
+def _join_side(name: str, shape: str):
+    alias = f"{name}x"
+    scan = TableScan(name, alias=alias)
+    if shape == "filtered":  # fused into the join kernel
+        return Select(scan, col(f"{alias}.v").gt(lit(3.0)))
+    if shape == "aggregate":  # a kernel of its own, the join kernel's input
+        sums = Aggregate(scan, [f"{alias}.k"], [AggregateSpec("s", "sum", col(f"{alias}.v"))])
+        key = col(f"{alias}.k")
+        return Project(sums, {f"{alias}.id": key, f"{alias}.k": key, f"{alias}.v": col("s")})
+    return scan
+
+
+JOIN_CONDITIONS = {
+    "equi": col("ax.k").eq(col("bx.k")),
+    "equi+residual": col("ax.k").eq(col("bx.k")).and_(col("ax.v").lt(col("bx.v"))),
+    "theta": col("ax.k").eq(col("bx.k")).or_(col("ax.v").gt(col("bx.v"))),
+    "band": and_all(
+        [col("bx.v").ge(col("ax.v") - lit(1.0)), col("bx.v").le(col("ax.v") + lit(1.0))]
+    ),
+    "none": None,
+}
+
+
+class TestEveryJoinShape:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        how=st.sampled_from(["inner", "left"]),
+        condition=st.sampled_from(sorted(JOIN_CONDITIONS)),
+        sides=st.tuples(*[st.sampled_from(["scan", "filtered", "aggregate"])] * 2),
+        project=st.booleans(),
+    )
+    def test_one_kernel_matches_row_operators(self, seed, how, condition, sides, project):
+        """Inner, left and cross joins — hash, band and nested-loop cores,
+        NULL keys, empty sides, fused or kernel-input sides — compile to
+        one kernel whose rows and order equal the row operators'."""
+        catalog = _pair_catalog(seed)
+        predicate = JOIN_CONDITIONS[condition]
+        if predicate is None and how == "inner":
+            how = "cross"
+        plan = Join(_join_side("a", sides[0]), _join_side("b", sides[1]), predicate, how=how)
+        if project:
+            plan = Project(plan, {"x": col("ax.id"), "y": col("bx.v")})
+        compiled = Executor(catalog, COMPILED)
+        assert compiled.execute(plan).rows == Executor(catalog, INTERP).execute(plan).rows
+        physical = compiled.prepare(plan).physical
+        assert isinstance(physical, BatchBridgeOp) and isinstance(physical.batch_root, KernelOp)
+        report = compiled.kernel_report()
+        assert report["declined"] == 0 and report["errors"] == 0, report
+
+
+# ------------------------------------------------------------------------------------
 # plan shape and choice equivalence
 # ------------------------------------------------------------------------------------
 
 
 def _batch_ops(physical):
     """All batch operators reachable through the plan's bridge boundaries."""
-    from repro.engine.operators import BatchBridgeOp
 
     def walk_batch(op):
         yield op
@@ -190,6 +270,28 @@ class TestPlanChoice:
         executor = Executor(unit_catalog, COMPILED)
         physical = executor.prepare(band_join_plan(), cache=False).physical
         assert any(isinstance(op, KernelOp) for op in _batch_ops(physical))
+
+    def test_standalone_planner_compiles_kernels(self, unit_catalog, monkeypatch):
+        """A Planner outside an Executor — built directly or by the
+        adaptive manager's default factory — lowers to the same fused
+        kernel the executor would."""
+        plan = Aggregate(
+            Join(
+                TableScan("unit", alias="a"),
+                TableScan("unit", alias="b"),
+                col("a.player").eq(col("b.player")),
+            ),
+            ["a.player"],
+            [AggregateSpec("n", "count")],
+        )
+        monkeypatch.delenv("REPRO_ENGINE_PRESET", raising=False)
+        for physical in (
+            Planner(unit_catalog, EngineConfig()).plan(plan).physical,
+            AdaptiveQueryManager(unit_catalog, plan).compile_for_state("s").planned.physical,
+        ):
+            assert isinstance(physical, BatchBridgeOp)
+            assert isinstance(physical.batch_root, KernelOp)
+            assert physical.batch_root.program.fused_nodes == 2
 
 
 
@@ -411,11 +513,12 @@ def _world_snapshot(world) -> dict:
 class TestWholeWorld:
     @pytest.mark.parametrize("workload", sorted(REPLAY_WORKLOADS))
     def test_compiled_world_matches_default(self, workload):
-        """Tick two copies of the same seeded world — default config vs the
-        ``fastest`` preset — with identical churn: every post-tick state of
-        every table must match exactly."""
+        """Tick two copies of the same seeded world — the default config
+        with every batch node on the row operators vs the ``fastest``
+        preset — with identical churn: every post-tick state of every
+        table must match exactly."""
         build, churn = REPLAY_WORKLOADS[workload]
-        w_default = build()
+        w_default = build(config=EngineConfig(use_batch=False))
         w_compiled = build(config=EngineConfig.fastest())
         rng_a, rng_b = random.Random(31), random.Random(31)
         for tick in range(8):
@@ -486,13 +589,15 @@ class TestWholeWorld:
 
     @pytest.mark.parametrize("workload", sorted(REPLAY_WORKLOADS))
     def test_replay_determinism_holds_compiled(self, workload):
-        """The PR-6 replay guarantee re-run under kernel compilation: the
-        compiled run's WAL produces the same commits as the interpreted
-        run's, and replay reconstructs every boundary exactly."""
+        """The replay guarantee re-run under kernel compilation: the
+        compiled run's WAL produces the same commits as the row path's,
+        and replay reconstructs every boundary exactly."""
         path, states, records = run_with_wal(
             workload, churn_seed=42, config=EngineConfig.fastest()
         )
-        _, interp_states, interp_records = run_with_wal(workload, churn_seed=42)
+        _, interp_states, interp_records = run_with_wal(
+            workload, churn_seed=42, config=EngineConfig(use_batch=False)
+        )
         assert states == interp_states
         assert records == interp_records
         for tick in sorted(states):

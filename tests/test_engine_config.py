@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import EngineConfig, Executor
+from repro.engine.compile import KernelLowering
 from repro.runtime.debug.inspector import TickInspector
 from repro.workloads import build_rts_world
 
@@ -19,12 +20,14 @@ class TestPresets:
         config = EngineConfig()
         assert config.use_batch and config.use_incremental
         assert config.use_mqo and config.use_indexes and config.auto_index
-        assert not config.use_compiled  # opt-in until the preset asks
+        assert len(config.as_dict()) == 8
 
     def test_fastest_enables_compilation(self):
-        config = EngineConfig.fastest()
-        assert config.use_compiled
-        assert config.replace(use_compiled=False) == EngineConfig()
+        # Kernels are the batch layer: the default already compiles, and
+        # fastest() is its name in the e2e harness.
+        assert EngineConfig.fastest() == EngineConfig()
+        presets = {EngineConfig(), EngineConfig.reference(), EngineConfig.debug()}
+        assert len(presets) == 3
 
     def test_reference_is_row_path_only(self):
         config = EngineConfig.reference()
@@ -32,7 +35,6 @@ class TestPresets:
         assert not config.use_incremental
         assert not config.use_mqo
         assert not config.use_indexes
-        assert not config.use_compiled
         assert not config.use_fixpoint  # naive reference iteration
 
     def test_fixpoint_on_by_default(self):
@@ -44,16 +46,16 @@ class TestPresets:
         config = EngineConfig.debug()
         assert not config.use_mqo
         assert not config.auto_index
-        assert not config.use_compiled
         assert config.use_batch  # still the production data layout
+        assert config == EngineConfig(use_mqo=False, auto_index=False)
 
     def test_frozen(self):
         with pytest.raises(Exception):
             EngineConfig().use_batch = False
 
     def test_replace_and_as_dict_round_trip(self):
-        config = EngineConfig().replace(use_compiled=True, index_create_after=7)
-        assert config.use_compiled
+        config = EngineConfig().replace(use_batch=False, index_create_after=7)
+        assert not config.use_batch
         assert config.index_create_after == 7
         assert EngineConfig(**config.as_dict()) == config
 
@@ -84,9 +86,9 @@ class TestFromEnv:
             EngineConfig.from_env()
 
     def test_env_preset_reaches_default_constructed_world(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_PRESET", "fastest")
+        monkeypatch.setenv("REPRO_ENGINE_PRESET", "reference")
         world = build_rts_world(5, with_physics=False)
-        assert world.config.use_compiled
+        assert world.config == EngineConfig.reference()
 
     @pytest.mark.parametrize("preset", ["default", "fastest", "reference", "debug"])
     def test_env_presets_round_trip_every_flag(self, monkeypatch, preset):
@@ -134,12 +136,12 @@ class TestThreading:
         world.tick()
         counters = TickInspector(world).tick_counters()
         assert counters["engine_config"] == config.as_dict()
-        assert counters["engine_config"]["use_compiled"] is True
+        assert counters["engine_config"]["use_batch"] is True
 
     def test_kernel_lowering_requires_batch_path(self, unit_catalog):
-        with_batch = Executor(unit_catalog, EngineConfig(use_compiled=True))
-        without_batch = Executor(
-            unit_catalog, EngineConfig(use_compiled=True, use_batch=False)
-        )
-        assert with_batch._kernel_lowering is not None
-        assert without_batch._kernel_lowering is None
+        with_batch = Executor(unit_catalog, EngineConfig())
+        without_batch = Executor(unit_catalog, EngineConfig(use_batch=False))
+        lowering = with_batch.planner.physical_planner.kernel_lowering
+        assert isinstance(lowering, KernelLowering)
+        assert lowering.cache is with_batch._kernels  # cleared with the plans
+        assert without_batch.planner.physical_planner.kernel_lowering is None

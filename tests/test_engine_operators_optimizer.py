@@ -257,7 +257,8 @@ class TestOptimizer:
         assert len(rows) == expected
 
     def test_figure2_lowered_to_range_probe_join(self, unit_catalog):
-        planner = Planner(unit_catalog)
+        # Row-operator choice: with use_batch on the band join is a kernel.
+        planner = Planner(unit_catalog, EngineConfig(use_batch=False))
         planned = planner.plan(self.fig2_plan())
         labels = planned.physical.explain()
         assert "RangeProbeJoin" in labels

@@ -27,8 +27,10 @@ from repro.engine import (
     col,
     lit,
 )
+from repro.engine.compile import KernelOp
 from repro.engine.indexes import GridIndex, RangeTreeIndex, SortedIndex
 from repro.engine.operators import (
+    BatchBridgeOp,
     DeltaJoinOp,
     IndexProbeJoinOp,
     RangeProbeJoinOp,
@@ -41,6 +43,10 @@ def _config(**flags) -> EngineConfig:
     """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
     fastest CI leg keeps compiled kernels under every override."""
     return EngineConfig.from_env().replace(**flags)
+
+
+#: Row operators only, every other switch at its default.
+ROW = EngineConfig(use_batch=False)
 
 
 def _normalized(rows):
@@ -99,15 +105,26 @@ def _join_ops(executor: Executor, plan) -> list:
     return [op for op in executor.prepare(plan, cache=False).physical.walk()]
 
 
+def _probed_indexes(executor: Executor, plan) -> list[str]:
+    """Names of the indexes the plan's band kernels probe."""
+    return [
+        op.batch_root.index_probe[1]
+        for op in _join_ops(executor, plan)
+        if isinstance(op, BatchBridgeOp)
+        and isinstance(op.batch_root, KernelOp)
+        and op.batch_root.index_probe is not None
+    ]
+
+
 class TestIndexProbePlanning:
-    # These pin EngineConfig() instead of inheriting REPRO_ENGINE_PRESET:
-    # they assert interpreted operator classes, and under use_compiled the
-    # band join is a kernel (tests/test_compiled_kernels.py covers that).
+    # These pin the row path instead of inheriting REPRO_ENGINE_PRESET:
+    # they assert row operator classes, and with use_batch on the band
+    # join is a kernel (tests/test_compiled_kernels.py covers that).
 
     def test_grid_index_is_probed(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
+        ops = _join_ops(Executor(catalog, ROW), band_plan())
         probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
         assert len(probes) == 1
         assert probes[0].index_name == "xy"
@@ -115,13 +132,13 @@ class TestIndexProbePlanning:
     def test_range_tree_index_is_probed(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "tree", RangeTreeIndex(["x", "y"]))
-        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
+        ops = _join_ops(Executor(catalog, ROW), band_plan())
         assert any(isinstance(op, IndexProbeJoinOp) for op in ops)
 
     def test_sorted_index_covers_one_dimension(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
-        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
+        ops = _join_ops(Executor(catalog, ROW), band_plan())
         probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
         assert len(probes) == 1
         assert probes[0].index_name == "by_x"
@@ -130,30 +147,33 @@ class TestIndexProbePlanning:
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
+        ops = _join_ops(Executor(catalog, ROW), band_plan())
         probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
         assert probes and probes[0].index_name == "xy"
 
     def test_no_index_falls_back_to_grid_rebuild(self):
         catalog = _make_catalog()
-        ops = _join_ops(Executor(catalog, EngineConfig()), band_plan())
+        ops = _join_ops(Executor(catalog, ROW), band_plan())
         assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
 
     def test_use_indexes_false_forces_rebuild_path(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, EngineConfig(use_indexes=False)), band_plan())
+        ops = _join_ops(Executor(catalog, ROW.replace(use_indexes=False)), band_plan())
         assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
         assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
 
 
 class TestIndexProbeEquivalence:
     def _assert_equivalent(self, catalog, plan):
-        indexed = Executor(catalog, EngineConfig(use_incremental=False))
+        indexed = Executor(catalog, ROW.replace(use_incremental=False))
+        kernel = Executor(catalog, EngineConfig(use_incremental=False))
         batch = Executor(catalog, _config(use_indexes=False, use_incremental=False))
         row = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
+        assert _probed_indexes(kernel, plan) == list(catalog.table("unit").indexes)
         rows_indexed = indexed.execute(plan, cache=False).rows
+        assert kernel.execute(plan, cache=False).rows == rows_indexed  # same order too
         rows_batch = batch.execute(plan, cache=False).rows
         rows_row = row.execute(plan, cache=False).rows
         assert _normalized(rows_indexed) == _normalized(rows_batch) == _normalized(rows_row)
@@ -272,10 +292,13 @@ class TestStrictBandBounds:
         catalog = self._catalog()
         plan = self._strict_plan()
         expected = {4.0, 5.0, 6.0}  # strictly inside (3, 7)
-        indexed = Executor(catalog, EngineConfig(use_incremental=False))
+        indexed = Executor(catalog, ROW.replace(use_incremental=False))
+        kernel = Executor(catalog, EngineConfig(use_incremental=False))
         assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
+        assert _probed_indexes(kernel, plan) == ["by_x"]
         for executor in (
             indexed,
+            kernel,
             Executor(catalog, _config(use_indexes=False, use_incremental=False)),
             Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False)),
         ):
@@ -332,7 +355,7 @@ class TestIndexAdvisor:
         assert len(created) == 1 and created[0].startswith(IndexAdvisor.AUTO_INDEX_PREFIX)
         assert isinstance(table.indexes[created[0]], GridIndex)
         # The new plan probes the advisor-created index.
-        assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(executor, plan))
+        assert _probed_indexes(executor, plan) == created
         # Keep it hot: no eviction while the query runs.
         for _ in range(6):
             self._run_band_query(executor, plan)
