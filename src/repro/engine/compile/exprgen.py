@@ -63,13 +63,12 @@ class KernelDecline(Exception):
     ``Executor.kernel_report()["declined_by_reason"]`` counts by.
     """
 
-    #: ``index-select``: the row planner would answer a Select from an
-    #: index scan (rows in index order); ``join-shape``: a join side no
-    #: batch operator serves (e.g. a Fixpoint, or a join over one);
+    #: ``join-shape``: a join side no batch operator serves (e.g. a
+    #: Fixpoint, or a join over one);
     #: ``expression``: something is not provably batch-compilable, or
     #: output names collide; ``bare-leaf``: the Select/Project/Aggregate
     #: stack sits on a node with no batch operator (e.g. a Union).
-    REASONS = ("index-select", "join-shape", "expression", "bare-leaf")
+    REASONS = ("join-shape", "expression", "bare-leaf")
 
     def __init__(self, detail: str = "", reason: str = "expression"):
         super().__init__(detail)

@@ -24,19 +24,21 @@ Equivalence contract: a kernel produces *exactly* the rows, in exactly
 the order, that the row operators it replaces would produce — probe rows
 in order, their matches in build order, a left join's NULL-padded row
 where an unmatched probe row sits — and feeds the index advisor the same
-probe statistics.  Plan *choice* stays identical too.  A band join
-follows the row planner's own rule: when a registered range-capable
-index covers probe columns of the inner table the kernel probes that
-index (:class:`~repro.engine.operators.joins.IndexProbeJoinOp`'s loop:
-candidates in the index's ``range_search`` order, every bound re-checked,
-the inner side's Select predicates folded into the residual, the index
-re-resolved per execution), otherwise it builds
+probe statistics.  Kernels are the only plans that use an index: when a
+registered range-capable index covers probe columns of a band join's
+inner table the kernel probes that index
+(:class:`~repro.engine.operators.joins.IndexProbeJoinOp`'s loop, kept as
+the row-order oracle of this core: candidates in the index's
+``range_search`` order, every bound re-checked, the inner side's Select
+predicates folded into the residual, the index re-resolved per
+execution), otherwise it builds
 :class:`~repro.engine.operators.joins.RangeProbeJoinOp`'s transient grid.
-The compiler declines — with a reason, see :class:`KernelDecline` —
-whenever the row planner would answer a Select from an index scan,
-whenever an expression is not provably batch-compilable, when a join side
-has no batch operator (e.g. a ``Fixpoint``), and for order-pathological
-shapes like duplicate aggregate output names.
+A Select over a base table is a scan kernel whatever indexes the table
+has: its rows come out in table order, the row path's order.  The
+compiler declines — with a reason, see :class:`KernelDecline` — whenever
+an expression is not provably batch-compilable, when a join side has no
+batch operator (e.g. a ``Fixpoint``), and for order-pathological shapes
+like duplicate aggregate output names.
 
 ``SharedScan`` leaves become kernel inputs served by the tick pipeline's
 shared materializations.  A :class:`KernelOp` is a batch operator: the
@@ -241,20 +243,6 @@ def _side_filters(selects: list[Select]) -> list[Expression]:
     return out
 
 
-def _decline_if_index_scan(planner: Any, selects: list[Select], leaf: LogicalPlan) -> None:
-    """Decline when the row planner would index-scan this Select-over-scan.
-
-    Mirrors ``_lower_select`` exactly: only the Select node *directly*
-    above a ``TableScan`` is eligible, and only with ``use_indexes`` on.
-    When it matches, the row path produces rows in index order, so the
-    kernel must decline to stay equivalent.
-    """
-    if not planner.config.use_indexes or not selects or not isinstance(leaf, TableScan):
-        return
-    if planner._match_index(leaf.table_name, selects[-1].predicate) is not None:
-        raise KernelDecline("index scan preferred", "index-select")
-
-
 def _batch_input(node: LogicalPlan, planner: Any, reason: str) -> BatchOperator:
     """The batch operator a kernel reads *node* through: a leaf source or
     another kernel, as the planner lowers it."""
@@ -286,8 +274,6 @@ def _analyze(plan: LogicalPlan, planner: Any) -> _Pipeline:
     if isinstance(node, Join):
         pipeline = _analyze_join(node, planner)
     else:
-        if isinstance(stack[-1], Select):
-            _decline_if_index_scan(planner, [stack[-1]], node)
         leaf = _batch_input(node, planner, "bare-leaf")
         pipeline = _Pipeline(_ScanCore(), [], [leaf], tuple(leaf.names), None, "", 1)
     pipeline.fused_nodes += len(stack)
@@ -351,17 +337,9 @@ def _analyze_join(join: Join, planner: Any) -> _Pipeline:
         if equi or join.how != "inner"
         else _extract_range_probe(conjuncts, left_schema, right_schema)
     )
-    # The row planner's band-join rule: a registered index covering probe
-    # columns is probed (the inner side's own operator tree, index scans
-    # included, is bypassed); otherwise the transient grid.
-    matched = (
-        match_band_index(catalog, join.right, probe[0])
-        if probe and planner.config.use_indexes
-        else None
-    )
-    _decline_if_index_scan(planner, left_selects, left_leaf)
-    if matched is None:
-        _decline_if_index_scan(planner, right_selects, right_leaf)
+    # A registered index covering probe columns is probed (the inner
+    # side's own operator tree is bypassed); otherwise the transient grid.
+    matched = match_band_index(catalog, join.right, probe[0]) if probe else None
     left_op = _batch_input(left_leaf, planner, "join-shape")
     right_op = _batch_input(right_leaf, planner, "join-shape")
     left_names = tuple(left_op.names)
@@ -398,7 +376,7 @@ def _analyze_join(join: Join, planner: Any) -> _Pipeline:
             except SchemaError as exc:
                 raise KernelDecline(str(exc)) from None
             index_probe = (table, index_name, base_columns)
-            # As _try_index_probe_join folds them: the inner side's Select
+            # As IndexProbeJoinOp takes them: the inner side's Select
             # predicates run as residuals on every re-checked candidate.
             residual = list(residual) + [c for p in folded for c in _conjuncts_of(p)]
             right_filters = []

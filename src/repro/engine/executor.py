@@ -21,19 +21,22 @@ churn, full re-execution otherwise.  Registration is explicit because the
 view maintains a row *multiset*: callers that can observe result row order
 (or need exact float reproducibility) must stay on the full paths.
 
-Finally, the tick loop's multi-query path: :meth:`prepare_tick` takes one
-tick's worth of queries at once, runs tick-wide multi-query optimization
-(:mod:`repro.engine.optimizer.mqo`) over their optimized logical plans, and
-compiles a pipeline in which each shared subplan is evaluated at most once
-per :meth:`execute_tick` call and served to every consumer from its
-materialization — a :class:`~repro.engine.batch.ColumnBatch` when the
-shared subplan lowered to the columnar path.  Queries that declare an
+Finally, the tick loop's path: :meth:`prepare_tick` takes one tick's
+worth of queries at once.  On the compiled target (``use_batch``) it runs
+tick-wide multi-query optimization (:mod:`repro.engine.optimizer.mqo`)
+over their optimized logical plans and compiles a pipeline in which each
+shared subplan is evaluated at most once per :meth:`execute_tick` call
+and served to every consumer from its materialization — a
+:class:`~repro.engine.batch.ColumnBatch`, built from rows once when the
+shared subplan has no batch operator.  Queries that declare an
 order-insensitive ⊕ combinator are additionally *sink-fused*
 (:class:`~repro.engine.operators.shared.EffectSinkOp`): the pipeline
 returns pre-combined per-target partials instead of one row per effect
 assignment.  Shared materializations are tick-scoped — they are dropped at
 every ``execute_tick`` boundary and by both invalidation entry points, so
 a catalog change or mid-run replan can never serve stale shared state.
+On the row path the pipeline shares nothing and fuses no sink: each query
+runs its own plan and returns its rows.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from repro.engine.operators import (
     BatchSharedSourceOp,
     EffectSinkOp,
     IncrementalView,
-    MaterializedSourceOp,
     PhysicalOperator,
     fold_rows_to_partials,
 )
@@ -59,7 +61,7 @@ from repro.engine.compile import KernelLowering
 from repro.engine.config import EngineConfig
 from repro.engine.operators.batch_ops import BatchOperator
 from repro.engine.operators.shared import EffectPartial
-from repro.engine.optimizer.mqo import SharedScan, TickPlan, build_tick_plan
+from repro.engine.optimizer.mqo import SharedScan, TickEntry, TickPlan, build_tick_plan
 from repro.engine.optimizer.planner import PlannedQuery, Planner
 
 __all__ = ["Executor", "QueryResult", "TickQuerySpec", "TickQueryResult"]
@@ -205,21 +207,6 @@ class _SharedLoweringContext:
                 out[name] = f"{node.alias_renames[head]}.{tail}"
         return out
 
-    def row_source(self, node: SharedScan) -> MaterializedSourceOp | None:
-        shared = self.defs.get(node.fingerprint)
-        if shared is None:
-            return None
-        renames = self._column_renames(node, shared.names)
-        executor = self.executor
-        fingerprint = node.fingerprint
-
-        def fetch() -> list[dict[str, Any]]:
-            return executor._shared_rows(fingerprint, renames)
-
-        return MaterializedSourceOp(
-            node.output_schema(executor.catalog), fetch, fingerprint
-        )
-
     def batch_source(self, node: SharedScan) -> BatchSharedSourceOp | None:
         shared = self.defs.get(node.fingerprint)
         if shared is None:
@@ -248,7 +235,7 @@ class Executor:
         index_advisor=None,
     ):
         if config is None:
-            config = EngineConfig.from_env()
+            config = EngineConfig()
         self.catalog = catalog
         self.config = config
         self.index_advisor = index_advisor
@@ -259,7 +246,6 @@ class Executor:
         self.planner = Planner(
             catalog, config, index_advisor=index_advisor, kernel_cache=self._kernels
         )
-        self.use_incremental = config.use_incremental
         self._cache: dict[int, _CachedPlan] = {}
         #: ``id(plan) -> (plan, view)``.  The plan reference is load-bearing:
         #: it pins the id so a garbage-collected plan can never hand its id
@@ -370,7 +356,7 @@ class Executor:
         after churn, and float aggregates are maintained by running
         addition/subtraction (exact for ints, ±rounding error for floats).
         """
-        if not self.use_incremental:
+        if not self.config.use_incremental:
             return False
         key = id(plan)
         if key in self._incremental:
@@ -458,8 +444,13 @@ class Executor:
             return pipeline
 
         planned = [self.prepare(spec.plan) for spec in specs]
-        tick_plan = build_tick_plan(
-            [(spec.key, pq.optimized) for spec, pq in zip(specs, planned)]
+        optimized = [(spec.key, pq.optimized) for spec, pq in zip(specs, planned)]
+        batch = self.config.use_batch
+        # The row path shares nothing: each query runs its own plan.
+        tick_plan = (
+            build_tick_plan(optimized)
+            if batch
+            else TickPlan([TickEntry(key, plan, plan) for key, plan in optimized])
         )
         lowerer = self.planner.physical_planner
         defs: dict[str, _SharedDefExec] = {}
@@ -490,7 +481,7 @@ class Executor:
                     EffectSinkOp(
                         physical, spec.combinator, spec.target_column, spec.value_column
                     )
-                    if spec.combinator
+                    if spec.combinator and batch
                     else None
                 )
                 entries.append(
@@ -592,25 +583,6 @@ class Executor:
         result.seconds = time.perf_counter() - started
         self._shared_results[fingerprint] = result
         return result
-
-    def _shared_rows(
-        self, fingerprint: str, renames: dict[str, str]
-    ) -> list[dict[str, Any]]:
-        """Consumer-owned row dicts of a shared materialization."""
-        result = self._ensure_shared(fingerprint)
-        if result.batch is not None:
-            rows = result.batch.to_rows()
-            if renames:
-                return [
-                    {renames.get(k, k): v for k, v in row.items()} for row in rows
-                ]
-            return rows
-        assert result.rows is not None
-        if renames:
-            return [
-                {renames.get(k, k): v for k, v in row.items()} for row in result.rows
-            ]
-        return [dict(row) for row in result.rows]
 
     def _shared_batch(self, fingerprint: str, renames: dict[str, str]) -> ColumnBatch:
         """A shared materialization as a batch (value lists shared)."""

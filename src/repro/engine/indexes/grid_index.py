@@ -78,10 +78,9 @@ class GridIndex(TableIndex):
         dimension.  Candidate cells are enumerated row-major (last
         dimension fastest) and their contents returned in set order; rows
         near cell borders are included because callers re-check the exact
-        predicate (the engine always applies a residual filter above an
-        index scan).  Eager on purpose: band joins call this once per
-        probe, and a list filled by ``extend`` costs a fraction of a
-        generator resumed per row.
+        bounds (every index-probing band join does).  Eager on purpose:
+        band joins call this once per probe, and a list filled by
+        ``extend`` costs a fraction of a generator resumed per row.
         """
         cells = self._cells
         if not cells:

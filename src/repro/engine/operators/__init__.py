@@ -41,16 +41,14 @@ from repro.engine.operators.misc import UnionOp
 from repro.engine.operators.shared import (
     BatchSharedSourceOp,
     EffectSinkOp,
-    MaterializedSourceOp,
     fold_rows_to_partials,
 )
-from repro.engine.operators.scan import IndexRangeScanOp, TableScanOp, ValuesOp
+from repro.engine.operators.scan import TableScanOp, ValuesOp
 
 __all__ = [
     "PhysicalOperator",
     "TableScanOp",
     "ValuesOp",
-    "IndexRangeScanOp",
     "FilterOp",
     "ProjectOp",
     "NestedLoopJoinOp",
@@ -68,7 +66,6 @@ __all__ = [
     "BatchTableScanOp",
     "BatchValuesOp",
     "BatchBridgeOp",
-    "MaterializedSourceOp",
     "BatchSharedSourceOp",
     "EffectSinkOp",
     "fold_rows_to_partials",

@@ -13,7 +13,8 @@ small cross products in effect computation.  The planner chooses between:
   from the inner input; the set-at-a-time analogue of Figure 2's
   accum-loop.
 * :class:`IndexProbeJoinOp` — the same band joins probing a persistent
-  index on the inner table.
+  index on the inner table.  No plan builds it: only kernels probe
+  indexes, and this operator is the row-order oracle of their loop.
 """
 
 from __future__ import annotations
@@ -285,8 +286,9 @@ class IndexProbeJoinOp(PhysicalOperator):
     (:func:`band_probe_candidates`), so a plan that outlives its index
     degrades instead of failing.  The compiled band kernel
     (:mod:`repro.engine.compile.kernels`) runs this same loop over column
-    lists; this operator is the interpreted reference it must match row
-    for row.
+    lists and is the only plan that probes an index; tests build this
+    operator directly as the interpreted reference the kernel must match
+    row for row.
     """
 
     def __init__(
@@ -317,8 +319,6 @@ class IndexProbeJoinOp(PhysicalOperator):
             (f"{alias}.{name.split('.')[-1]}" if alias else name, name)
             for name in table.schema.names
         ]
-        #: See :attr:`RangeProbeJoinOp.stats_hook`.
-        self.stats_hook: Callable[[int, float, int], None] | None = None
 
     def _produce(self) -> Iterator[dict[str, Any]]:
         candidates = band_probe_candidates(self.table, self.index_name, self._base_columns)
@@ -327,9 +327,6 @@ class IndexProbeJoinOp(PhysicalOperator):
         base_columns = self._base_columns
         output_columns = self._output_columns
         residual = self.residual
-        n_probes = 0
-        width_sum = 0.0
-        width_count = 0
         for outer_row in self.children[0]:
             bounds: list[tuple[float, float]] = []
             ok = True
@@ -342,10 +339,6 @@ class IndexProbeJoinOp(PhysicalOperator):
                 bounds.append((float(low), float(high)))
             if not ok:
                 continue
-            n_probes += 1
-            for lo, hi in bounds:
-                width_sum += hi - lo
-                width_count += 1
             for rowid in candidates(bounds):
                 inner_row = get_row(rowid)
                 ok = True
@@ -361,8 +354,6 @@ class IndexProbeJoinOp(PhysicalOperator):
                     combined[name] = inner_row[stored]
                 if residual is None or residual.evaluate(combined):
                     yield combined
-        if self.stats_hook is not None:
-            self.stats_hook(n_probes, width_sum, width_count)
 
     def label(self) -> str:
         pairs = ", ".join(

@@ -1,4 +1,4 @@
-"""Scan operators: full table scans, inline values and index range scans.
+"""Scan operators: full table scans and inline values.
 
 Row-ownership contract: every operator in this module is a *source* — it
 reads the table's stored row dicts (shared references, via
@@ -20,7 +20,7 @@ from repro.engine.operators.base import PhysicalOperator
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 
-__all__ = ["TableScanOp", "ValuesOp", "IndexRangeScanOp"]
+__all__ = ["TableScanOp", "ValuesOp"]
 
 
 def _qualify_row(row: Mapping[str, Any], alias: str | None) -> dict[str, Any]:
@@ -65,33 +65,3 @@ class ValuesOp(PhysicalOperator):
 
     def label(self) -> str:
         return f"Values({len(self._rows)} rows)"
-
-
-class IndexRangeScanOp(PhysicalOperator):
-    """Fetch rows whose indexed column(s) fall inside per-dimension bounds.
-
-    ``bounds`` is a sequence of ``(low, high)`` pairs, one per index column;
-    ``None`` means unbounded on that side.
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        schema: Schema,
-        index_name: str,
-        bounds: Sequence[tuple[Any, Any]],
-        alias: str | None = None,
-    ):
-        super().__init__(schema)
-        self.table = table
-        self.index_name = index_name
-        self.bounds = list(bounds)
-        self.alias = alias
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        index = self.table.index(self.index_name)
-        for rowid in index.range_search(self.bounds):
-            yield _qualify_row(self.table.get(rowid), self.alias)
-
-    def label(self) -> str:
-        return f"IndexRangeScan({self.table.name}.{self.index_name} {self.bounds})"

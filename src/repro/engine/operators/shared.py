@@ -3,14 +3,12 @@
 Two operator families introduced by tick-wide multi-query optimization
 (:mod:`repro.engine.optimizer.mqo`):
 
-* :class:`MaterializedSourceOp` / :class:`BatchSharedSourceOp` — leaves
-  that serve a shared subplan's once-per-tick materialization to a
-  consumer, on the row and columnar paths respectively.  The row source
-  honours the source-operator ownership contract (see
-  :mod:`repro.engine.operators.scan`): every consumer receives fresh
-  dicts.  The batch source shares the materialized column lists directly
-  — batches are immutable by convention — so columnar consumers pay
-  nothing per row.
+* :class:`BatchSharedSourceOp` — the leaf that serves a shared
+  subplan's once-per-tick materialization to a consumer.  It shares the
+  materialized column lists directly — batches are immutable by
+  convention — so consumers pay nothing per row; a row-operator consumer
+  reads it through a :class:`BatchBridgeOp`, which materializes fresh
+  dicts.
 
 * :class:`EffectSinkOp` — the paper's observation that effect combination
   *is* an aggregate query, pushed into the engine: instead of returning
@@ -49,7 +47,6 @@ from repro.engine.operators.batch_ops import BatchBridgeOp, BatchOperator
 from repro.engine.schema import Schema
 
 __all__ = [
-    "MaterializedSourceOp",
     "BatchSharedSourceOp",
     "EffectSinkOp",
     "EffectPartial",
@@ -57,33 +54,6 @@ __all__ = [
 
 #: One fused group: ``(target id, partial accumulator, raw assignment count)``.
 EffectPartial = tuple[Any, Accumulator, int]
-
-
-class MaterializedSourceOp(PhysicalOperator):
-    """Row-path leaf serving a shared subplan's materialized result.
-
-    ``fetch`` returns caller-owned row dicts (the executor copies — or
-    materializes fresh from the shared batch — per consumer), so the
-    source-operator ownership contract holds: downstream operators may
-    adopt the dicts they receive.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        fetch: Callable[[], list[dict[str, Any]]],
-        fingerprint: str = "",
-    ):
-        super().__init__(schema)
-        self._fetch = fetch
-        self.fingerprint = fingerprint
-
-    def _produce(self) -> Iterator[dict[str, Any]]:
-        yield from self._fetch()
-
-    def label(self) -> str:
-        short = self.fingerprint[:24]
-        return f"MaterializedSource({short}…)" if len(self.fingerprint) > 24 else f"MaterializedSource({short})"
 
 
 class BatchSharedSourceOp(BatchOperator):

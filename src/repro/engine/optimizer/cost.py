@@ -105,12 +105,12 @@ class CostModel:
     #: when an Exchange runs in handoff-detection mode (exclude_shard set).
     HANDOFF_FRACTION = 0.05
 
-    def __init__(self, catalog: Catalog, *, use_indexes: bool = True):
+    def __init__(self, catalog: Catalog, *, probe_indexes: bool = True):
         self.catalog = catalog
-        #: Mirrors the physical planner's flag: with index plans disabled,
-        #: costing must not assume an index-probe lowering that execution
-        #: will never use.
-        self.use_indexes = use_indexes
+        #: Whether band joins can probe indexes (only kernels do): on the
+        #: row path, costing must not assume an index-probe lowering that
+        #: execution will never use.
+        self.probe_indexes = probe_indexes
 
     # -- cardinality ------------------------------------------------------------------
 
@@ -322,7 +322,7 @@ class CostModel:
         lowering the physical planner will choose)."""
         from repro.engine.optimizer.physical import _extract_range_probe, match_band_index
 
-        if not self.use_indexes:
+        if not self.probe_indexes:
             return False
         try:
             left_schema = plan.left.output_schema(self.catalog)

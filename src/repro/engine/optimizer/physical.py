@@ -1,21 +1,20 @@
 """Lowering logical plans to physical operator trees.
 
-The physical planner chooses operator implementations:
+The physical planner lowers for one of two targets
+(:class:`~repro.engine.config.EngineConfig`):
 
-* with ``use_batch`` on, every node is first offered to the kernel
-  compiler (:mod:`repro.engine.compile.kernels`): a fused kernel — over
-  leaf batch sources (:mod:`repro.engine.operators.batch_ops`) or other
-  kernels — is bridged back to row dicts by :class:`BatchBridgeOp`,
-* selections directly above a base-table scan use an index
-  (:class:`IndexRangeScanOp`) when one covers the predicate's constant
-  bounds, re-checking the predicate as a filter — index scans win over
-  kernels because they skip rows entirely,
-* joins become hash joins (equi conjuncts), band joins (the Figure 2
-  "units within range" shape: :class:`IndexProbeJoinOp` when a registered
-  index covers the inner side, else :class:`RangeProbeJoinOp`), or
-  nested-loop joins, which also serve condition-less cross products,
-* everything no kernel takes lowers one-to-one on the row path, with
-  children again free to become kernels below.
+* ``use_batch`` on: every node is first offered to the kernel compiler
+  (:mod:`repro.engine.compile.kernels`); a fused kernel — over leaf batch
+  sources (:mod:`repro.engine.operators.batch_ops`) or other kernels — is
+  bridged back to row dicts by :class:`BatchBridgeOp`.  Kernels are the
+  only plans that use an index: a band join probes a registered index
+  covering its inner side (:func:`match_band_index`);
+* everything no kernel takes, and every plan of the ``reference()`` row
+  path, lowers one-to-one on the row operators, with children again free
+  to become kernels below: joins become hash joins (equi conjuncts),
+  transient-grid band joins (the Figure 2 "units within range" shape,
+  :class:`RangeProbeJoinOp`), or nested-loop joins, which also serve
+  condition-less cross products.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.engine.expressions import (
     BinaryOp,
     ColumnRef,
     Expression,
-    Literal,
     and_all,
 )
 from repro.engine.operators import (
@@ -57,8 +55,6 @@ from repro.engine.operators import (
     FilterOp,
     HashAggregateOp,
     HashJoinOp,
-    IndexProbeJoinOp,
-    IndexRangeScanOp,
     NestedLoopJoinOp,
     PhysicalOperator,
     ProjectOp,
@@ -125,10 +121,9 @@ def match_band_index(
 class PhysicalPlanner:
     """Translates optimized logical plans into executable operator trees.
 
-    Reads four switches of its :class:`~repro.engine.config.EngineConfig`:
-    ``use_indexes=False`` forces pure scan plans; ``use_batch`` lowers
-    fusable plans to compiled kernels, ``False`` forces row-at-a-time
-    plans (the oracle of the equivalence tests);
+    Reads the three switches of its :class:`~repro.engine.config.EngineConfig`:
+    ``use_batch`` lowers fusable plans to compiled kernels, ``False``
+    forces row-at-a-time plans (the oracle of the equivalence tests);
     ``use_fixpoint=False`` lowers Fixpoint nodes to the naive reference
     loop (full accumulator every round); and with ``use_fixpoint`` on,
     ``use_incremental`` lowers per-table delta variants of fixpoint steps
@@ -157,9 +152,9 @@ class PhysicalPlanner:
         #: an enclosing Fixpoint: name -> (cell, positional source names).
         self.recursive_cells: dict[str, tuple[RecursiveCell, Sequence[str] | None]] = {}
         #: Set by the executor while lowering a tick pipeline: an object
-        #: with ``row_source(shared_scan)`` / ``batch_source(shared_scan)``
-        #: methods resolving :class:`SharedScan` leaves to operators that
-        #: serve the tick-shared materialization.  ``None`` outside
+        #: with a ``batch_source(shared_scan)`` method resolving
+        #: :class:`SharedScan` leaves to batch operators that serve the
+        #: tick-shared materialization.  ``None`` outside
         #: pipeline lowering — SharedScan then falls back to lowering its
         #: own source subtree, which is always correct.
         self.shared_lowering: Any = None
@@ -195,8 +190,8 @@ class PhysicalPlanner:
 
     def _lower(self, plan: LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, ShardedScan):
-            # Expand into Select-over-TableScan first so index matching,
-            # batching and kernels all apply to the shard slice unchanged.
+            # Expand into Select-over-TableScan first so kernels apply to
+            # the shard slice unchanged.
             return self.lower(plan.to_select())
         if isinstance(plan, Exchange):
             child = self.lower(plan.child)
@@ -213,10 +208,6 @@ class PhysicalPlanner:
             if batched is not None:
                 return BatchBridgeOp(batched, plan.output_schema(self.catalog))
         if isinstance(plan, SharedScan):
-            if self.shared_lowering is not None:
-                source = self.shared_lowering.row_source(plan)
-                if source is not None:
-                    return source
             return self.lower(plan.source)
         if isinstance(plan, TableScan):
             return self._lower_scan(plan)
@@ -257,67 +248,7 @@ class PhysicalPlanner:
         return TableScanOp(table, plan.output_schema(self.catalog), plan.alias)
 
     def _lower_select(self, plan: Select) -> PhysicalOperator:
-        child = plan.child
-        if self.config.use_indexes and isinstance(child, TableScan):
-            indexed = self._try_index_scan(child, plan.predicate)
-            if indexed is not None:
-                return indexed
-        lowered = self.lower(child)
-        return FilterOp(lowered, plan.predicate)
-
-    def _match_index(
-        self, table_name: str, predicate: Expression
-    ) -> tuple[str, list[tuple[Any, Any]]] | None:
-        """Find an index covering the predicate's constant bounds, if any.
-
-        Pure decision, no operator construction — shared by the row path
-        (:meth:`_try_index_scan`) and the kernel compiler (which
-        *declines* when an index applies, since an index scan skips rows
-        entirely).
-        Returns ``(index_name, per-column (low, high) bounds)``.
-        """
-        table = self.catalog.table(table_name)
-        if not table.indexes:
-            return None
-        conjuncts = (
-            predicate.conjuncts() if isinstance(predicate, BinaryOp) else [predicate]
-        )
-        # Collect per-column constant bounds: column -> [low, high].
-        bounds: dict[str, list[Any]] = {}
-        for conjunct in conjuncts:
-            parsed = _constant_comparison(conjunct)
-            if parsed is None:
-                continue
-            column, op, value = parsed
-            column = column.split(".")[-1]
-            entry = bounds.setdefault(column, [None, None])
-            if op == "==":
-                entry[0] = value if entry[0] is None else max(entry[0], value)
-                entry[1] = value if entry[1] is None else min(entry[1], value)
-            elif op in (">", ">="):
-                entry[0] = value if entry[0] is None else max(entry[0], value)
-            elif op in ("<", "<="):
-                entry[1] = value if entry[1] is None else min(entry[1], value)
-        if not bounds:
-            return None
-        for index_name, index in table.indexes.items():
-            index_cols = [c.split(".")[-1] for c in index.columns]
-            if not index_cols or not all(c in bounds for c in index_cols):
-                continue
-            return index_name, [tuple(bounds[c]) for c in index_cols]
-        return None
-
-    def _try_index_scan(self, scan: TableScan, predicate: Expression) -> PhysicalOperator | None:
-        """Use a table index for constant equality / range conjuncts."""
-        matched = self._match_index(scan.table_name, predicate)
-        if matched is None:
-            return None
-        index_name, index_bounds = matched
-        table = self.catalog.table(scan.table_name)
-        schema = scan.output_schema(self.catalog)
-        scan_op = IndexRangeScanOp(table, schema, index_name, index_bounds, scan.alias)
-        # The index may be approximate on ties/borders; always re-check.
-        return FilterOp(scan_op, predicate)
+        return FilterOp(self.lower(plan.child), plan.predicate)
 
     # -- joins ------------------------------------------------------------------------------
 
@@ -351,13 +282,6 @@ class PhysicalPlanner:
             probe = _extract_range_probe(conjuncts, left_schema, right_schema)
             if probe:
                 dimensions, residual_conjuncts = probe
-                indexed = (
-                    self._try_index_probe_join(plan, dimensions, residual_conjuncts, schema)
-                    if self.config.use_indexes
-                    else None
-                )
-                if indexed is not None:
-                    return indexed
                 residual = and_all(residual_conjuncts) if residual_conjuncts else None
                 op = RangeProbeJoinOp(
                     self.lower(plan.left), self.lower(plan.right), dimensions, schema, residual=residual
@@ -367,47 +291,6 @@ class PhysicalPlanner:
         return NestedLoopJoinOp(
             self.lower(plan.left), self.lower(plan.right), plan.condition, schema, how=plan.how
         )
-
-    def _try_index_probe_join(
-        self,
-        plan: Join,
-        dimensions: Sequence[tuple[str, Expression, Expression]],
-        residual_conjuncts: Sequence[Expression],
-        schema: Schema,
-    ) -> PhysicalOperator | None:
-        """Lower a band join to a persistent-index probe when one applies.
-
-        The inner side must be a (possibly filtered) base-table scan with a
-        registered index over probe columns; the transient
-        grid stays as fallback for every other shape.  A matched index
-        always wins: it skips the per-execution rebuild of a grid over the
-        whole inner side (``CostModel.band_join_work`` encodes the same
-        ordering for plan costing).  This assumes the index is reasonably
-        sized for the workload's probe widths — true for advisor-created
-        grids (cells sized from observed widths); a grossly mis-sized
-        manual index can probe more cells than the transient grid would
-        have, and the remedies are re-registering it with a better cell
-        size or ``use_indexes=False``.  Folded inner Select predicates
-        join the residual, so bypassing the inner operator tree never
-        loses a filter.
-        """
-        matched = match_band_index(self.catalog, plan.right, dimensions)
-        if matched is None:
-            return None
-        table, index_name, alias, folded = matched
-        residual_parts = list(residual_conjuncts) + list(folded)
-        residual = and_all(residual_parts) if residual_parts else None
-        op = IndexProbeJoinOp(
-            self.lower(plan.left),
-            table,
-            index_name,
-            dimensions,
-            schema,
-            residual=residual,
-            alias=alias,
-        )
-        op.stats_hook = self.band_hook(plan.right, dimensions)
-        return op
 
     def band_hook(
         self,
@@ -472,8 +355,7 @@ class PhysicalPlanner:
         variants) lower, so nested ``RecursiveRef`` leaves resolve to
         sources reading the current frontier.  The step body itself goes
         through the ordinary :meth:`lower`, which is what lets batch
-        kernels, index scans and MQO shared sources apply inside a
-        recursive plan.
+        kernels and MQO shared sources apply inside a recursive plan.
         """
         schema = plan.output_schema(self.catalog)  # validates base/step alignment
         base_op = self.lower(plan.base)
@@ -704,18 +586,6 @@ def _replace_scan(
 
 
 # -- condition analysis helpers ------------------------------------------------------------
-
-
-def _constant_comparison(expr: Expression) -> tuple[str, str, Any] | None:
-    """Match ``col <op> literal`` / ``literal <op> col``; return (col, op, value)."""
-    if not isinstance(expr, BinaryOp) or expr.op not in ("==", "<", "<=", ">", ">="):
-        return None
-    flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
-    if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
-        return expr.left.name, expr.op, expr.right.value
-    if isinstance(expr.right, ColumnRef) and isinstance(expr.left, Literal):
-        return expr.right.name, flipped[expr.op], expr.left.value
-    return None
 
 
 def _side_of(column: str, left_schema: Schema, right_schema: Schema) -> str | None:

@@ -1,4 +1,5 @@
-"""The planner facade: rewrite, reorder, cost and lower a logical plan."""
+"""The planner facade: rewrite, reorder, cost and lower a logical plan
+for the target its :class:`~repro.engine.config.EngineConfig` names."""
 
 from __future__ import annotations
 
@@ -61,11 +62,11 @@ class Planner:
     operators (:class:`~repro.engine.optimizer.physical.PhysicalPlanner`).
 
     Configuration comes from one :class:`~repro.engine.config.EngineConfig`
-    (``config=``, default :meth:`~repro.engine.config.EngineConfig.from_env`):
-    ``use_indexes=False`` forces pure scan plans; ``use_batch=False``
-    forces row-at-a-time plans instead of compiled kernels (whose programs
-    are kept in ``kernel_cache``).  An unrewritten plan can still be
-    lowered as written through ``physical_planner.lower``.
+    (``config=``, default ``EngineConfig()``): ``use_batch=False`` forces
+    row-at-a-time plans instead of compiled kernels (whose programs are
+    kept in ``kernel_cache``), and costs band joins without the indexes
+    only kernels probe.  An unrewritten plan can still be lowered as
+    written through ``physical_planner.lower``.
     """
 
     def __init__(
@@ -77,10 +78,10 @@ class Planner:
         kernel_cache: dict | None = None,
     ):
         if config is None:
-            config = EngineConfig.from_env()
+            config = EngineConfig()
         self.catalog = catalog
         self.config = config
-        self.cost_model = CostModel(catalog, use_indexes=config.use_indexes)
+        self.cost_model = CostModel(catalog, probe_indexes=config.use_batch)
         self.physical_planner = PhysicalPlanner(
             catalog, config, index_advisor=index_advisor, kernel_cache=kernel_cache
         )

@@ -188,7 +188,7 @@ class GameWorld:
         config: EngineConfig | None = None,
     ):
         if config is None:
-            config = EngineConfig.from_env()
+            config = EngineConfig()
         self.config = config
         self.program = parse_program(source) if isinstance(source, str) else source
         self.analyzed: AnalyzedProgram = analyze_program(self.program)
@@ -204,21 +204,11 @@ class GameWorld:
         self._register_schemas()
 
         #: Auto-creates/evicts spatial indexes for hot band joins (§4.2);
-        #: pointless when index plans are disabled, hence the ``and``.
+        #: only kernels probe indexes, so the row path runs without one.
         self.index_advisor: IndexAdvisor | None = (
-            IndexAdvisor(
-                self.catalog,
-                create_after=config.index_create_after,
-                evict_after=config.index_evict_after,
-            )
-            if config.auto_index and config.use_indexes
-            else None
+            IndexAdvisor(self.catalog) if config.use_batch else None
         )
         self.executor = Executor(self.catalog, config, index_advisor=self.index_advisor)
-        #: Tick-wide multi-query optimization: execute each tick's effect
-        #: queries through the executor's shared-subplan pipeline with
-        #: in-engine effect aggregation, instead of one-query-at-a-time.
-        self.use_mqo = config.use_mqo
         #: Compiled queries already offered to the incremental planner,
         #: keyed by their stable ``query_id`` (``id()`` keys are unsafe:
         #: a recycled id would silently skip or double-consider a query).
@@ -631,7 +621,7 @@ class GameWorld:
         report.effect_step_seconds = time.perf_counter() - started
         report.effect_assignments = len(store)
         report.transactions_submitted = len(transactions)
-        if self.mode is ExecutionMode.COMPILED and self.use_mqo:
+        if self.mode is ExecutionMode.COMPILED:
             stats = self.executor.last_tick_stats
             report.shared_subplans = stats.get("shared_subplans", 0)
             report.shared_subplans_evaluated = stats.get("shared_subplans_evaluated", 0)
@@ -807,8 +797,28 @@ class GameWorld:
         for query in queries:
             self._maybe_register_incremental(query)
 
-        def consume_rows(query: Any, rows: Iterable[Mapping[str, Any]]) -> None:
-            for row in rows:
+        specs = [
+            TickQuerySpec(
+                key=query.query_id or f"anon:{index}",
+                plan=query.plan,
+                combinator=self._sink_combinator(query),
+                target_column=TARGET_COLUMN,
+                value_column=VALUE_COLUMN,
+            )
+            for index, query in enumerate(queries)
+        ]
+        results = self.executor.execute_tick(specs)
+        for query, result in zip(queries, results):
+            for target_id, partial, count in result.partials or ():
+                store.add_partial(
+                    query.target_class,
+                    target_id,
+                    query.effect,
+                    partial,
+                    count,
+                    set_insert=query.set_insert,
+                )
+            for row in result.rows or ():
                 assignment = EffectAssignment(
                     class_name=query.target_class,
                     target_id=row[TARGET_COLUMN],
@@ -823,35 +833,6 @@ class GameWorld:
                     pending_class[key] = query.class_name
                 else:
                     store.add(assignment)
-
-        if self.use_mqo:
-            specs = [
-                TickQuerySpec(
-                    key=query.query_id or f"anon:{index}",
-                    plan=query.plan,
-                    combinator=self._sink_combinator(query),
-                    target_column=TARGET_COLUMN,
-                    value_column=VALUE_COLUMN,
-                )
-                for index, query in enumerate(queries)
-            ]
-            results = self.executor.execute_tick(specs)
-            for query, result in zip(queries, results):
-                if result.partials is not None:
-                    for target_id, partial, count in result.partials:
-                        store.add_partial(
-                            query.target_class,
-                            target_id,
-                            query.effect,
-                            partial,
-                            count,
-                            set_insert=query.set_insert,
-                        )
-                else:
-                    consume_rows(query, result.rows or ())
-        else:
-            for query in queries:
-                consume_rows(query, self.executor.execute(query.plan).rows)
         for key, assignments in pending.items():
             script_name, block_index, actor_id = key
             transactions.append(
@@ -868,7 +849,6 @@ class GameWorld:
     def _run_interpreted(
         self, store: EffectStore, transactions: list[TransactionRequest]
     ) -> None:
-        pc_updates: list[StateUpdate] = []
         for script_name in self._enabled_scripts:
             script = self.program.script_named(script_name)
             assert script is not None
@@ -881,7 +861,6 @@ class GameWorld:
                 transactions.extend(result.transactions)
         # Program counters advance in the scheduler update component, which
         # runs for both execution modes.
-        del pc_updates
 
     # -- update application ------------------------------------------------------------------------------
 

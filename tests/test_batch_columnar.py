@@ -45,11 +45,6 @@ from repro.workloads import build_rts_world, build_traffic_world
 from repro.workloads.marketplace import build_marketplace_world
 
 
-def _config(**flags) -> EngineConfig:
-    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
-    fastest CI leg keeps compiled kernels under every override."""
-    return EngineConfig.from_env().replace(**flags)
-
 
 # -- ColumnBatch container ---------------------------------------------------------
 
@@ -283,8 +278,8 @@ PLANS = {
 def test_batch_row_equivalence(name):
     catalog = _make_catalog()
     plan = PLANS[name]()
-    row_rows = Executor(catalog, _config(use_batch=False)).execute(plan).rows
-    executor = Executor(catalog, _config(use_batch=True))
+    row_rows = Executor(catalog, EngineConfig(use_batch=False)).execute(plan).rows
+    executor = Executor(catalog, EngineConfig(use_batch=True))
     assert executor.execute(plan).rows == row_rows  # same rows, same order
     report = executor.kernel_report()
     assert report["declined"] == 0 and report["errors"] == 0, report
@@ -302,20 +297,20 @@ def test_order_sensitive_equivalence():
             AggregateSpec("ids", "collect", col("id")),
         ],
     )
-    row_rows = Executor(catalog, _config(use_batch=False)).execute(plan).rows
-    batch_rows = Executor(catalog, _config(use_batch=True)).execute(plan).rows
+    row_rows = Executor(catalog, EngineConfig(use_batch=False)).execute(plan).rows
+    batch_rows = Executor(catalog, EngineConfig(use_batch=True)).execute(plan).rows
     assert batch_rows == row_rows
 
 
 def test_batch_path_is_chosen_and_flagged():
     catalog = _make_catalog()
     plan = PLANS["filter-project"]()
-    executor = Executor(catalog, _config(use_batch=True))
+    executor = Executor(catalog, EngineConfig(use_batch=True))
     planned = executor.prepare(plan)
     assert planned.uses_batch
     assert isinstance(planned.physical, BatchBridgeOp)
     assert "CompiledKernel" in planned.physical.explain()
-    row_planned = Executor(catalog, _config(use_batch=False)).prepare(plan)
+    row_planned = Executor(catalog, EngineConfig(use_batch=False)).prepare(plan)
     assert not row_planned.uses_batch
 
 
@@ -339,7 +334,7 @@ def test_empty_table_aggregate_identity():
         [AggregateSpec("n", "count"), AggregateSpec("s", "sum", col("v"))],
     )
     for use_batch in (False, True):
-        rows = Executor(catalog, _config(use_batch=use_batch)).execute(plan).rows
+        rows = Executor(catalog, EngineConfig(use_batch=use_batch)).execute(plan).rows
         assert rows == [{"n": 0, "s": 0}]
 
 
@@ -367,7 +362,7 @@ def _assert_world_equivalence(make_world, ticks=3):
 def test_rts_workload_equivalence():
     world = _assert_world_equivalence(
         lambda use_batch: build_rts_world(
-            60, mode=ExecutionMode.COMPILED, config=_config(use_batch=use_batch)
+            60, mode=ExecutionMode.COMPILED, config=EngineConfig(use_batch=use_batch)
         )
     )
     # The tick queries should actually exercise the batch path somewhere.
@@ -376,11 +371,11 @@ def test_rts_workload_equivalence():
 
 def test_traffic_workload_equivalence():
     _assert_world_equivalence(
-        lambda use_batch: build_traffic_world(80, config=_config(use_batch=use_batch))
+        lambda use_batch: build_traffic_world(80, config=EngineConfig(use_batch=use_batch))
     )
 
 
 def test_marketplace_workload_equivalence():
     _assert_world_equivalence(
-        lambda use_batch: build_marketplace_world(30, config=_config(use_batch=use_batch))
+        lambda use_batch: build_marketplace_world(30, config=EngineConfig(use_batch=use_batch))
     )

@@ -17,15 +17,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_equivalence_and_workloads import state_fingerprint
+from test_index_join import index_probe_join
 from test_replay_determinism import WORKLOADS as REPLAY_WORKLOADS
 from test_replay_determinism import rts_churn, run_with_wal, traffic_churn
 
 from repro.engine import Catalog, Column, DataType, EngineConfig, Schema
-from repro.engine.algebra import Aggregate, AggregateSpec, Join, Project, Select, TableScan
+from repro.engine.algebra import Aggregate, AggregateSpec, Join, Project, Select, TableScan, Union
 from repro.engine.executor import Executor, TickQuerySpec
 from repro.engine.expressions import and_all, col, lit
 from repro.engine.indexes import GridIndex, RangeTreeIndex, SortedIndex
 from repro.engine.compile import KernelOp
+from repro.engine.compile.exprgen import KernelDecline
 from repro.engine.operators import (
     BatchBridgeOp,
     HashAggregateOp,
@@ -271,7 +273,7 @@ class TestPlanChoice:
         physical = executor.prepare(band_join_plan(), cache=False).physical
         assert any(isinstance(op, KernelOp) for op in _batch_ops(physical))
 
-    def test_standalone_planner_compiles_kernels(self, unit_catalog, monkeypatch):
+    def test_standalone_planner_compiles_kernels(self, unit_catalog):
         """A Planner outside an Executor — built directly or by the
         adaptive manager's default factory — lowers to the same fused
         kernel the executor would."""
@@ -284,7 +286,6 @@ class TestPlanChoice:
             ["a.player"],
             [AggregateSpec("n", "count")],
         )
-        monkeypatch.delenv("REPRO_ENGINE_PRESET", raising=False)
         for physical in (
             Planner(unit_catalog, EngineConfig()).plan(plan).physical,
             AdaptiveQueryManager(unit_catalog, plan).compile_for_state("s").planned.physical,
@@ -293,9 +294,21 @@ class TestPlanChoice:
             assert isinstance(physical.batch_root, KernelOp)
             assert physical.batch_root.program.fused_nodes == 2
 
+    def test_declines_are_about_shape_or_expressions_never_indexes(self, unit_catalog):
+        """No index makes a kernel decline: the reasons left are a join
+        side or leaf with no batch operator, and an expression."""
+        assert KernelDecline.REASONS == ("join-shape", "expression", "bare-leaf")
+        unit_catalog.create_index("unit", "by_x", SortedIndex("x"))
+        players = Project(TableScan("unit"), {"p": col("player")})
+        executor = Executor(unit_catalog, COMPILED)
+        executor.execute(Select(TableScan("unit"), col("x").lt(lit(50))))
+        executor.execute(Select(Union(players, players), col("p").eq(lit(1))))
+        report = executor.kernel_report()
+        assert report["declined_by_reason"] == {"join-shape": 0, "expression": 0, "bare-leaf": 1}
+        assert report["compiled"] >= 1 and report["errors"] == 0
 
 
-#: Band-covering indexes the interpreted planner probes: full coverage by
+#: Band-covering indexes the band kernel probes: full coverage by
 #: each range-capable structure, and partial coverage (``x`` only).
 BAND_INDEXES = {
     "grid_xy": lambda: GridIndex(["x", "y"], cell_size=5.0),
@@ -338,15 +351,10 @@ class TestIndexProbingBandKernel:
         unit_catalog.create_index("unit", "band", BAND_INDEXES[kind]())
         plan = band_join_plan(col("u.health").gt(lit(40)) if inner_filter else None)
         compiled = Executor(unit_catalog, COMPILED)
-        interp = Executor(unit_catalog, INTERP)
         kernels = _index_kernels(compiled, plan)
         assert [k.index_probe[1] for k in kernels] == ["band"]
-        compiled_ops = list(compiled.prepare(plan).physical.walk())
-        assert not any(isinstance(op, IndexProbeJoinOp) for op in compiled_ops)
-        # Same plan choice on the interpreted side, same rows in the same order.
-        interp_ops = list(interp.prepare(plan).physical.walk())
-        assert any(isinstance(op, IndexProbeJoinOp) for op in interp_ops)
-        expected = interp.execute(plan).rows
+        # Same rows in the same order as the row-order oracle of the core.
+        expected = index_probe_join(unit_catalog, plan).rows()
         assert compiled.execute(plan).rows == expected
         assert len(expected) > 100, "scenario too sparse to exercise the probe loop"
         report = compiled.kernel_report()
@@ -360,15 +368,15 @@ class TestIndexProbingBandKernel:
 
     def test_degradation_ladder_between_prepare_and_execute(self, unit_catalog):
         """A cached plan outlives its index: named index → any covering
-        index → every row id, on both paths, still in the same order."""
+        index → every row id, in the same order as the row-order oracle."""
         _add_edge_rows(unit_catalog)
         unit_catalog.create_index("unit", "by_x", SortedIndex("x"))
         unit_catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         plan = band_join_plan()
         compiled = Executor(unit_catalog, COMPILED)
-        interp = Executor(unit_catalog, INTERP)
+        probe = index_probe_join(unit_catalog, plan)
         oracle = Executor(unit_catalog, EngineConfig.reference())
-        assert _index_kernels(compiled, plan)  # both plans are now cached
+        assert _index_kernels(compiled, plan)  # the kernel plan is now cached
 
         def normalized(rows):
             return sorted(sorted(row.items(), key=repr) for row in rows)
@@ -377,7 +385,7 @@ class TestIndexProbingBandKernel:
             if dropped is not None:
                 unit_catalog.drop_index("unit", dropped)  # no invalidation
             got = compiled.execute(plan).rows
-            assert got == interp.execute(plan).rows, f"diverged after dropping {dropped}"
+            assert got == probe.rows(), f"diverged after dropping {dropped}"
             assert normalized(got) == normalized(oracle.execute(plan, cache=False).rows)
         assert _index_kernels(compiled, plan), "the cached kernel plan was replaced"
 
@@ -439,8 +447,8 @@ class TestKernelCache:
     def test_catalog_shape_change_mid_run_stays_correct(self, unit_catalog):
         """After the catalog shape changes mid-run, ``invalidate_plans``
         must drop the compiled kernels along with the plans — a stale band
-        kernel would keep grid-rebuilding (in grid order) while the
-        interpreted planner switched to probing the new index."""
+        kernel would keep grid-rebuilding (in grid order) instead of
+        probing the new index in its order."""
         plan = band_join_plan()
         compiled = Executor(unit_catalog, COMPILED)
         interp = Executor(unit_catalog, INTERP)
@@ -449,15 +457,13 @@ class TestKernelCache:
 
         unit_catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         compiled.invalidate_plans()
-        interp.invalidate_plans()
         assert compiled.kernel_report()["cached"] == 0
-        assert compiled.execute(plan).rows == interp.execute(plan).rows
+        assert compiled.execute(plan).rows == index_probe_join(unit_catalog, plan).rows()
         assert [k.index_probe[1] for k in _index_kernels(compiled, plan)] == ["xy"]
         assert compiled.kernel_report()["compiled"] == 2  # the index-probing variant
 
         unit_catalog.drop_index("unit", "xy")
         compiled.invalidate_plans()
-        interp.invalidate_plans()
         assert compiled.execute(plan).rows == interp.execute(plan).rows
         assert not _index_kernels(compiled, plan)
         assert compiled.kernel_report()["compiled"] == 3  # back on the transient grid
@@ -513,10 +519,10 @@ def _world_snapshot(world) -> dict:
 class TestWholeWorld:
     @pytest.mark.parametrize("workload", sorted(REPLAY_WORKLOADS))
     def test_compiled_world_matches_default(self, workload):
-        """Tick two copies of the same seeded world — the default config
-        with every batch node on the row operators vs the ``fastest``
-        preset — with identical churn: every post-tick state of every
-        table must match exactly."""
+        """Tick two copies of the same seeded world — the row target
+        (``use_batch=False``: per-query row plans, no index) vs the
+        ``fastest`` preset — with identical churn: every post-tick state of
+        every table must match exactly."""
         build, churn = REPLAY_WORKLOADS[workload]
         w_default = build(config=EngineConfig(use_batch=False))
         w_compiled = build(config=EngineConfig.fastest())
@@ -542,14 +548,18 @@ class TestWholeWorld:
         tick for tick, while the advisor creates its grid index (the band
         kernels switch from the transient grid to probing it), evicts it
         while the scripts are paused, and creates it again."""
-        fast = EngineConfig.fastest().replace(index_create_after=2, index_evict_after=3)
         pause = range(pause_at, pause_at + 5)
         cases = [
             (build_rts_world, rts_churn, "Unit", ["health", "x", "y"]),
             (build_traffic_world, traffic_churn, "Vehicle", ["position", "velocity"]),
         ]
         for build, churn, class_name, attributes in cases:
-            worlds = [build(n_units, seed=seed, config=c) for c in (fast, EngineConfig.reference())]
+            worlds = [
+                build(n_units, seed=seed, config=c)
+                for c in (EngineConfig.fastest(), EngineConfig.reference())
+            ]
+            worlds[0].index_advisor.create_after = 2
+            worlds[0].index_advisor.evict_after = 3
             rngs = [random.Random(seed), random.Random(seed)]
             scripts = worlds[0].enabled_scripts()
             for tick in range(pause_at + 9):

@@ -27,8 +27,10 @@ from repro.engine import (
 )
 from repro.engine.aggregates import combine_values, make_accumulator
 from repro.engine.algebra import explain
-from repro.engine.indexes import SortedIndex
+from repro.engine.compile import KernelOp
+from repro.engine.indexes import GridIndex, RangeTreeIndex, SortedIndex
 from repro.engine.operators import (
+    BatchBridgeOp,
     FilterOp,
     HashJoinOp,
     NestedLoopJoinOp,
@@ -318,16 +320,54 @@ class TestOptimizer:
         lower = Planner(unit_catalog).physical_planner.lower
         assert len(lower(plan).rows()) == len(lower(reordered).rows())
 
-    def test_index_scan_selected_for_constant_range(self, unit_catalog):
+    def test_constant_range_over_index_is_one_kernel_in_table_order(self, unit_catalog):
+        """Only kernels plan indexes, and a constant-range Select is not an
+        index plan: over a table with a covering index it is one scan
+        kernel whose rows come out in table order, ``reference()``'s order
+        (the units are not inserted in ``x`` order)."""
+        unit_catalog.table("unit").attach_index("by_x", SortedIndex("x"))
+        plan = Select(TableScan("unit"), and_all([col("x").ge(lit(10)), col("x").le(lit(40))]))
+        executor = Executor(unit_catalog, EngineConfig())
+        physical = executor.prepare(plan).physical
+        assert isinstance(physical, BatchBridgeOp)
+        assert isinstance(physical.batch_root, KernelOp)
+        rows = executor.execute(plan).rows
+        expected = Executor(unit_catalog, EngineConfig.reference()).execute(plan).rows
+        assert rows == expected
+        xs = [row["x"] for row in rows]
+        assert len(xs) > 10 and xs != sorted(xs)
+        report = executor.kernel_report()
+        assert (report["compiled"], report["declined"], report["errors"]) == (1, 0, 0)
+
+    @pytest.mark.parametrize(
+        ("index", "predicate"),
+        [
+            (SortedIndex("x"), col("x").gt(lit(60))),
+            (SortedIndex("x"), col("x").lt(lit(30))),
+            (SortedIndex("x"), and_all([col("x").ge(lit(10)), col("x").le(lit(60)), col("player").eq(lit(1))])),
+            (GridIndex(["x", "y"], cell_size=10.0), and_all([col("x").ge(lit(20)), col("y").lt(lit(50))])),
+            (RangeTreeIndex(["x", "y"]), and_all([col("x").le(lit(70)), col("y").gt(lit(25))])),
+        ],
+        ids=["sorted-lower", "sorted-upper", "sorted-with-residual", "grid-2d", "range-tree-2d"],
+    )
+    def test_constant_range_over_every_index_kind_stays_in_table_order(
+        self, unit_catalog, index, predicate
+    ):
+        """Whatever range-capable index covers the predicate, the Select is
+        one scan kernel, and it keeps ``reference()``'s rows and order
+        across a mutation that moves a row into the range."""
         table = unit_catalog.table("unit")
-        table.attach_index("by_x", SortedIndex("x"))
-        planner = Planner(unit_catalog)
-        plan = Select(TableScan("unit"), and_all([col("x").ge(lit(10)), col("x").le(lit(20))]))
-        planned = planner.plan(plan)
-        assert "IndexRangeScan" in planned.physical.explain()
-        rows = planned.physical.rows()
-        expected = [r for r in table.rows() if 10 <= r["x"] <= 20]
-        assert len(rows) == len(expected)
+        table.attach_index("covering", index)
+        plan = Select(TableScan("unit"), predicate)
+        executor = Executor(unit_catalog, EngineConfig(use_incremental=False))
+        reference = Executor(unit_catalog, EngineConfig.reference())
+        assert isinstance(executor.prepare(plan).physical.batch_root, KernelOp)
+        for _ in range(2):
+            rows = executor.execute(plan).rows
+            assert rows and rows == reference.execute(plan).rows
+            table.update(next(table.row_ids()), {"x": 45.0, "y": 45.0, "player": 1})
+        report = executor.kernel_report()
+        assert (report["compiled"], report["declined"], report["errors"]) == (1, 0, 0)
 
     def test_cost_model_prefers_selective_first(self, unit_catalog):
         cost_model = CostModel(unit_catalog)

@@ -45,11 +45,6 @@ from repro.workloads.marketplace import build_marketplace_world
 from repro.workloads.traffic import build_traffic_world
 
 
-def _config(**flags) -> EngineConfig:
-    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
-    fastest CI leg keeps compiled kernels under every override."""
-    return EngineConfig.from_env().replace(**flags)
-
 
 # -- helpers ---------------------------------------------------------------------------
 
@@ -151,8 +146,8 @@ class TestIncrementalEquivalence:
     def _check_plan(self, plan, ticks=25, seed=11, allow_structural=True):
         catalog, units = _units_catalog(seed=seed)
         inc = Executor(catalog)
-        batch = Executor(catalog, _config(use_incremental=False))
-        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
+        batch = Executor(catalog, EngineConfig(use_incremental=False))
+        row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(seed)
         for tick in range(ticks):
@@ -201,7 +196,7 @@ class TestIncrementalEquivalence:
         )
         catalog, units = _units_catalog()
         inc = Executor(catalog)
-        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
+        row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         assert_same_rows(inc.execute(plan).rows, row.execute(plan).rows, "empty-global")
         units.update(next(units.row_ids()), {"x": 5.0})
@@ -224,7 +219,7 @@ class TestIncrementalEquivalence:
             {"id": col("u.id"), "boost": col("u.health") + col("z.bonus")},
         )
         inc = Executor(catalog)
-        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
+        row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(3)
         for tick in range(20):
@@ -253,7 +248,7 @@ class TestIncrementalEquivalence:
             {"id": col("u.id"), "amount": col("b.amount")},
         )
         inc = Executor(catalog)
-        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
+        row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(7)
         buff_rowids = []
@@ -286,7 +281,7 @@ class TestIncrementalEquivalence:
         )
         catalog, units = _units_catalog(n_rows=80)
         inc = Executor(catalog)
-        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
+        row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         rng = random.Random(13)
         for tick in range(10):
@@ -321,14 +316,14 @@ class TestFallbackRules:
 
     def test_disabled_executor_declines(self):
         catalog, _ = _units_catalog()
-        executor = Executor(catalog, _config(use_incremental=False))
+        executor = Executor(catalog, EngineConfig(use_incremental=False))
         assert not executor.register_incremental(TableScan("units"))
 
     def test_log_truncation_triggers_full_refresh_not_failure(self):
         catalog, units = _units_catalog(n_rows=50)
         plan = Project(TableScan("units"), {"id": col("id")})
         inc = Executor(catalog)
-        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
+        row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
         assert inc.register_incremental(plan)
         inc.execute(plan)
         view = inc.incremental_view(plan)
@@ -354,7 +349,7 @@ class TestFallbackRules:
         assert entry["state"] == "dropped" and entry["reason"] == "IncrementalDisabled"
         assert entry["guard_trips"] == 3 and entry["full_refreshes"] == 3
         # The query still executes correctly on the physical path.
-        row = Executor(catalog, _config(use_batch=False, use_incremental=False))
+        row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
         assert_same_rows(inc.execute(plan).rows, row.execute(plan).rows, "post-disable")
 
     def test_noop_hits_on_unchanged_tables(self):
@@ -406,8 +401,8 @@ class TestWorldEquivalence:
     """Incremental on vs. off must not change any workload's evolution."""
 
     def test_rts_world(self):
-        w1 = build_rts_world(60, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True))
-        w2 = build_rts_world(60, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False))
+        w1 = build_rts_world(60, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=True))
+        w2 = build_rts_world(60, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=False))
         for _ in range(8):
             w1.tick()
             w2.tick()
@@ -416,7 +411,7 @@ class TestWorldEquivalence:
     def test_high_churn_rts_views_are_reported_as_dropped(self):
         """Every unit moves every tick: all four script views trip the churn
         guard and are dropped, and the report keeps each one's counters."""
-        world = build_rts_world(100, config=_config(use_incremental=True))
+        world = build_rts_world(100, config=EngineConfig(use_incremental=True))
         world.run(5)
         report = world.executor.incremental_report()
         assert [entry["state"] for entry in report] == ["dropped"] * 4, report
@@ -429,14 +424,14 @@ class TestWorldEquivalence:
             mode=ExecutionMode.COMPILED,
             with_physics=False,
             scripts=["count_neighbours"],
-            config=_config(use_incremental=True),
+            config=EngineConfig(use_incremental=True),
         )
         reference = build_rts_world(
             120,
             mode=ExecutionMode.COMPILED,
             with_physics=False,
             scripts=["count_neighbours"],
-            config=_config(use_incremental=False),
+            config=EngineConfig(use_incremental=False),
         )
         for _ in range(6):
             world.tick()
@@ -450,10 +445,10 @@ class TestWorldEquivalence:
 
     def test_traffic_world(self):
         w1 = build_traffic_world(
-            50, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True)
+            50, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=True)
         )
         w2 = build_traffic_world(
-            50, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False)
+            50, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=False)
         )
         for _ in range(8):
             w1.tick()
@@ -462,10 +457,10 @@ class TestWorldEquivalence:
 
     def test_marketplace_world(self):
         w1 = build_marketplace_world(
-            24, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True)
+            24, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=True)
         )
         w2 = build_marketplace_world(
-            24, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False)
+            24, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=False)
         )
         for _ in range(6):
             w1.tick()
@@ -475,8 +470,8 @@ class TestWorldEquivalence:
     def test_randomized_spawn_destroy_churn(self):
         """Structural churn (spawn/destroy between ticks) across both modes."""
         rng1, rng2 = random.Random(99), random.Random(99)
-        w1 = build_rts_world(40, mode=ExecutionMode.COMPILED, config=_config(use_incremental=True))
-        w2 = build_rts_world(40, mode=ExecutionMode.COMPILED, config=_config(use_incremental=False))
+        w1 = build_rts_world(40, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=True))
+        w2 = build_rts_world(40, mode=ExecutionMode.COMPILED, config=EngineConfig(use_incremental=False))
         for tick in range(6):
             for world, rng in ((w1, rng1), (w2, rng2)):
                 if tick % 2 == 0:
@@ -601,7 +596,7 @@ class TestDeltaJoinTerms:
             if indexed:
                 toggle_index(name)
         plan = _band_plan(names[0], names[-1], dims, low, high, *strict, filtered)
-        inc = Executor(catalog, _config(use_incremental=True))
+        inc = Executor(catalog, EngineConfig(use_incremental=True))
         ref = Executor(catalog, EngineConfig.reference())
         assert inc.register_incremental(plan)
         next_id = 40
@@ -640,7 +635,7 @@ class TestDeltaJoinTerms:
         units.insert({"id": 1, "x": 5.0, "y": 0.0, "r": r, "h": 50})
         catalog.create_index("units", "by_x", SortedIndex("x"))
         plan = _band_plan("units", "units", ("x",), "column", "column", False, False, False)
-        inc = Executor(catalog, _config(use_incremental=True))
+        inc = Executor(catalog, EngineConfig(use_incremental=True))
         assert inc.register_incremental(plan)
         inc.execute(plan)
         units.update_by_key(1, {"x": v})
@@ -674,7 +669,7 @@ class TestDeltaJoinTerms:
             Join(alive, totals, col("u.id").eq(col("bid")), how="left"),
             {"id": col("u.id"), "total": col("total")},
         )
-        inc = Executor(catalog, _config(use_incremental=True))
+        inc = Executor(catalog, EngineConfig(use_incremental=True))
         ref = Executor(catalog, EngineConfig.reference())
         assert inc.register_incremental(plan)
         join = _delta_join(inc, plan, keyless=False)

@@ -1,10 +1,11 @@
 """Persistent index-backed spatial joins: planner, operators, advisor, deltas.
 
-Covers the index-probing band join (`IndexProbeJoinOp`), its plan-time
-selection against registered `GridIndex` / `RangeTreeIndex` / `SortedIndex`
-structures, the index advisor's create/evict policy, the incremental
-delta-join's index probing for the unchanged side, and the regression for
-`RangeProbeJoinOp`'s degenerate cell-size estimate.
+Covers the index-probing band kernel against its row-order oracle
+(`IndexProbeJoinOp`, built directly: kernels are the only plans that probe
+an index), its choice among registered `GridIndex` / `RangeTreeIndex` /
+`SortedIndex` structures, the index advisor's create/evict policy, the
+incremental delta-join's index probing for the unchanged side, and the
+regression for `RangeProbeJoinOp`'s degenerate cell-size estimate.
 """
 
 from __future__ import annotations
@@ -36,17 +37,16 @@ from repro.engine.operators import (
     RangeProbeJoinOp,
     ValuesOp,
 )
+from repro.engine.optimizer import Planner
+from repro.engine.optimizer.physical import PhysicalPlanner, _extract_range_probe, match_band_index
 from repro.workloads import build_rts_world
 
 
-def _config(**flags) -> EngineConfig:
-    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
-    fastest CI leg keeps compiled kernels under every override."""
-    return EngineConfig.from_env().replace(**flags)
 
-
-#: Row operators only, every other switch at its default.
-ROW = EngineConfig(use_batch=False)
+#: The compiled target (kernels are the only plans that probe indexes)
+#: and the row-path oracle, both without views.
+KERNEL = EngineConfig(use_incremental=False)
+ROW = EngineConfig(use_batch=False, use_incremental=False)
 
 
 def _normalized(rows):
@@ -101,6 +101,31 @@ def band_plan(inner_filter=None):
     return Select(join, predicate)
 
 
+def index_probe_join(catalog: Catalog, plan) -> IndexProbeJoinOp:
+    """*plan*'s band join as :class:`IndexProbeJoinOp`, the row-order oracle
+    of the index-probing band kernel, built the way the kernel takes the
+    join: the optimized join's inner side probes the index covering it and
+    the inner side's Select predicates run as residuals."""
+    join = Planner(catalog, KERNEL).plan(plan).optimized
+    assert isinstance(join, Join) and join.how == "inner", join
+    dimensions, residual = _extract_range_probe(
+        join.condition.conjuncts(),
+        join.left.output_schema(catalog),
+        join.right.output_schema(catalog),
+    )
+    table, index_name, alias, folded = match_band_index(catalog, join.right, dimensions)
+    residual = [*residual, *folded]
+    return IndexProbeJoinOp(
+        PhysicalPlanner(catalog, ROW).lower(join.left),
+        table,
+        index_name,
+        dimensions,
+        join.output_schema(catalog),
+        residual=and_all(residual) if residual else None,
+        alias=alias,
+    )
+
+
 def _join_ops(executor: Executor, plan) -> list:
     return [op for op in executor.prepare(plan, cache=False).physical.walk()]
 
@@ -117,66 +142,66 @@ def _probed_indexes(executor: Executor, plan) -> list[str]:
 
 
 class TestIndexProbePlanning:
-    # These pin the row path instead of inheriting REPRO_ENGINE_PRESET:
-    # they assert row operator classes, and with use_batch on the band
-    # join is a kernel (tests/test_compiled_kernels.py covers that).
+    """Which index the band kernel probes: kernels are the only plans
+    that use one."""
 
     def test_grid_index_is_probed(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, ROW), band_plan())
-        probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
-        assert len(probes) == 1
-        assert probes[0].index_name == "xy"
+        assert _probed_indexes(Executor(catalog, KERNEL), band_plan()) == ["xy"]
 
     def test_range_tree_index_is_probed(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "tree", RangeTreeIndex(["x", "y"]))
-        ops = _join_ops(Executor(catalog, ROW), band_plan())
-        assert any(isinstance(op, IndexProbeJoinOp) for op in ops)
+        assert _probed_indexes(Executor(catalog, KERNEL), band_plan()) == ["tree"]
 
     def test_sorted_index_covers_one_dimension(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
-        ops = _join_ops(Executor(catalog, ROW), band_plan())
-        probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
-        assert len(probes) == 1
-        assert probes[0].index_name == "by_x"
+        assert _probed_indexes(Executor(catalog, KERNEL), band_plan()) == ["by_x"]
 
     def test_widest_coverage_wins(self):
         catalog = _make_catalog()
         catalog.create_index("unit", "by_x", SortedIndex("x"))
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, ROW), band_plan())
-        probes = [op for op in ops if isinstance(op, IndexProbeJoinOp)]
-        assert probes and probes[0].index_name == "xy"
+        assert _probed_indexes(Executor(catalog, KERNEL), band_plan()) == ["xy"]
 
     def test_no_index_falls_back_to_grid_rebuild(self):
         catalog = _make_catalog()
-        ops = _join_ops(Executor(catalog, ROW), band_plan())
-        assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
+        ops = _join_ops(Executor(catalog, KERNEL), band_plan())
+        kernels = [op.batch_root for op in ops if isinstance(op, BatchBridgeOp)]
+        assert [type(k) for k in kernels] == [KernelOp]
+        assert kernels[0].index_probe is None
+        # The row path builds the transient grid too.
+        row_ops = _join_ops(Executor(catalog, ROW), band_plan())
+        assert any(isinstance(op, RangeProbeJoinOp) for op in row_ops)
 
-    def test_use_indexes_false_forces_rebuild_path(self):
+
+class TestIndexAwareCosting:
+    """The cost model discounts a band join's grid rebuild only where a
+    kernel will probe the index instead: on the compiled target."""
+
+    def test_index_discount_follows_the_target(self):
         catalog = _make_catalog()
+        join = Planner(catalog, KERNEL).plan(band_plan()).optimized
+        assert isinstance(join, Join)
+        before = {
+            config: Planner(catalog, config).cost_model.cost(join).cost for config in (KERNEL, ROW)
+        }
+        assert before[KERNEL] == before[ROW]
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        ops = _join_ops(Executor(catalog, ROW.replace(use_indexes=False)), band_plan())
-        assert not any(isinstance(op, IndexProbeJoinOp) for op in ops)
-        assert any(isinstance(op, RangeProbeJoinOp) for op in ops)
+        assert Planner(catalog, ROW).cost_model.cost(join).cost == before[ROW]
+        assert Planner(catalog, KERNEL).cost_model.cost(join).cost < before[KERNEL]
 
 
 class TestIndexProbeEquivalence:
     def _assert_equivalent(self, catalog, plan):
-        indexed = Executor(catalog, ROW.replace(use_incremental=False))
-        kernel = Executor(catalog, EngineConfig(use_incremental=False))
-        batch = Executor(catalog, _config(use_indexes=False, use_incremental=False))
-        row = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
-        assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
+        kernel = Executor(catalog, KERNEL)
         assert _probed_indexes(kernel, plan) == list(catalog.table("unit").indexes)
-        rows_indexed = indexed.execute(plan, cache=False).rows
+        rows_indexed = index_probe_join(catalog, plan).rows()
         assert kernel.execute(plan, cache=False).rows == rows_indexed  # same order too
-        rows_batch = batch.execute(plan, cache=False).rows
-        rows_row = row.execute(plan, cache=False).rows
-        assert _normalized(rows_indexed) == _normalized(rows_batch) == _normalized(rows_row)
+        rows_row = Executor(catalog, ROW).execute(plan, cache=False).rows
+        assert _normalized(rows_indexed) == _normalized(rows_row)
         assert rows_indexed, "scenario produced no matches; test would be vacuous"
 
     def test_grid_index_equivalence_with_null_coordinates(self):
@@ -200,8 +225,8 @@ class TestIndexProbeEquivalence:
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         table = catalog.table("unit")
         plan = band_plan()
-        indexed = Executor(catalog, _config(use_incremental=False))
-        row = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
+        indexed = Executor(catalog, KERNEL)
+        row = Executor(catalog, ROW)
         rng = random.Random(11)
         for tick in range(6):
             rowids = list(table.row_ids())
@@ -235,9 +260,9 @@ class TestEvictedIndexResilience:
         catalog = _make_catalog()
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         plan = band_plan()
-        executor = Executor(catalog, _config(use_incremental=False))
+        executor = Executor(catalog, KERNEL)
         expected = _normalized(
-            Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
+            Executor(catalog, ROW)
             .execute(plan)
             .rows
         )
@@ -257,7 +282,7 @@ class TestEvictedIndexResilience:
         # A bulk rewrite resets the change log, forcing the next refresh
         # through a full rebuild of the frozen full plan.
         table.restore(table.snapshot())
-        ref = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
+        ref = Executor(catalog, ROW)
         assert _normalized(inc.execute(plan).rows) == _normalized(ref.execute(plan).rows)
 
 
@@ -292,16 +317,10 @@ class TestStrictBandBounds:
         catalog = self._catalog()
         plan = self._strict_plan()
         expected = {4.0, 5.0, 6.0}  # strictly inside (3, 7)
-        indexed = Executor(catalog, ROW.replace(use_incremental=False))
-        kernel = Executor(catalog, EngineConfig(use_incremental=False))
-        assert any(isinstance(op, IndexProbeJoinOp) for op in _join_ops(indexed, plan))
+        kernel = Executor(catalog, KERNEL)
         assert _probed_indexes(kernel, plan) == ["by_x"]
-        for executor in (
-            indexed,
-            kernel,
-            Executor(catalog, _config(use_indexes=False, use_incremental=False)),
-            Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False)),
-        ):
+        assert {r["x"] for r in index_probe_join(catalog, plan).rows()} == expected
+        for executor in (kernel, Executor(catalog, ROW)):
             assert {r["x"] for r in executor.execute(plan, cache=False).rows} == expected
         inc = Executor(catalog)
         assert inc.register_incremental(plan)
@@ -310,6 +329,10 @@ class TestStrictBandBounds:
         probers = catalog.table("prober")
         probers.update(next(probers.row_ids()), {"px": 6.0})
         assert {r["x"] for r in inc.execute(plan).rows} == {5.0, 6.0, 7.0}
+        catalog.drop_index("point", "by_x")  # the kernel's transient grid
+        grid = Executor(catalog, KERNEL)
+        assert _probed_indexes(grid, plan) == []
+        assert {r["x"] for r in grid.execute(plan, cache=False).rows} == {5.0, 6.0, 7.0}
 
     def test_mixed_strict_and_inclusive_bounds(self):
         catalog = self._catalog()
@@ -321,10 +344,7 @@ class TestStrictBandBounds:
             ]
         )
         plan = Select(join, predicate)
-        for executor in (
-            Executor(catalog, _config(use_incremental=False)),
-            Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False)),
-        ):
+        for executor in (Executor(catalog, KERNEL), Executor(catalog, ROW)):
             assert {r["x"] for r in executor.execute(plan, cache=False).rows} == {
                 3.0,
                 4.0,
@@ -341,7 +361,7 @@ class TestIndexAdvisor:
         catalog = _make_catalog()
         advisor = IndexAdvisor(catalog, create_after=3, evict_after=5, min_table_rows=10)
         executor = Executor(
-            catalog, EngineConfig(use_incremental=False), index_advisor=advisor
+            catalog, KERNEL, index_advisor=advisor
         )
         plan = band_plan()
         table = catalog.table("unit")
@@ -371,7 +391,7 @@ class TestIndexAdvisor:
     def test_cell_size_follows_observed_probe_width(self):
         catalog = _make_catalog()
         advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=10)
-        executor = Executor(catalog, index_advisor=advisor, config=_config(use_incremental=False))
+        executor = Executor(catalog, index_advisor=advisor, config=KERNEL)
         plan = band_plan()
         for _ in range(2):
             self._run_band_query(executor, plan)
@@ -383,19 +403,19 @@ class TestIndexAdvisor:
     def test_small_tables_are_not_indexed(self):
         catalog = _make_catalog(n=32)
         advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=128)
-        executor = Executor(catalog, index_advisor=advisor, config=_config(use_incremental=False))
+        executor = Executor(catalog, index_advisor=advisor, config=KERNEL)
         plan = band_plan()
         for _ in range(5):
             self._run_band_query(executor, plan)
             advisor.end_tick()
         assert not catalog.table("unit").indexes
 
-    def test_rts_world_auto_indexes_hot_band_join(self):
+    def test_rts_world_advisor_indexes_hot_band_join(self):
         world = build_rts_world(
             150,
             with_physics=False,
             scripts=["count_neighbours"],
-            config=_config(use_incremental=False),
+            config=KERNEL,
         )
         assert world.index_advisor is not None
         world.run(world.index_advisor.create_after + 1)
@@ -426,7 +446,7 @@ class TestDeltaJoinIndexProbe:
             if isinstance(op, DeltaJoinOp) and op.band_probe is not None
         ]
         assert probes, "band join should carry a BandIndexProbe"
-        ref = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
+        ref = Executor(catalog, ROW)
         rng = random.Random(21)
         for tick in range(5):
             assert _normalized(inc.execute(plan).rows) == _normalized(
@@ -461,7 +481,7 @@ class TestDeltaJoinIndexProbe:
         assert sum(p.index_probes for p in probes) == 0  # no index yet: hash fallback
         catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
         churn()
-        ref = Executor(catalog, _config(use_indexes=False, use_batch=False, use_incremental=False))
+        ref = Executor(catalog, ROW)
         assert _normalized(inc.execute(plan).rows) == _normalized(ref.execute(plan).rows)
         assert sum(p.index_probes for p in probes) > 0  # re-resolved lazily
 

@@ -28,10 +28,11 @@ from repro.runtime.pathfinding import GridMap, GridReachability
 from repro.workloads import build_contagion_world, build_rts_world, build_traffic_world
 from repro.workloads.marketplace import build_marketplace_world
 
+#: The two targets (``fastest()`` is ``EngineConfig()`` under the e2e
+#: harness's name, so it would only run the census twice).
 PRESETS = {
     "reference": EngineConfig.reference(),
     "default": EngineConfig(),
-    "fastest": EngineConfig.fastest(),
 }
 
 #: An accum loop with two assignment sites: the compiler unions one
@@ -100,17 +101,12 @@ def test_two_site_accum_loop_matches_interpreter(preset, monkeypatch):
 #: that does.
 ALLOWLIST = {
     "ExchangeOp": "tests/test_sharded_world.py::TestShardAlgebra::test_exchange_labels_and_excludes",
-    # The row oracle of the index-probing band kernel (no preset pairs
-    # row operators with indexes).
+    # The row-order oracle of the index-probing band kernel: only kernels
+    # probe indexes.
     "IndexProbeJoinOp": (
         "tests/test_compiled_kernels.py::TestIndexProbingBandKernel"
         "::test_kernel_probes_index_in_interpreted_order"
     ),
-    "IndexRangeScanOp": (
-        "tests/test_engine_operators_optimizer.py::TestOptimizer"
-        "::test_index_scan_selected_for_constant_range"
-    ),
-    "MaterializedSourceOp": "tests/test_batch_columnar.py::test_rts_workload_equivalence",
 }
 
 CENSUS_WORLDS = {

@@ -129,19 +129,18 @@ def test_different_churn_seeds_diverge(workload):
 @pytest.mark.parametrize(
     "toggles",
     [
-        {"use_mqo": False},
         {"use_incremental": False},
         {"use_batch": False},
-        {"use_mqo": False, "use_incremental": False, "use_batch": False},
+        EngineConfig.reference().as_dict(),
     ],
     ids=lambda t: "+".join(sorted(k for k, v in t.items() if not v)),
 )
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_replay_matches_live_under_engine_path_toggles(workload, toggles):
-    """The regression the issue calls out: MQO sharing, incremental
-    maintenance and batch execution are performance paths — none of them
-    may change what gets committed to the log or how it replays."""
-    config = EngineConfig.from_env().replace(**toggles)
+    """The compiled target (kernels, shared subplans, index probes) and
+    incremental maintenance are performance paths — none of them may
+    change what gets committed to the log or how it replays."""
+    config = EngineConfig(**toggles)
     path, states, _ = run_with_wal(workload, churn_seed=5, config=config)
     for tick in sorted(states):
         replayed = replay_tables(path, tick=tick)

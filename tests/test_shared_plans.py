@@ -2,10 +2,10 @@
 pipeline, fused effect aggregation, and cache-invalidation interactions.
 
 The load-bearing property is end-to-end equivalence: a world ticked through
-the shared pipeline (``use_mqo=True``, the default) must produce exactly
-the combined effects and post-tick state of the per-query path
-(``use_mqo=False``), across workloads that mix batch, incremental,
-index-probe and transactional execution.
+the shared pipeline (the compiled default) must produce exactly the
+combined effects and post-tick state of the row path, where each query
+runs its own plan (``use_batch=False``), across workloads that mix
+kernel, incremental, index-probe and transactional execution.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor, TickQuerySpec
 from repro.engine.expressions import col, lit
 from repro.engine.indexes.sorted_index import SortedIndex
-from repro.engine.operators import EffectSinkOp
+from repro.engine.operators import BatchBridgeOp, EffectSinkOp
 from repro.engine.optimizer.mqo import build_tick_plan, fingerprint_plan
 from repro.runtime.debug.inspector import TickInspector
 from repro.runtime.effects import EffectStore
@@ -31,11 +31,6 @@ from repro.workloads import build_rts_world
 from repro.workloads.marketplace import build_marketplace_world
 from repro.workloads.traffic import build_traffic_world
 
-
-def _config(**flags) -> EngineConfig:
-    """The ``REPRO_ENGINE_PRESET`` config with *flags* changed, so the
-    fastest CI leg keeps compiled kernels under every override."""
-    return EngineConfig.from_env().replace(**flags)
 
 
 def _normalized(rows):
@@ -140,8 +135,8 @@ class TestExecuteTick:
     def test_rows_match_per_query_execution(self, unit_catalog):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        pipeline_exec = Executor(unit_catalog, _config(use_incremental=False))
-        plain_exec = Executor(unit_catalog, _config(use_incremental=False))
+        pipeline_exec = Executor(unit_catalog, EngineConfig(use_incremental=False))
+        plain_exec = Executor(unit_catalog, EngineConfig(use_incremental=False))
         results = pipeline_exec.execute_tick(specs)
         for plan, result in zip(plans, results):
             assert result.rows is not None
@@ -158,11 +153,11 @@ class TestExecuteTick:
 
         plans = [query("a"), query("b")]
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, _config(use_incremental=False))
+        executor = Executor(unit_catalog, EngineConfig(use_incremental=False))
         results = executor.execute_tick(specs)
         assert executor.last_tick_stats["shared_subplans"] == 1
         assert _normalized(results[0].rows) == _normalized(results[1].rows)
-        plain = Executor(unit_catalog, _config(use_incremental=False))
+        plain = Executor(unit_catalog, EngineConfig(use_incremental=False))
         assert _normalized(results[1].rows) == _normalized(plain.execute(plans[1]).rows)
 
     def test_sink_fusion_matches_store_fold(self, unit_catalog):
@@ -170,12 +165,12 @@ class TestExecuteTick:
             Select(TableScan("unit", "a"), col("a.x").gt(lit(30.0))),
             {"__target__": col("a.player"), "__value__": col("a.health")},
         )
-        executor = Executor(unit_catalog, _config(use_incremental=False))
+        executor = Executor(unit_catalog, EngineConfig(use_incremental=False))
         [result] = executor.execute_tick(
             [TickQuerySpec(key="q", plan=plan, combinator="sum")]
         )
         assert result.partials is not None and result.rows is None
-        rows = Executor(unit_catalog, _config(use_incremental=False)).execute(plan).rows
+        rows = Executor(unit_catalog, EngineConfig(use_incremental=False)).execute(plan).rows
         expected: dict = {}
         counts: dict = {}
         for row in rows:
@@ -187,7 +182,7 @@ class TestExecuteTick:
     def test_mutation_between_ticks_not_served_stale(self, unit_catalog):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, _config(use_incremental=False))
+        executor = Executor(unit_catalog, EngineConfig(use_incremental=False))
         before = executor.execute_tick(specs)
         table = unit_catalog.table("unit")
         for rowid in list(table.row_ids()):
@@ -201,7 +196,7 @@ class TestExecuteTick:
     ):
         plans = _two_shared_queries()
         specs = [TickQuerySpec(key=f"q{i}", plan=p) for i, p in enumerate(plans)]
-        executor = Executor(unit_catalog, _config(use_incremental=False))
+        executor = Executor(unit_catalog, EngineConfig(use_incremental=False))
         first = executor.execute_tick(specs)
         # Catalog shape change mid-run: a new index over the filter column.
         table = unit_catalog.table("unit")
@@ -232,7 +227,7 @@ class TestIncrementalInteraction:
         for rowid in list(table.row_ids())[:40]:
             table.update(rowid, {"x": 0.0})
         fresh = executor.execute(plan).rows
-        recomputed = Executor(unit_catalog, _config(use_incremental=False)).execute(plan).rows
+        recomputed = Executor(unit_catalog, EngineConfig(use_incremental=False)).execute(plan).rows
         assert _normalized(fresh) == _normalized(recomputed)
         assert executor.incremental_view(plan) is not None
         report = {r["plan"]: r for r in executor.cache_report()}
@@ -245,7 +240,7 @@ class TestIncrementalInteraction:
         [result] = executor.execute_tick([TickQuerySpec(key="q", plan=plan)])
         view = executor.incremental_view(plan)
         assert view is not None and view.stats()["full_refreshes"] >= 1
-        plain = Executor(unit_catalog, _config(use_incremental=False))
+        plain = Executor(unit_catalog, EngineConfig(use_incremental=False))
         assert _normalized(result.rows) == _normalized(plain.execute(plan).rows)
         # Sink fusion composes with the view path too.
         [fused] = executor.execute_tick(
@@ -325,7 +320,7 @@ class TestEffectPartials:
             {"__target__": col("a.player"), "__value__": col("a.health")},
         )
         for use_batch in (True, False):
-            executor = Executor(unit_catalog, _config(use_batch=use_batch, use_incremental=False))
+            executor = Executor(unit_catalog, EngineConfig(use_batch=use_batch, use_incremental=False))
             physical = executor.prepare(plan).physical
             sink = EffectSinkOp(physical, "max", "__target__", "__value__")
             partials = dict(
@@ -341,7 +336,7 @@ class TestEffectPartials:
 
 
 # ------------------------------------------------------------------------------------
-# whole-world equivalence: mqo on vs off
+# whole-world equivalence: shared pipeline vs per-query row path
 # ------------------------------------------------------------------------------------
 
 
@@ -362,9 +357,9 @@ class TestWorldEquivalence:
         # Defaults exercise batch + incremental + auto-index paths; the
         # advisor's mid-run index creation also exercises pipeline rebuild
         # after invalidate_plans().
-        world_mqo = build_rts_world(80, mode=ExecutionMode.COMPILED, config=_config(use_mqo=True))
+        world_mqo = build_rts_world(80, mode=ExecutionMode.COMPILED, config=EngineConfig())
         world_plain = build_rts_world(
-            80, mode=ExecutionMode.COMPILED, config=_config(use_mqo=False)
+            80, mode=ExecutionMode.COMPILED, config=EngineConfig(use_batch=False)
         )
         for tick in range(6):
             report = world_mqo.tick()
@@ -375,10 +370,10 @@ class TestWorldEquivalence:
 
     def test_traffic_world(self):
         world_mqo = build_traffic_world(
-            60, mode=ExecutionMode.COMPILED, config=_config(use_mqo=True)
+            60, mode=ExecutionMode.COMPILED, config=EngineConfig()
         )
         world_plain = build_traffic_world(
-            60, mode=ExecutionMode.COMPILED, config=_config(use_mqo=False)
+            60, mode=ExecutionMode.COMPILED, config=EngineConfig(use_batch=False)
         )
         for tick in range(5):
             world_mqo.tick()
@@ -387,10 +382,10 @@ class TestWorldEquivalence:
 
     def test_marketplace_world_transactional(self):
         world_mqo = build_marketplace_world(
-            40, mode=ExecutionMode.COMPILED, config=_config(use_mqo=True)
+            40, mode=ExecutionMode.COMPILED, config=EngineConfig()
         )
         world_plain = build_marketplace_world(
-            40, mode=ExecutionMode.COMPILED, config=_config(use_mqo=False)
+            40, mode=ExecutionMode.COMPILED, config=EngineConfig(use_batch=False)
         )
         for tick in range(4):
             report = world_mqo.tick()
@@ -430,8 +425,8 @@ script phaser(Npc self) {
 }
 """
 
-        def build(use_mqo):
-            world = GameWorld(source, config=_config(use_mqo=use_mqo))
+        def build(use_batch):
+            world = GameWorld(source, config=EngineConfig(use_batch=use_batch))
             world.add_update_rule("Npc", "x", lambda state, effects: state["x"])
             rng = random.Random(3)
             world.spawn_many("Npc", [{"x": rng.uniform(0, 30)} for _ in range(25)])
@@ -442,6 +437,66 @@ script phaser(Npc self) {
             world_mqo.tick()
             world_plain.tick()
             _assert_worlds_equal(world_mqo, world_plain, tick)
+
+
+# ------------------------------------------------------------------------------------
+# one effect-step path: both targets tick through execute_tick
+# ------------------------------------------------------------------------------------
+
+#: Small compiled worlds of each effect-query shape: sink-fusable
+#: combinators (rts, traffic) and transactional blocks (marketplace).
+EFFECT_WORLDS = {
+    "rts": lambda config: build_rts_world(
+        40, mode=ExecutionMode.COMPILED, with_physics=False, config=config
+    ),
+    "traffic": lambda config: build_traffic_world(30, mode=ExecutionMode.COMPILED, config=config),
+    "marketplace": lambda config: build_marketplace_world(
+        24, mode=ExecutionMode.COMPILED, config=config
+    ),
+}
+
+TARGETS = {"default": EngineConfig(), "reference": EngineConfig.reference()}
+
+
+class TestOneEffectStepPath:
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    @pytest.mark.parametrize("workload", sorted(EFFECT_WORLDS))
+    def test_each_tick_is_one_execute_tick_call(self, workload, target, monkeypatch):
+        world = EFFECT_WORLDS[workload](TARGETS[target])
+        executor = world.executor
+        tick_calls: list[int] = []
+        single_calls: list = []
+        execute_tick, execute = executor.execute_tick, executor.execute
+
+        def spy_tick(specs):
+            tick_calls.append(len(specs))
+            return execute_tick(specs)
+
+        def spy_single(plan, *args, **kwargs):
+            single_calls.append(plan)
+            return execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_tick", spy_tick)
+        monkeypatch.setattr(executor, "execute", spy_single)
+        world.run(3)
+        assert len(tick_calls) == 3 and all(tick_calls)
+        assert single_calls == []
+
+    @pytest.mark.parametrize("workload", sorted(EFFECT_WORLDS))
+    def test_row_target_runs_each_query_its_own_plan(self, workload):
+        """``use_batch=False`` shares no subplan and fuses no sink: each
+        query's row-operator plan returns its own rows into the store (or
+        the transaction requests built from them)."""
+        world = EFFECT_WORLDS[workload](EngineConfig.reference())
+        world.run(2)
+        stats = world.executor.last_tick_stats
+        assert stats["queries"] > 0
+        assert stats["shared_subplans"] == stats["shared_consumers"] == 0
+        assert stats["fused_queries"] == stats["fused_effect_rows"] == 0
+        for entry in world.executor._tick_pipeline.entries:
+            assert entry.sink is None and entry.shared_refs == ()
+            assert not any(isinstance(op, BatchBridgeOp) for op in entry.physical.walk())
+        assert all(r.effect_assignments + r.transactions_submitted for r in world.reports)
 
 
 # ------------------------------------------------------------------------------------

@@ -454,7 +454,7 @@ class TestWorkloadEquivalence:
 
     def test_rts_change_log_overflow_forces_snapshot_resync(self):
         world = build_rts_world(
-            40, seed=5, config=EngineConfig.from_env().replace(use_incremental=False)
+            40, seed=5, config=EngineConfig(use_incremental=False)
         )
         table = primary_table(world, "Unit")
         table.enable_change_log(capacity=8)  # one tick of physics overflows this
@@ -1109,7 +1109,7 @@ def test_sgl_compiled_effect_query_as_standing_query():
     sid = manager.subscribe_query(session, query.plan)
     states = {sid: ResultSet()}
     drain(session, states)
-    scratch = Executor(world.catalog, EngineConfig.from_env().replace(use_incremental=False))
+    scratch = Executor(world.catalog, EngineConfig(use_incremental=False))
     for _ in range(4):
         world.tick()
         drain(session, states)

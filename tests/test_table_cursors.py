@@ -105,7 +105,7 @@ class TestCapacityEviction:
 class TestDestroyDeltas:
     def test_world_destroy_reaches_cursor_consumers(self):
         world = build_rts_world(
-            10, with_physics=False, config=EngineConfig.from_env().replace(use_incremental=False)
+            10, with_physics=False, config=EngineConfig(use_incremental=False)
         )
         table = world.catalog.table(world.schemas["Unit"].primary_table)
         cursor = table.open_cursor()
@@ -116,7 +116,7 @@ class TestDestroyDeltas:
 
     def test_destroy_during_tick_sequence(self):
         world = build_rts_world(
-            10, with_physics=False, config=EngineConfig.from_env().replace(use_incremental=False)
+            10, with_physics=False, config=EngineConfig(use_incremental=False)
         )
         table = world.catalog.table(world.schemas["Unit"].primary_table)
         cursor = table.open_cursor()
