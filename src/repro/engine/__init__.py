@@ -4,8 +4,8 @@ This package is the "special games engine with features similar to a main
 memory database system" the paper builds SGL on: typed schemas, tables with
 index maintenance and tick snapshots, a logical relational algebra,
 row-at-a-time and columnar (batch) physical operators, spatial and
-relational indexes, statistics, a cost-based and adaptive optimizer, and
-the executor.  Multi-process execution lives in :mod:`repro.shard`.
+relational indexes, statistics, a cost-based optimizer with an index
+advisor, and the executor.  Multi-process execution lives in :mod:`repro.shard`.
 """
 
 from repro.engine.aggregates import AGGREGATE_NAMES, Accumulator, combine_values, make_accumulator
@@ -50,7 +50,7 @@ from repro.engine.expressions import (
     lit,
     var,
 )
-from repro.engine.optimizer import AdaptiveQueryManager, ExecutionFeedback, IndexAdvisor, Planner
+from repro.engine.optimizer import IndexAdvisor, Planner
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.engine.types import DataType, Ref
@@ -96,8 +96,6 @@ __all__ = [
     "col",
     "lit",
     "var",
-    "AdaptiveQueryManager",
-    "ExecutionFeedback",
     "IndexAdvisor",
     "Planner",
     "Column",

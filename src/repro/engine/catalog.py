@@ -83,34 +83,21 @@ class Catalog:
 
     # -- statistics --------------------------------------------------------------------
 
-    def statistics(self, table_name: str, *, refresh: bool = False) -> TableStatistics:
+    def statistics(self, table_name: str) -> TableStatistics:
         """Return (possibly cached) statistics for *table_name*.
 
         Statistics are recollected lazily whenever the table's version has
-        changed since the last collection, or when *refresh* is forced.
-        This keeps the "keep statistics about the distribution of our data"
-        cost (Section 4.1) out of the per-tick critical path.
+        changed since the last collection.  This keeps the "keep statistics
+        about the distribution of our data" cost (Section 4.1) out of the
+        per-tick critical path.
         """
         table = self.table(table_name)
         cached = self._statistics.get(table_name)
-        if (
-            refresh
-            or cached is None
-            or self._stats_version.get(table_name) != table.version
-        ):
+        if cached is None or self._stats_version.get(table_name) != table.version:
             cached = collect_table_statistics(table)
             self._statistics[table_name] = cached
             self._stats_version[table_name] = table.version
         return cached
-
-    def invalidate_statistics(self, table_name: str | None = None) -> None:
-        """Drop cached statistics for one table or for all tables."""
-        if table_name is None:
-            self._statistics.clear()
-            self._stats_version.clear()
-        else:
-            self._statistics.pop(table_name, None)
-            self._stats_version.pop(table_name, None)
 
     def summary(self) -> Mapping[str, int]:
         """Return a mapping of table name to row count (for debug tooling)."""

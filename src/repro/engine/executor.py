@@ -17,9 +17,12 @@ lowers a plan to a delta-maintained materialized view
 (:mod:`repro.engine.operators.incremental`) when the planner can prove it
 correct, after which ``execute`` serves the view — cached rows when no
 referenced table changed, delta maintenance when the change logs cover the
-churn, full re-execution otherwise.  Registration is explicit because the
-view maintains a row *multiset*: callers that can observe result row order
-(or need exact float reproducibility) must stay on the full paths.
+churn, full re-execution otherwise.  Under sustained churn the view
+suspends itself and ``execute`` runs the physical plan until the churn
+falls (Section 4.1's per-tick plan choice).  Registration is explicit
+because the view maintains a row *multiset*: callers that can observe
+result row order (or need exact float reproducibility) must stay on the
+full paths.
 
 Finally, the tick loop's path: :meth:`prepare_tick` takes one tick's
 worth of queries at once.  On the compiled target (``use_batch``) it runs
@@ -250,10 +253,9 @@ class Executor:
         #: ``id(plan) -> (plan, view)``.  The plan reference is load-bearing:
         #: it pins the id so a garbage-collected plan can never hand its id
         #: (and therefore this view) to an unrelated new plan.
+        #: Views stay registered whatever their ``state`` (live, suspended
+        #: or dropped), so the report's counters only ever grow.
         self._incremental: dict[int, tuple[LogicalPlan, IncrementalView]] = {}
-        #: Final statistics of views dropped by a refresh error, so the
-        #: report's counters only ever grow.
-        self._dropped_views: list[dict[str, Any]] = []
         #: The compiled tick pipeline (shared-subplan DAG) and its
         #: tick-scoped materializations.
         self._tick_pipeline: _TickPipeline | None = None
@@ -360,7 +362,7 @@ class Executor:
             return False
         key = id(plan)
         if key in self._incremental:
-            return True
+            return self._incremental[key][1].state != "dropped"
         planned = self.prepare(plan)
         view = self.planner.build_incremental(planned.optimized)
         if view is None:
@@ -393,9 +395,11 @@ class Executor:
     ) -> tuple[list[dict[str, Any]], float] | None:
         """Serve *plan* from its incremental view, or ``None`` to fall back.
 
-        A view that cannot even full-rebuild — including catalog-shape
-        casualties like a dropped index — is dropped for good; the query
-        falls through to the physical plan.
+        ``None`` also while the view is suspended by its churn guard (it
+        decides per call whether to resume).  A view that cannot even
+        full-rebuild — including catalog-shape casualties like a dropped
+        index — is dropped for good; the query falls through to the
+        physical plan.
         """
         record = self._incremental.get(id(plan))
         if record is None:
@@ -405,10 +409,9 @@ class Executor:
         try:
             rows = view.refresh()
         except EngineError as exc:
-            stats = self._view_stats(id(plan), view, "dropped")
-            stats.update(reason=type(exc).__name__, message=str(exc))
-            self._dropped_views.append(stats)
-            self._incremental.pop(id(plan), None)
+            view.drop(exc)
+            return None
+        if rows is None:
             return None
         return rows, time.perf_counter() - start
 
@@ -614,28 +617,23 @@ class Executor:
                     "mean_runtime": mean,
                     "estimated_cost": entry.planned.estimated.cost,
                     "batch": entry.planned.uses_batch,
-                    "incremental": key in self._incremental,
+                    "incremental": key in self._incremental
+                    and self._incremental[key][1].state == "live",
                 }
             )
         return report
 
     def incremental_report(self) -> list[dict[str, Any]]:
-        """Refresh statistics of every incremental view: the registered ones
-        (``state: "live"``), then those a refresh error dropped (``state:
-        "dropped"``, final counters plus the error's class as ``reason`` and
-        its ``message``)."""
-        live = [
-            self._view_stats(key, view, "live")
-            for key, (_plan, view) in self._incremental.items()
-        ]
-        return live + [dict(stats) for stats in self._dropped_views]
-
-    def _view_stats(self, key: int, view: IncrementalView, state: str) -> dict[str, Any]:
-        entry = self._cache.get(key)
-        stats: dict[str, Any] = view.stats()
-        stats["plan"] = entry.planned.optimized.node_label() if entry is not None else "?"
-        stats["state"] = state
-        return stats
+        """Refresh statistics of every registered incremental view
+        (:meth:`IncrementalView.stats`: its ``state`` — live, suspended or
+        dropped — and counters), plus the ``plan`` it serves."""
+        report = []
+        for key, (_plan, view) in self._incremental.items():
+            entry = self._cache.get(key)
+            stats = view.stats()
+            stats["plan"] = entry.planned.optimized.node_label() if entry is not None else "?"
+            report.append(stats)
+        return report
 
     def fixpoint_report(self) -> dict[str, int]:
         """Cumulative counters of every live :class:`FixpointOp`.

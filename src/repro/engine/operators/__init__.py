@@ -27,7 +27,6 @@ from repro.engine.operators.incremental import (
     DeltaScanOp,
     DeltaUnionOp,
     DeltaUnavailable,
-    IncrementalDisabled,
     IncrementalError,
     IncrementalView,
 )
@@ -79,6 +78,5 @@ __all__ = [
     "DeltaUnionOp",
     "DeltaUnavailable",
     "IncrementalError",
-    "IncrementalDisabled",
     "IncrementalView",
 ]

@@ -22,6 +22,9 @@ from per-tick deltas:
   versions it is keyed by, and the fallback ladder: version-identical →
   serve cached; delta available → maintain; anything else
   (:class:`DeltaUnavailable`, :class:`IncrementalError`) → full rebuild.
+  Its churn guard is the engine's per-tick plan chooser (Section 4.1):
+  under sustained churn the view is *suspended* and the query's kernel
+  plan serves it, and it *resumes* once the churn falls.
 
 Every expression a delta operator evaluates is compiled once, into one
 function of a value tuple (:func:`repro.engine.compile.exprgen.row_function`).
@@ -58,7 +61,6 @@ from repro.engine.table import Table
 __all__ = [
     "DeltaUnavailable",
     "IncrementalError",
-    "IncrementalDisabled",
     "DeltaContext",
     "DeltaOperator",
     "DeltaScanOp",
@@ -101,13 +103,6 @@ class IncrementalError(ExecutionError):
     happen; defensive).  The view discards its state and fully rebuilds."""
 
 
-class IncrementalDisabled(ExecutionError):
-    """The view gave up: churn exceeded the guard on several consecutive
-    refreshes, so maintenance keeps costing more than plain re-execution.
-    The executor drops the view and the query returns to the batch/row
-    paths for good."""
-
-
 class DeltaContext:
     """Per-refresh shared state: the synced versions and the netted base
     deltas, computed once per table no matter how many scans (self-joins!)
@@ -134,7 +129,8 @@ class DeltaOperator:
       their state, filters/projections above one transform that state,
       other stateless nodes execute their lowered ``full_plan``),
     * :meth:`lookup` — fetch current output rows by key, where it can,
-    * :meth:`rebuild` — discard state and re-derive it from current data.
+    * :meth:`rebuild` — discard state and re-derive it from current data,
+    * :meth:`release` — discard state until the next :meth:`rebuild`.
 
     ``names`` matches the row-dict keys the row/batch paths would produce,
     which is what makes results interchangeable across all three paths.
@@ -175,6 +171,10 @@ class DeltaOperator:
     def rebuild(self) -> None:
         for child in self.children:
             child.rebuild()
+
+    def release(self) -> None:
+        for child in self.children:
+            child.release()
 
     # -- debugging ----------------------------------------------------------------
 
@@ -952,6 +952,11 @@ class DeltaAggregateOp(DeltaOperator):
         for key, group in self._groups.items():
             self._out[key] = self._fold(key, group)
 
+    def release(self) -> None:
+        super().release()
+        self._groups.clear()
+        self._out.clear()
+
     def full_rows(self) -> list[tuple]:
         return list(self._out.values())
 
@@ -989,6 +994,15 @@ class DeltaUnionOp(DeltaOperator):
         return "DeltaUnion"
 
 
+#: The churn guard: a refresh whose netted change exceeds this share of the
+#: referenced rows (and :data:`CHURN_FLOOR` signed rows) rebuilds instead of
+#: maintaining, because maintenance would cost more than re-execution.
+CHURN_THRESHOLD = 0.3
+CHURN_FLOOR = 64
+#: Consecutive guard trips after which a view is suspended.
+SUSPEND_AFTER = 3
+
+
 class IncrementalView:
     """A materialized query result maintained from table deltas.
 
@@ -1002,28 +1016,33 @@ class IncrementalView:
     Results are handed out as fresh row dicts on every call, so callers may
     mutate them freely, exactly like the row and batch paths.
 
-    A *churn guard* bounds the delta path: when the pending mutations exceed
-    ``churn_threshold`` of the total referenced rows, maintenance can cost
-    more than a (batch) re-execution, so the view rebuilds instead.  A world where everything moves every
-    tick therefore degrades gracefully to full execution, and after
-    ``disable_after`` *consecutive* guard trips the view raises
-    :class:`IncrementalDisabled` so the executor can drop it entirely and
-    stop paying even the rebuild bookkeeping.
+    A *churn guard* bounds the delta path, and is the engine's per-tick
+    choice between delta refresh and re-execution (Section 4.1: a game
+    looks different exploring than fighting, and rarely flips between the
+    two).  When the pending change exceeds :data:`CHURN_THRESHOLD` of the
+    referenced rows the view rebuilds instead of maintaining; after
+    :data:`SUSPEND_AFTER` *consecutive* trips it is **suspended**:
+    :meth:`refresh` returns ``None`` and the caller serves the query's
+    physical (kernel) plan.  A suspended view holds no maintained state,
+    and a suspended refresh costs O(referenced tables): it reads the
+    tables' version advance since the previous call, which upper-bounds
+    the mutations in between, and **resumes** the view — one full
+    rebuild, then delta refreshes again — once that bound is under the
+    guard.  Version advance also counts writes that change nothing, so a
+    view whose tables are rewritten in full every tick (a health rule
+    applying zero damage to every unit) stays suspended.
+
+    ``state`` is ``"live"``, ``"suspended"`` or ``"dropped"`` — the last set
+    by :meth:`drop` when a refresh raised, after which the view serves
+    nothing.
     """
 
-    def __init__(
-        self,
-        root: DeltaOperator,
-        tables: Mapping[str, Table],
-        names: Sequence[str],
-        churn_threshold: float = 0.3,
-        disable_after: int = 3,
-    ):
+    def __init__(self, root: DeltaOperator, tables: Mapping[str, Table], names: Sequence[str]):
         self.root = root
         self.tables = dict(tables)
         self.names = tuple(names)
-        self.churn_threshold = churn_threshold
-        self.disable_after = disable_after
+        self.state = "live"
+        self.drop_error: Exception | None = None
         self._synced: dict[str, int] | None = None
         self._counts: dict[tuple, int] = {}
         self._materialized: list[dict[str, Any]] | None = None
@@ -1032,20 +1051,52 @@ class IncrementalView:
         self.delta_refreshes = 0
         self.noop_hits = 0
         self.guard_trips = 0
+        self.suspensions = 0
+        self.resumes = 0
 
     # -- refresh ------------------------------------------------------------------------
 
-    def refresh(self) -> list[dict[str, Any]]:
+    def refresh(self) -> list[dict[str, Any]] | None:
+        """The current result, or ``None`` while the view is not live."""
+        if self.state == "dropped":
+            return None
         current = {name: table.version for name, table in self.tables.items()}
         if self._synced is None:
             self._full_refresh()
+        elif self.state == "suspended":
+            self._maybe_resume(current)
         elif current != self._synced:
             self._refresh_changed()
         else:
             self.noop_hits += 1
             self._consecutive_trips = 0
         self._synced = current
-        return self._materialize()
+        return self._materialize() if self.state == "live" else None
+
+    def drop(self, error: Exception) -> None:
+        """Give the view up for good: *error* escaped a refresh."""
+        self.state = "dropped"
+        self.drop_error = error
+        self._release()
+
+    def _release(self) -> None:
+        """Free the maintained state: a view that does not serve holds none."""
+        self.root.release()
+        self._counts = {}
+        self._materialized = None
+
+    def _churn_limit(self) -> float:
+        return max(CHURN_FLOOR, CHURN_THRESHOLD * sum(map(len, self.tables.values())))
+
+    def _maybe_resume(self, current: Mapping[str, int]) -> None:
+        advance = sum(current[name] - self._synced[name] for name in current)
+        # A mutation nets to at most two signed rows (an update's old and new).
+        if 2 * advance > self._churn_limit():
+            return
+        self.state = "live"
+        self.resumes += 1
+        self._consecutive_trips = 0
+        self._full_refresh()
 
     def _refresh_changed(self) -> None:
         ctx = self._prepare_context()
@@ -1059,16 +1110,15 @@ class IncrementalView:
             self.noop_hits += 1
             self._consecutive_trips = 0
             return
-        total_rows = sum(len(table) for table in self.tables.values())
-        if net_churn > max(64, self.churn_threshold * total_rows):
+        if net_churn > self._churn_limit():
             self.guard_trips += 1
             self._consecutive_trips += 1
-            if self._consecutive_trips >= self.disable_after:
-                raise IncrementalDisabled(
-                    f"churn exceeded {self.churn_threshold:.0%} of referenced rows "
-                    f"{self._consecutive_trips} refreshes in a row"
-                )
-            self._full_refresh()
+            if self._consecutive_trips < SUSPEND_AFTER:
+                self._full_refresh()
+                return
+            self.state = "suspended"
+            self.suspensions += 1
+            self._release()
             return
         try:
             self._apply(self.root.delta(ctx).net())
@@ -1136,19 +1186,27 @@ class IncrementalView:
 
     # -- introspection ------------------------------------------------------------------
 
-    def stats(self) -> dict[str, int]:
-        """Refresh counters, plus the work of every delta join summed:
-        ``join_candidates`` pairs examined and ``join_rows`` rows emitted."""
+    def stats(self) -> dict[str, Any]:
+        """The state and refresh counters, plus the work of every delta join
+        summed: ``join_candidates`` pairs examined and ``join_rows`` rows
+        emitted.  A dropped view adds its error's class (``reason``) and
+        ``message``."""
         joins = [op for op in self.root.walk() if isinstance(op, DeltaJoinOp)]
-        return {
+        stats: dict[str, Any] = {
+            "state": self.state,
             "full_refreshes": self.full_refreshes,
             "delta_refreshes": self.delta_refreshes,
             "noop_hits": self.noop_hits,
             "guard_trips": self.guard_trips,
+            "suspensions": self.suspensions,
+            "resumes": self.resumes,
             "cached_rows": sum(self._counts.values()),
             "join_candidates": sum(op.join_candidates for op in joins),
             "join_rows": sum(op.join_rows for op in joins),
         }
+        if self.drop_error is not None:
+            stats.update(reason=type(self.drop_error).__name__, message=str(self.drop_error))
+        return stats
 
     def explain(self) -> str:
         return self.root.explain()

@@ -1,12 +1,7 @@
 """Query optimization: rewrites, join ordering, costing, physical planning
-and adaptive multi-plan selection."""
+and the index advisor."""
 
-from repro.engine.optimizer.adaptive import (
-    AdaptiveQueryManager,
-    ExecutionFeedback,
-    IndexAdvisor,
-    PlanChoice,
-)
+from repro.engine.optimizer.adaptive import IndexAdvisor
 from repro.engine.optimizer.cost import CostModel, PlanCost
 from repro.engine.optimizer.join_order import extract_join_graph, order_joins, reorder_joins
 from repro.engine.optimizer.mqo import (
@@ -27,10 +22,7 @@ from repro.engine.optimizer.rules import (
 )
 
 __all__ = [
-    "AdaptiveQueryManager",
-    "ExecutionFeedback",
     "IndexAdvisor",
-    "PlanChoice",
     "CostModel",
     "PlanCost",
     "extract_join_graph",

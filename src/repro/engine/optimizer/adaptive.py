@@ -1,81 +1,27 @@
-"""Adaptive multi-plan query optimization (Section 4.1).
+"""Adaptive physical design: the index advisor.
 
-The SGL workload repeats the same query every tick while the data drifts
-between a small number of *workload states* ("exploring", "fighting", …).
-Rather than re-optimizing every tick (too slow) or optimizing once (wrong
-plan half the time), the engine:
+The SGL workload repeats the same queries every tick, so the engine can
+watch them run and adjust the physical design they run against.
+:class:`IndexAdvisor` creates a persistent index for a band-join shape
+that stays hot and evicts it once the shape goes cold.
 
-1. compiles a plan per registered workload state, using statistics captured
-   while the game was in that state (:meth:`AdaptiveQueryManager.compile_for_state`),
-2. executes whichever plan is currently selected,
-3. monitors cheap runtime signals — observed operator cardinalities vs. the
-   estimates the plan was built with — and re-plans / switches plans when
-   the observed behaviour drifts past a threshold
-   (:meth:`AdaptiveQueryManager.record_execution`).
-
-This is deliberately in the spirit of Cole & Graefe's dynamic query
-evaluation plans (the paper's reference [2]) specialized to the tick-loop
-workload.
+The other half of Section 4.1's adaptivity — switching a query between
+delta maintenance and re-execution as the game moves between calm and
+busy phases — is per-tick too, and lives in the churn guard of
+:class:`~repro.engine.operators.incremental.IncrementalView`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.engine.algebra import LogicalPlan
 from repro.engine.catalog import Catalog
-from repro.engine.errors import CatalogError
+from repro.engine.errors import CatalogError, SchemaError
 from repro.engine.indexes import GridIndex, SortedIndex
-from repro.engine.operators import PhysicalOperator
-from repro.engine.optimizer.planner import PlannedQuery, Planner
 from repro.engine.statistics import suggest_grid_cell_size
 
-__all__ = ["AdaptiveQueryManager", "PlanChoice", "ExecutionFeedback", "IndexAdvisor"]
-
-#: Re-plan when observed output cardinality differs from the estimate by
-#: more than this factor (in either direction).
-DEFAULT_DRIFT_THRESHOLD = 3.0
-#: Minimum number of executions between plan switches (hysteresis).
-DEFAULT_SWITCH_COOLDOWN = 3
-
-
-@dataclass
-class PlanChoice:
-    """One compiled plan, tagged with the workload state it was built for.
-
-    Besides the :class:`PlannedQuery` itself, the choice accumulates the
-    runtime counters (executions, total runtime, total output rows) that
-    :meth:`AdaptiveQueryManager.record_execution` uses to detect drift
-    between this plan's cost-model estimates and observed behaviour.
-    """
-
-    state: str
-    planned: PlannedQuery
-    compiled_at: float = field(default_factory=time.monotonic)
-    executions: int = 0
-    total_runtime: float = 0.0
-    total_rows: int = 0
-
-    @property
-    def mean_runtime(self) -> float:
-        return self.total_runtime / self.executions if self.executions else 0.0
-
-
-@dataclass
-class ExecutionFeedback:
-    """Runtime signals from one execution of the current plan.
-
-    ``rows`` and ``runtime`` are the cheap always-available signals
-    (observed output cardinality and wall clock); ``state_hint`` is the
-    optional explicit signal from the game — "combat started" — which
-    short-circuits drift detection and switches plans immediately.
-    """
-
-    rows: int
-    runtime: float
-    state_hint: str | None = None
+__all__ = ["IndexAdvisor"]
 
 
 @dataclass
@@ -113,8 +59,8 @@ class IndexAdvisor:
     dimension) or :class:`~repro.engine.indexes.GridIndex` (cell size from
     observed probe widths, else column statistics) for it.  Indexes it
     created are evicted again after ``evict_after`` ticks without any
-    probes — mirroring :class:`IncrementalView`'s self-disable, the
-    structure stops paying rent when the query stops running.
+    probes — like a suspended :class:`IncrementalView`, the structure
+    stops paying rent when the query stops running.
 
     ``end_tick`` returns ``True`` when the catalog shape changed so the
     caller (:class:`~repro.runtime.world.GameWorld`) can invalidate cached
@@ -212,7 +158,7 @@ class IndexAdvisor:
             return False
         try:
             resolved = tuple(table.schema.resolve(c.split(".")[-1]) for c in columns)
-        except Exception:
+        except SchemaError:
             return False
         if table.find_index_covering(resolved) is not None:
             return False  # a usable (range-capable) index already exists
@@ -270,145 +216,4 @@ class IndexAdvisor:
                 f"{table}({', '.join(columns)})": self._created.get((table, columns))
                 for table, columns in self._observations
             },
-        }
-
-
-class AdaptiveQueryManager:
-    """Maintains several compiled plans for one logical query and switches
-    between them based on runtime feedback.
-
-    One manager serves one logical query across the whole run: it holds a
-    compiled :class:`PlanChoice` per registered workload state, tracks
-    which is current, and implements the monitor-and-switch policy
-    documented on :meth:`record_execution` (explicit hints first, then
-    cardinality-drift detection with a cooldown as hysteresis).
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        logical: LogicalPlan,
-        drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-        switch_cooldown: int = DEFAULT_SWITCH_COOLDOWN,
-        planner_factory: Callable[[Catalog], Planner] | None = None,
-    ):
-        self.catalog = catalog
-        self.logical = logical
-        self.drift_threshold = drift_threshold
-        self.switch_cooldown = switch_cooldown
-        self._planner_factory = planner_factory or (lambda cat: Planner(cat))
-        self._plans: dict[str, PlanChoice] = {}
-        self._current_state: str | None = None
-        self._executions_since_switch = 0
-        self.switch_count = 0
-        self.replan_count = 0
-
-    # -- compilation -------------------------------------------------------------------
-
-    def compile_for_state(self, state: str, *, refresh_statistics: bool = True) -> PlanChoice:
-        """Compile (or re-compile) the plan for a named workload state.
-
-        Call this while the game data is representative of *state* so the
-        captured statistics reflect it.
-        """
-        if refresh_statistics:
-            for table_name in self.logical.referenced_tables():
-                if self.catalog.has_table(table_name):
-                    self.catalog.statistics(table_name, refresh=True)
-        planner = self._planner_factory(self.catalog)
-        planned = planner.plan(self.logical)
-        choice = PlanChoice(state=state, planned=planned)
-        self._plans[state] = choice
-        self.replan_count += 1
-        if self._current_state is None:
-            self._current_state = state
-        return choice
-
-    # -- selection ----------------------------------------------------------------------
-
-    @property
-    def states(self) -> list[str]:
-        return sorted(self._plans)
-
-    @property
-    def current_state(self) -> str | None:
-        return self._current_state
-
-    def current_plan(self) -> PlannedQuery:
-        if self._current_state is None:
-            raise RuntimeError("no plan compiled yet; call compile_for_state first")
-        return self._plans[self._current_state].planned
-
-    def physical_plan(self) -> PhysicalOperator:
-        return self.current_plan().physical
-
-    def switch_to(self, state: str) -> None:
-        """Explicitly switch to the plan compiled for *state*."""
-        if state not in self._plans:
-            raise KeyError(f"no plan compiled for state {state!r}")
-        if state != self._current_state:
-            self._current_state = state
-            self.switch_count += 1
-            self._executions_since_switch = 0
-
-    # -- feedback loop ---------------------------------------------------------------------
-
-    def record_execution(self, feedback: ExecutionFeedback) -> str:
-        """Fold in runtime feedback; may switch plans.  Returns current state.
-
-        Switching policy, in priority order:
-
-        1. an explicit ``state_hint`` (the game announces "combat started")
-           switches immediately — compiling the state lazily if needed;
-        2. cardinality drift beyond ``drift_threshold`` relative to the
-           current plan's estimate triggers a re-plan of the current state
-           against fresh statistics, then adopts whichever compiled plan is
-           now cheapest.
-        """
-        if self._current_state is None:
-            raise RuntimeError("no plan compiled yet")
-        choice = self._plans[self._current_state]
-        choice.executions += 1
-        choice.total_runtime += feedback.runtime
-        choice.total_rows += feedback.rows
-        self._executions_since_switch += 1
-
-        if feedback.state_hint is not None and feedback.state_hint != self._current_state:
-            if feedback.state_hint not in self._plans:
-                self.compile_for_state(feedback.state_hint)
-            self.switch_to(feedback.state_hint)
-            return self._current_state
-
-        if self._executions_since_switch < self.switch_cooldown:
-            return self._current_state
-
-        estimate = max(1.0, choice.planned.estimated.cardinality)
-        observed = max(1.0, float(feedback.rows))
-        drift = max(estimate / observed, observed / estimate)
-        if drift > self.drift_threshold:
-            self.compile_for_state(self._current_state)
-            best_state = min(
-                self._plans,
-                key=lambda s: self._plans[s].planned.estimated.cost,
-            )
-            self.switch_to(best_state)
-        return self._current_state
-
-    # -- reporting -----------------------------------------------------------------------------
-
-    def report(self) -> dict[str, Any]:
-        """Summary used by benchmarks and the debugger."""
-        return {
-            "current_state": self._current_state,
-            "states": {
-                state: {
-                    "executions": choice.executions,
-                    "mean_runtime": choice.mean_runtime,
-                    "estimated_cost": choice.planned.estimated.cost,
-                    "estimated_rows": choice.planned.estimated.cardinality,
-                }
-                for state, choice in self._plans.items()
-            },
-            "switches": self.switch_count,
-            "replans": self.replan_count,
         }

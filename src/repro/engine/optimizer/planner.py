@@ -23,9 +23,7 @@ class PlannedQuery:
 
     Bundles the original logical plan, the rewritten/reordered logical
     plan, the lowered physical operator tree (which the executor runs
-    every tick) and the cost estimate the plan was chosen with — the
-    adaptive optimizer compares that estimate against observed runtime
-    cardinalities to decide when to re-plan.
+    every tick) and the cost estimate the plan was chosen with.
     """
 
     logical: LogicalPlan

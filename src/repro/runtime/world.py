@@ -58,7 +58,7 @@ from repro.sgl.ir import ACTOR_COLUMN, EffectAssignment, TARGET_COLUMN, Transact
 from repro.sgl.multitick import pc_variable_name, segment_script
 from repro.sgl.parser import parse_program
 from repro.sgl.schema_gen import KEY_COLUMN, GeneratedSchema, SchemaGenerator, SchemaLayout
-from repro.sgl.semantics import COMBINATOR_ALIASES, AnalyzedProgram, analyze_program
+from repro.sgl.semantics import AnalyzedProgram, analyze_program
 
 __all__ = ["ExecutionMode", "TickReport", "GameWorld"]
 
@@ -738,29 +738,18 @@ class GameWorld:
         Registration is per-query and sticky, memoized on the compiler's
         stable ``query_id`` — ``id(query)`` values can be recycled after
         garbage collection, which would silently skip a fresh query or
-        re-consider a dead one.  Transactional queries are skipped (the
-        transaction engine observes row order when resolving conflicts),
-        as are queries whose target effect combines with an
-        order-sensitive combinator; everything else is handed to
-        :meth:`Executor.register_incremental`, which itself declines plans
-        it cannot prove delta-correct.
+        re-consider a dead one.  The rule is sink fusion's
+        (:meth:`_sink_combinator`): transactional queries and queries whose
+        combinator is order-sensitive are skipped; everything else is
+        handed to :meth:`Executor.register_incremental`, which itself
+        declines plans it cannot prove delta-correct.
         """
         key = query.query_id or f"anon:{id(query)}"
         if key in self._incremental_considered:
             return
         self._incremental_considered.add(key)
-        if query.transactional:
-            return
-        if not query.set_insert:  # a set-insert always combines with union
-            decl = next(
-                (d for d in self.program.classes if d.name == query.target_class), None
-            )
-            effect = decl.effect_field(query.effect) if decl is not None else None
-            if effect is not None:
-                combinator = COMBINATOR_ALIASES.get(effect.combinator, effect.combinator)
-                if combinator in self._ORDER_SENSITIVE_COMBINATORS:
-                    return
-        self.executor.register_incremental(query.plan)
+        if self._sink_combinator(query) is not None:
+            self.executor.register_incremental(query.plan)
 
     def _tick_queries(self) -> list[Any]:
         """The tick's effect queries in execution order (scripts as enabled,

@@ -11,12 +11,6 @@ from repro.workloads.contagion import (
 from repro.workloads.marketplace import MARKET_SOURCE, build_marketplace_world
 from repro.workloads.particles import PARTICLES_SOURCE, build_particle_world, particle_rows
 from repro.workloads.rts import RTS_SOURCE, build_rts_world, unit_rows
-from repro.workloads.state_switching import (
-    STATES,
-    load_state,
-    make_state_catalog,
-    unit_positions,
-)
 from repro.workloads.traffic import TRAFFIC_SOURCE, build_traffic_world, vehicle_rows
 
 __all__ = [
@@ -34,10 +28,6 @@ __all__ = [
     "RTS_SOURCE",
     "build_rts_world",
     "unit_rows",
-    "STATES",
-    "load_state",
-    "make_state_catalog",
-    "unit_positions",
     "TRAFFIC_SOURCE",
     "build_traffic_world",
     "vehicle_rows",

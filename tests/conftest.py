@@ -7,6 +7,28 @@ import random
 import pytest
 
 from repro.engine import Catalog, Column, DataType, Schema
+from repro.engine.compile import KernelLowering
+
+
+@pytest.fixture(autouse=True)
+def no_kernel_codegen_errors(monkeypatch):
+    """Fail any test during which a kernel's analysis or codegen raised.
+
+    Such a failure falls back to the row operators, so results stay right
+    and only :class:`KernelLowering`'s ``errors`` counter shows the bug.
+    """
+    lowerings: list[KernelLowering] = []
+    init = KernelLowering.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        lowerings.append(self)
+
+    monkeypatch.setattr(KernelLowering, "__init__", tracking_init)
+    yield
+    errors = sum(lowering.errors for lowering in lowerings)
+    if errors:
+        pytest.fail(f"{errors} kernel codegen error(s) fell back to the row operators")
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from repro.engine.operators import (
     RangeProbeJoinOp,
 )
 from repro.engine.optimizer import Planner
-from repro.engine.optimizer.adaptive import AdaptiveQueryManager, IndexAdvisor
+from repro.engine.optimizer.adaptive import IndexAdvisor
 from repro.persistence.replay import replay_tables
 from repro.workloads import build_rts_world, build_traffic_world
 
@@ -274,9 +274,8 @@ class TestPlanChoice:
         assert any(isinstance(op, KernelOp) for op in _batch_ops(physical))
 
     def test_standalone_planner_compiles_kernels(self, unit_catalog):
-        """A Planner outside an Executor — built directly or by the
-        adaptive manager's default factory — lowers to the same fused
-        kernel the executor would."""
+        """A Planner outside an Executor lowers to the same fused kernel
+        the executor would."""
         plan = Aggregate(
             Join(
                 TableScan("unit", alias="a"),
@@ -286,13 +285,10 @@ class TestPlanChoice:
             ["a.player"],
             [AggregateSpec("n", "count")],
         )
-        for physical in (
-            Planner(unit_catalog, EngineConfig()).plan(plan).physical,
-            AdaptiveQueryManager(unit_catalog, plan).compile_for_state("s").planned.physical,
-        ):
-            assert isinstance(physical, BatchBridgeOp)
-            assert isinstance(physical.batch_root, KernelOp)
-            assert physical.batch_root.program.fused_nodes == 2
+        physical = Planner(unit_catalog, EngineConfig()).plan(plan).physical
+        assert isinstance(physical, BatchBridgeOp)
+        assert isinstance(physical.batch_root, KernelOp)
+        assert physical.batch_root.program.fused_nodes == 2
 
     def test_declines_are_about_shape_or_expressions_never_indexes(self, unit_catalog):
         """No index makes a kernel decline: the reasons left are a join

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ExecutionMode, GameWorld
@@ -20,7 +19,6 @@ from repro.workloads import (
     build_particle_world,
     build_rts_world,
     build_traffic_world,
-    unit_positions,
 )
 
 
@@ -156,15 +154,6 @@ class TestWorkloads:
         world.tick()
         after = [p["y"] for p in world.objects("Particle")]
         assert all(a <= b for a, b in zip(after, before))
-
-    def test_state_switching_distributions_differ(self):
-        exploring = unit_positions(200, "exploring", seed=1)
-        fighting = unit_positions(200, "fighting", seed=1)
-        spread_e = max(u["x"] for u in exploring) - min(u["x"] for u in exploring)
-        spread_f = max(u["x"] for u in fighting) - min(u["x"] for u in fighting)
-        assert spread_f < spread_e / 3
-        with pytest.raises(ValueError):
-            unit_positions(10, "bogus")
 
     def test_marketplace_buyers_stop_when_broke(self):
         world = build_marketplace_world(4, buyers_per_item=1, seller_stock=100, buyer_gold=25.0, price=10.0)

@@ -333,7 +333,7 @@ class TestFallbackRules:
         assert_same_rows(inc.execute(plan).rows, row.execute(plan).rows, "post-restore")
         assert view.full_refreshes >= 2
 
-    def test_high_churn_disables_view(self):
+    def test_high_churn_suspends_view(self):
         catalog, units = _units_catalog(n_rows=200)
         plan = Project(TableScan("units"), {"id": col("id"), "x": col("x")})
         inc = Executor(catalog)
@@ -344,13 +344,15 @@ class TestFallbackRules:
             for rowid in list(units.row_ids()):
                 units.update(rowid, {"x": rng.uniform(0, 100)})
             inc.execute(plan)
-        assert inc.incremental_view(plan) is None  # dropped after guard trips
-        (entry,) = inc.incremental_report()  # ...but still reported, final counters kept
-        assert entry["state"] == "dropped" and entry["reason"] == "IncrementalDisabled"
+        view = inc.incremental_view(plan)
+        assert view.state == "suspended"  # after three guard trips in a row
+        (entry,) = inc.incremental_report()
+        assert entry["state"] == "suspended" and entry["suspensions"] == 1
         assert entry["guard_trips"] == 3 and entry["full_refreshes"] == 3
+        assert entry["resumes"] == 0 and "reason" not in entry
         # The query still executes correctly on the physical path.
         row = Executor(catalog, EngineConfig(use_batch=False, use_incremental=False))
-        assert_same_rows(inc.execute(plan).rows, row.execute(plan).rows, "post-disable")
+        assert_same_rows(inc.execute(plan).rows, row.execute(plan).rows, "suspended")
 
     def test_noop_hits_on_unchanged_tables(self):
         catalog, units = _units_catalog()
@@ -408,15 +410,17 @@ class TestWorldEquivalence:
             w2.tick()
         _assert_worlds_match(w1, w2, "rts")
 
-    def test_high_churn_rts_views_are_reported_as_dropped(self):
+    def test_high_churn_rts_views_are_reported_as_suspended(self):
         """Every unit moves every tick: all four script views trip the churn
-        guard and are dropped, and the report keeps each one's counters."""
+        guard and are suspended, and stay so while the churn lasts."""
         world = build_rts_world(100, config=EngineConfig(use_incremental=True))
-        world.run(5)
+        world.run(8)
         report = world.executor.incremental_report()
-        assert [entry["state"] for entry in report] == ["dropped"] * 4, report
-        assert {entry["reason"] for entry in report} == {"IncrementalDisabled"}
+        assert [entry["state"] for entry in report] == ["suspended"] * 4, report
         assert all(entry["guard_trips"] == 3 for entry in report), report
+        assert all(
+            (entry["suspensions"], entry["resumes"]) == (1, 0) for entry in report
+        ), report
 
     def test_rts_idle_world_uses_delta_path(self):
         world = build_rts_world(

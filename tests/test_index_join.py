@@ -410,6 +410,15 @@ class TestIndexAdvisor:
             advisor.end_tick()
         assert not catalog.table("unit").indexes
 
+    def test_hot_shape_naming_a_missing_column_creates_no_index(self):
+        catalog = _make_catalog()
+        advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=10)
+        hook = advisor.make_hook("unit", ("u.x", "u.altitude"))
+        for _ in range(4):
+            hook(10, 40.0, 10)
+            assert not advisor.end_tick()
+        assert advisor.created_count == 0 and not catalog.table("unit").indexes
+
     def test_rts_world_advisor_indexes_hot_band_join(self):
         world = build_rts_world(
             150,
