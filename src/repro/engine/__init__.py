@@ -3,9 +3,9 @@
 This package is the "special games engine with features similar to a main
 memory database system" the paper builds SGL on: typed schemas, tables with
 index maintenance and tick snapshots, a logical relational algebra,
-row-at-a-time and columnar (batch) physical operators, spatial and
-relational indexes, statistics, a cost-based optimizer with an index
-advisor, and the executor.  Multi-process execution lives in :mod:`repro.shard`.
+row-at-a-time operators and compiled columnar kernels, spatial and
+relational indexes, a rule-based planner with an index advisor, and the
+executor.  Multi-process execution lives in :mod:`repro.shard`.
 """
 
 from repro.engine.aggregates import AGGREGATE_NAMES, Accumulator, combine_values, make_accumulator
@@ -29,7 +29,6 @@ from repro.engine.errors import (
     EngineError,
     ExecutionError,
     ExpressionError,
-    OptimizerError,
     PlanError,
     SchemaError,
     TypeMismatchError,
@@ -77,7 +76,6 @@ __all__ = [
     "EngineError",
     "ExecutionError",
     "ExpressionError",
-    "OptimizerError",
     "PlanError",
     "SchemaError",
     "TypeMismatchError",

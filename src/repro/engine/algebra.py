@@ -2,8 +2,8 @@
 
 The SGL compiler translates the query and effect steps of a script into a
 tree of these nodes (Section 2 of the paper).  The optimizer rewrites the
-tree (predicate pushdown, join reordering, index selection) and the planner
-lowers it into physical operators from :mod:`repro.engine.operators`.
+tree (conjunct splitting, predicate pushdown) and the planner lowers it
+into physical operators from :mod:`repro.engine.operators`.
 
 Nodes are immutable; rewrites build new trees.  Each node can infer its
 output schema given a :class:`~repro.engine.catalog.Catalog`, which is what

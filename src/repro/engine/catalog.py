@@ -1,9 +1,8 @@
-"""The catalog: a namespace of tables, indexes and collected statistics.
+"""The catalog: a namespace of tables and their indexes.
 
 The SGL compiler registers one or more tables per class declaration
 (depending on the schema layout strategy, Section 2.1 of the paper); the
-optimizer consults the catalog for schemas, available indexes and
-statistics.
+optimizer consults the catalog for schemas and available indexes.
 """
 
 from __future__ import annotations
@@ -12,19 +11,16 @@ from typing import Iterator, Mapping
 
 from repro.engine.errors import CatalogError
 from repro.engine.schema import Schema
-from repro.engine.statistics import TableStatistics, collect_table_statistics
 from repro.engine.table import Table, TableIndex
 
 __all__ = ["Catalog"]
 
 
 class Catalog:
-    """A registry of named tables and their indexes and statistics."""
+    """A registry of named tables and their indexes."""
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._statistics: dict[str, TableStatistics] = {}
-        self._stats_version: dict[str, int] = {}
 
     # -- tables ---------------------------------------------------------------------
 
@@ -46,8 +42,6 @@ class Catalog:
         if name not in self._tables:
             raise CatalogError(f"no table named {name!r}")
         del self._tables[name]
-        self._statistics.pop(name, None)
-        self._stats_version.pop(name, None)
 
     def table(self, name: str) -> Table:
         try:
@@ -80,24 +74,6 @@ class Catalog:
 
     def drop_index(self, table_name: str, index_name: str) -> None:
         self.table(table_name).detach_index(index_name)
-
-    # -- statistics --------------------------------------------------------------------
-
-    def statistics(self, table_name: str) -> TableStatistics:
-        """Return (possibly cached) statistics for *table_name*.
-
-        Statistics are recollected lazily whenever the table's version has
-        changed since the last collection.  This keeps the "keep statistics
-        about the distribution of our data" cost (Section 4.1) out of the
-        per-tick critical path.
-        """
-        table = self.table(table_name)
-        cached = self._statistics.get(table_name)
-        if cached is None or self._stats_version.get(table_name) != table.version:
-            cached = collect_table_statistics(table)
-            self._statistics[table_name] = cached
-            self._stats_version[table_name] = table.version
-        return cached
 
     def summary(self) -> Mapping[str, int]:
         """Return a mapping of table name to row count (for debug tooling)."""

@@ -4,7 +4,7 @@ Every error raised by :mod:`repro.engine` derives from :class:`EngineError`,
 so callers embedding the engine (the SGL runtime, the benchmark harness)
 can catch one base class.  The hierarchy mirrors the stages of query
 processing: schema definition, catalog management, expression evaluation,
-planning/optimization, and execution.
+planning, and execution.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class ExpressionError(EngineError):
 
 class PlanError(EngineError):
     """A logical or physical plan is structurally invalid."""
-
-
-class OptimizerError(EngineError):
-    """The optimizer could not produce a plan for a query."""
 
 
 class ExecutionError(EngineError):

@@ -615,7 +615,6 @@ class Executor:
                     "plan": entry.planned.optimized.node_label(),
                     "executions": entry.executions,
                     "mean_runtime": mean,
-                    "estimated_cost": entry.planned.estimated.cost,
                     "batch": entry.planned.uses_batch,
                     "incremental": key in self._incremental
                     and self._incremental[key][1].state == "live",

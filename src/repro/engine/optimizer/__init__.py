@@ -1,9 +1,7 @@
-"""Query optimization: rewrites, join ordering, costing, physical planning
+"""Query optimization: rewrites, multi-query sharing, physical planning
 and the index advisor."""
 
 from repro.engine.optimizer.adaptive import IndexAdvisor
-from repro.engine.optimizer.cost import CostModel, PlanCost
-from repro.engine.optimizer.join_order import extract_join_graph, order_joins, reorder_joins
 from repro.engine.optimizer.mqo import (
     SharedScan,
     SharedSubplan,
@@ -23,11 +21,6 @@ from repro.engine.optimizer.rules import (
 
 __all__ = [
     "IndexAdvisor",
-    "CostModel",
-    "PlanCost",
-    "extract_join_graph",
-    "order_joins",
-    "reorder_joins",
     "SharedScan",
     "SharedSubplan",
     "TickEntry",

@@ -14,14 +14,46 @@ busy phases — is per-tick too, and lives in the churn guard of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.engine.catalog import Catalog
 from repro.engine.errors import CatalogError, SchemaError
 from repro.engine.indexes import GridIndex, SortedIndex
-from repro.engine.statistics import suggest_grid_cell_size
+from repro.engine.table import Table
 
-__all__ = ["IndexAdvisor"]
+__all__ = ["IndexAdvisor", "grid_cell_size"]
+
+#: Grid cell size used when neither a probe width nor a column span is known.
+DEFAULT_GRID_CELL_SIZE = 16.0
+
+
+def grid_cell_size(table: Table, columns: Sequence[str], observed_width: float | None) -> float:
+    """Pick the cell size of an auto-created grid over *columns* of *table*.
+
+    A grid answers a band probe by inspecting ~``ceil(width/cell + 1)^d``
+    cells, so the sweet spot is a cell close to the typical probe width:
+    an observed mean probe width wins outright.  Without one, spread
+    ~``len(table)`` cells over the narrowest numeric span of the columns
+    (≈ one row per cell), reading the spans from the rows; with fewer than
+    two rows or no numeric span, :data:`DEFAULT_GRID_CELL_SIZE`.
+    """
+    if observed_width is not None and observed_width > 0:
+        return float(observed_width)
+    if len(table) <= 1:
+        return DEFAULT_GRID_CELL_SIZE
+    spans: list[float] = []
+    for name in columns:
+        values = [
+            value
+            for row in table.rows()
+            if isinstance(value := row[name], (int, float)) and not isinstance(value, bool)
+        ]
+        if values and (span := float(max(values)) - float(min(values))) > 0:
+            spans.append(span)
+    if not spans:
+        return DEFAULT_GRID_CELL_SIZE
+    cells_per_dim = max(1.0, float(len(table)) ** (1.0 / len(columns)))
+    return max(min(spans) / cells_per_dim, 1e-6)
 
 
 @dataclass
@@ -57,7 +89,7 @@ class IndexAdvisor:
     for ``create_after`` consecutive ticks on a large-enough table, the
     advisor creates a :class:`~repro.engine.indexes.SortedIndex` (one
     dimension) or :class:`~repro.engine.indexes.GridIndex` (cell size from
-    observed probe widths, else column statistics) for it.  Indexes it
+    :func:`grid_cell_size`) for it.  Indexes it
     created are evicted again after ``evict_after`` ticks without any
     probes — like a suspended :class:`IncrementalView`, the structure
     stops paying rent when the query stops running.
@@ -165,9 +197,7 @@ class IndexAdvisor:
         if len(resolved) == 1:
             index = SortedIndex(resolved[0])
         else:
-            stats = self.catalog.statistics(table_name)
-            cell_size = suggest_grid_cell_size(stats, resolved, obs.mean_width)
-            index = GridIndex(resolved, cell_size=cell_size)
+            index = GridIndex(resolved, cell_size=grid_cell_size(table, resolved, obs.mean_width))
         base_name = self.AUTO_INDEX_PREFIX + "_".join(c.split(".")[-1] for c in resolved)
         index_name = base_name
         suffix = 1

@@ -1,5 +1,5 @@
-"""The planner facade: rewrite, reorder, cost and lower a logical plan
-for the target its :class:`~repro.engine.config.EngineConfig` names."""
+"""The planner facade: rewrite and lower a logical plan for the target
+its :class:`~repro.engine.config.EngineConfig` names."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro.engine.algebra import LogicalPlan, explain as explain_logical
 from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
 from repro.engine.operators import PhysicalOperator
-from repro.engine.optimizer.cost import CostModel, PlanCost
-from repro.engine.optimizer.join_order import reorder_joins
 from repro.engine.optimizer.physical import PhysicalPlanner
 from repro.engine.optimizer.rules import apply_standard_rewrites
 
@@ -21,15 +19,14 @@ __all__ = ["Planner", "PlannedQuery"]
 class PlannedQuery:
     """The result of planning one query.
 
-    Bundles the original logical plan, the rewritten/reordered logical
-    plan, the lowered physical operator tree (which the executor runs
-    every tick) and the cost estimate the plan was chosen with.
+    Bundles the original logical plan, the rewritten logical plan and
+    the lowered physical operator tree (which the executor runs every
+    tick).
     """
 
     logical: LogicalPlan
     optimized: LogicalPlan
     physical: PhysicalOperator
-    estimated: PlanCost
 
     @property
     def uses_batch(self) -> bool:
@@ -46,25 +43,24 @@ class PlannedQuery:
             explain_logical(self.optimized),
             "== physical ==",
             self.physical.explain(analyze=analyze),
-            f"== estimated cost: {self.estimated.cost:.1f} rows: {self.estimated.cardinality:.1f} ==",
         ]
         return "\n".join(lines)
 
 
 class Planner:
-    """Cost-based planner over a catalog.
+    """Rule-based planner over a catalog.
 
-    Orchestrates the full pipeline for one query: logical rewrites
-    (:mod:`repro.engine.optimizer.rules`), cost-based join reordering
-    (:mod:`repro.engine.optimizer.join_order`), then lowering to physical
+    Orchestrates the pipeline for one query: logical rewrites
+    (:mod:`repro.engine.optimizer.rules`), then lowering to physical
     operators (:class:`~repro.engine.optimizer.physical.PhysicalPlanner`).
+    There is no cost model: joins run in the order the SGL compiler (or a
+    hand-built plan) wrote them.
 
     Configuration comes from one :class:`~repro.engine.config.EngineConfig`
     (``config=``, default ``EngineConfig()``): ``use_batch=False`` forces
     row-at-a-time plans instead of compiled kernels (whose programs are
-    kept in ``kernel_cache``), and costs band joins without the indexes
-    only kernels probe.  An unrewritten plan can still be lowered as
-    written through ``physical_planner.lower``.
+    kept in ``kernel_cache``).  An unrewritten plan can still be lowered
+    as written through ``physical_planner.lower``.
     """
 
     def __init__(
@@ -79,7 +75,6 @@ class Planner:
             config = EngineConfig()
         self.catalog = catalog
         self.config = config
-        self.cost_model = CostModel(catalog, probe_indexes=config.use_batch)
         self.physical_planner = PhysicalPlanner(
             catalog, config, index_advisor=index_advisor, kernel_cache=kernel_cache
         )
@@ -87,10 +82,7 @@ class Planner:
     def plan(self, logical: LogicalPlan) -> PlannedQuery:
         """Produce a physical plan for *logical*."""
         optimized = apply_standard_rewrites(logical, self.catalog)
-        optimized = reorder_joins(optimized, self.catalog, self.cost_model)
-        physical = self.physical_planner.lower(optimized)
-        estimated = self.cost_model.cost(optimized)
-        return PlannedQuery(logical, optimized, physical, estimated)
+        return PlannedQuery(logical, optimized, self.physical_planner.lower(optimized))
 
     def build_incremental(self, optimized: LogicalPlan):
         """Lower *optimized* to a delta-maintained view, or ``None``.

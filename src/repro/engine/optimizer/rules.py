@@ -1,17 +1,19 @@
 """Logical rewrite rules.
 
 The compiler emits a straightforward plan (scans → cross joins → one big
-selection → projection/aggregation); these rules normalize it:
+selection → projection/aggregation); these rules normalize it, in the
+order :func:`apply_standard_rewrites` runs them:
 
+* ``expand_sharded_scans`` — a ``ShardedScan`` becomes a range Select
+  over its table.
 * ``split_conjunctions`` — one Select per conjunct.
 * ``push_down_selections`` — move each selection as close to the scans as
   its referenced columns allow; selections referencing both sides of a join
   become join conditions.
 * ``merge_selections`` — collapse adjacent selections back into one
   conjunction (after pushdown).
-* ``prune_projections`` — drop unreferenced columns early (keeps
-  intermediate rows narrow).
 
+No rule reorders joins: the plan keeps the join order the compiler wrote.
 All rules are pure functions from plan to plan.
 """
 
@@ -29,6 +31,7 @@ from repro.engine.algebra import (
     TableScan,
 )
 from repro.engine.catalog import Catalog
+from repro.engine.errors import EngineError
 from repro.engine.expressions import BinaryOp, Expression, and_all
 
 __all__ = [
@@ -92,7 +95,7 @@ def merge_selections(plan: LogicalPlan) -> LogicalPlan:
 def _columns_available(plan: LogicalPlan, catalog: Catalog) -> set[str]:
     try:
         schema = plan.output_schema(catalog)
-    except Exception:
+    except EngineError:
         return set()
     names = set(schema.names)
     names |= {c.unqualified_name for c in schema}

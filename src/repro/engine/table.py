@@ -28,7 +28,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.engine.errors import CatalogError, ExecutionError, SchemaError
-from repro.engine.schema import Column, Schema
+from repro.engine.schema import Schema
 from repro.engine.types import coerce_value
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -134,7 +134,7 @@ class Table:
 
         Callers must treat the yielded dicts as read-only: mutating one
         corrupts the table behind the indexes' back.  This is the fast path
-        used by read-only consumers (the statistics collector,
+        used by read-only consumers (the index advisor's grid sizing,
         :meth:`to_batch`, and the scan operators, which copy each row
         themselves before handing it downstream — see
         :mod:`repro.engine.operators.scan` for the per-operator copy
@@ -190,7 +190,7 @@ class Table:
         """Return the row stored under *rowid* — a shared, read-only reference.
 
         Mutating the returned dict bypasses the version counter, so indexes,
-        cached statistics and the columnar snapshot (:meth:`to_batch`) would
+        the change log and the columnar snapshot (:meth:`to_batch`) would
         all go stale; use :meth:`update` to change a row.
         """
         try:
@@ -213,11 +213,6 @@ class Table:
         if self.key is None:
             raise ExecutionError(f"table {self.name!r} has no key column")
         return self._key_map.get(key_value)
-
-    def column_values(self, name: str) -> list[Any]:
-        """Return all values of one column (used by the statistics collector)."""
-        resolved = self.schema.resolve(name)
-        return [row[resolved] for row in self._rows.values()]
 
     # -- change log (incremental execution) ----------------------------------------
 
@@ -443,15 +438,27 @@ class Table:
         return [self.insert(r) for r in rows]
 
     def update(self, rowid: RowId, changes: Mapping[str, Any]) -> None:
-        """Apply *changes* (column → new value) to the row *rowid*."""
+        """Apply *changes* (column → new value) to the row *rowid*.
+
+        A write that leaves every value equal and of the same type is not
+        a write: no copy, no version bump, no index notification and no
+        change-log entry.  ``1 → 1.0`` still writes.
+        """
         self._check_writable()
         row = self.get(rowid)
+        # Resolve and coerce every value before touching the row: an
+        # unknown column or a bad value must not leave it half-written.
+        coerced = []
+        for name, value in changes.items():
+            column = self.schema.column(name)
+            coerced.append((column.name, coerce_value(column.dtype, value)))
+        if all(
+            type(value) is type(row[name]) and value == row[name] for name, value in coerced
+        ):
+            return
         old = dict(row)
-        # Resolve every name before touching the row: an unknown column
-        # must not leave it half-written.
-        resolved = [(self.schema.column(name), value) for name, value in changes.items()]
-        for column, value in resolved:
-            row[column.name] = coerce_value(column.dtype, value)
+        for name, value in coerced:
+            row[name] = value
         if self.key is not None:
             key_col = self.schema.resolve(self.key)
             if old[key_col] != row[key_col]:

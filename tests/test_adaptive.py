@@ -13,6 +13,7 @@ from repro.engine.errors import ExecutionError
 from repro.engine.executor import Executor
 from repro.engine.expressions import col
 from repro.engine.table import Table
+from repro.workloads import build_rts_world
 
 from test_incremental import _units_catalog, assert_same_rows
 
@@ -112,6 +113,38 @@ class TestChurnChooser:
         entry = run.view()
         assert (entry["guard_trips"], entry["suspensions"]) == (1, 0)
         assert run.delta_refreshes[-1] == 5  # every tick but the first and the spike
+
+    def test_rts_view_resumes_when_units_stop_moving(self):
+        """The rts health rule rewrites every unit each tick
+        (``health − damage``).  With no damage those writes change nothing,
+        so they are not churn: once the units stop moving, the suspended
+        view's tables stop advancing and it resumes."""
+        worlds = [
+            build_rts_world(
+                300,
+                with_physics=False,
+                scripts=["count_neighbours"],
+                config=EngineConfig(use_incremental=flag),
+            )
+            for flag in (True, False)
+        ]
+        ids = [row["id"] for row in worlds[0].objects("Unit")]
+        rng = random.Random(5)
+        states = []
+        for tick in range(1, 12):
+            if 2 <= tick <= 5:  # every unit moves
+                for object_id in ids:
+                    x, y = rng.uniform(0, 100), rng.uniform(0, 100)
+                    for world in worlds:
+                        world.set_state("Unit", object_id, x=x, y=y)
+            for world in worlds:
+                world.tick()
+            assert worlds[0].last_effects.values == worlds[1].last_effects.values, tick
+            (entry,) = worlds[0].executor.incremental_report()
+            states.append(entry["state"])
+        assert states[3:5] == ["suspended", "suspended"]
+        assert states[-1] == "live"
+        assert (entry["suspensions"], entry["resumes"]) == (1, 1)
 
     def test_suspended_view_reads_no_change_log(self, monkeypatch):
         catalog, units = _units_catalog(n_rows=200)

@@ -134,7 +134,6 @@ class TestEveryBuilder:
         world = BUILDERS[builder](config=config)
         advisor = world.index_advisor
         assert world.executor.index_advisor is advisor
-        assert world.executor.planner.cost_model.probe_indexes is config.use_batch
         if not config.use_batch:
             assert advisor is None
             return

@@ -1,4 +1,4 @@
-"""Tests for physical operators, rewrites, join ordering and the planner."""
+"""Tests for physical operators, rewrites and the planner."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.engine import (
     Aggregate,
     AggregateSpec,
-    Catalog,
     Column,
     DataType,
     EngineConfig,
@@ -38,9 +37,7 @@ from repro.engine.operators import (
     TableScanOp,
     ValuesOp,
 )
-from repro.engine.optimizer.cost import CostModel
-from repro.engine.optimizer.join_order import extract_join_graph, reorder_joins
-from repro.engine.optimizer.rules import apply_standard_rewrites, split_conjunctions
+from repro.engine.optimizer.rules import apply_standard_rewrites
 
 
 class TestAggregates:
@@ -287,39 +284,6 @@ class TestOptimizer:
         slow_rows = {(r["self.id"], r["cnt"]) for r in unrewritten.rows()}
         assert fast_rows == slow_rows
 
-    def test_join_graph_extraction(self, unit_catalog):
-        plan = Join(
-            Join(
-                TableScan("unit", alias="a"),
-                TableScan("unit", alias="b"),
-                col("a.player").eq(col("b.player")),
-            ),
-            TableScan("unit", alias="c"),
-            col("b.player").eq(col("c.player")),
-        )
-        graph = extract_join_graph(plan)
-        assert graph is not None
-        assert len(graph.relations) == 3
-        assert len(graph.predicates) == 2
-
-    def test_reorder_preserves_results(self, unit_catalog):
-        cost_model = CostModel(unit_catalog)
-        plan = Select(
-            Join(
-                Join(
-                    TableScan("unit", alias="a"),
-                    TableScan("unit", alias="b"),
-                    col("a.player").eq(col("b.player")),
-                ),
-                TableScan("unit", alias="c"),
-                col("b.id").eq(col("c.id")),
-            ),
-            col("a.health").gt(lit(90)),
-        )
-        reordered = reorder_joins(split_conjunctions(plan), unit_catalog, cost_model)
-        lower = Planner(unit_catalog).physical_planner.lower
-        assert len(lower(plan).rows()) == len(lower(reordered).rows())
-
     def test_constant_range_over_index_is_one_kernel_in_table_order(self, unit_catalog):
         """Only kernels plan indexes, and a constant-range Select is not an
         index plan: over a table with a covering index it is one scan
@@ -369,15 +333,8 @@ class TestOptimizer:
         report = executor.kernel_report()
         assert (report["compiled"], report["declined"], report["errors"]) == (1, 0, 0)
 
-    def test_cost_model_prefers_selective_first(self, unit_catalog):
-        cost_model = CostModel(unit_catalog)
-        scan = TableScan("unit")
-        selective = Select(scan, col("id").eq(lit(3)))
-        broad = Select(scan, col("x").ge(lit(0)))
-        assert cost_model.cardinality(selective) < cost_model.cardinality(broad)
-
     def test_explain_includes_all_layers(self, unit_catalog):
         planner = Planner(unit_catalog)
         planned = planner.plan(Select(TableScan("unit"), col("health").gt(lit(50))))
         text = planned.explain()
-        assert "logical" in text and "physical" in text and "estimated cost" in text
+        assert "== logical ==" in text and "== optimized ==" in text and "== physical ==" in text

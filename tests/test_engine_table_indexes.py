@@ -1,4 +1,4 @@
-"""Tests for tables, index maintenance, statistics and the catalog."""
+"""Tests for tables, index maintenance and the catalog."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Catalog, Column, DataType, Schema, Table
-from repro.engine.errors import CatalogError, ExecutionError
+from repro.engine.errors import CatalogError, ExecutionError, TypeMismatchError
 from repro.engine.indexes import GridIndex, RangeTreeIndex, SortedIndex
-from repro.engine.statistics import estimate_selectivity
-from repro.engine.expressions import col, lit
 
 
 def make_table() -> Table:
@@ -153,8 +151,43 @@ class TestChangeLog:
         rid = table.insert({"id": 1, "x": 5})
         v = table.version
         table.update(rid, {"x": 5})
-        assert table.version > v  # version still moves...
-        assert table.changes_since(v) == ([], [])  # ...but the delta is empty
+        assert table.version == v  # a no-op write is not a write...
+        assert table.changes_pending(v) == 0  # ...so nothing is logged
+
+    def test_noop_update_copies_nothing_and_notifies_no_index(self):
+        updates = []
+
+        class SpyIndex(SortedIndex):
+            def on_update(self, rowid, old, new):
+                updates.append(rowid)
+                super().on_update(rowid, old, new)
+
+        table = make_table()
+        table.attach_index("by_x", SpyIndex("x"))
+        rid = table.insert({"id": 1, "x": 5, "y": 2})
+        row = table.get(rid)
+        table.update(rid, {"x": 5, "y": 2})
+        assert updates == [] and table.get(rid) is row
+        table.update(rid, {"x": 5, "y": 3})  # one changed value makes it a write
+        assert updates == [rid] and table.get(rid)["y"] == 3
+
+    def test_int_to_float_write_still_writes(self):
+        """Equal but of another type is a change (``1 → 1.0``)."""
+        table = make_table()
+        table.enable_change_log()
+        rid = table.insert({"id": 1, "x": 1})
+        v = table.version
+        table.update(rid, {"x": 1.0})
+        assert table.version == v + 1 and table.changes_pending(v) == 1
+        assert type(table.get(rid)["x"]) is float
+
+    def test_bad_value_leaves_row_unwritten(self):
+        table = make_table()
+        rid = table.insert({"id": 1, "x": 5, "y": 2})
+        v = table.version
+        with pytest.raises(TypeMismatchError):
+            table.update(rid, {"x": 6, "y": "north"})
+        assert table.version == v and (table.get(rid)["x"], table.get(rid)["y"]) == (5, 2)
 
     def test_truncation_and_bulk_resets(self):
         table = make_table()
@@ -294,36 +327,3 @@ class TestSpatialIndexCorrectness:
         small = RangeTreeIndex(["x", "y"])
         small.build_from_points(points[:128])
         assert tree.estimated_bytes(16) / 512 > small.estimated_bytes(16) / 128
-
-
-class TestStatistics:
-    def test_collect_and_selectivity(self, unit_catalog):
-        stats = unit_catalog.statistics("unit")
-        assert stats.row_count == 100
-        assert stats.column("player").distinct_count == 4
-        sel = estimate_selectivity(col("player").eq(lit(1)), stats)
-        assert 0.1 < sel < 0.5
-        range_sel = estimate_selectivity(col("x").lt(lit(50)), stats)
-        assert 0.2 < range_sel < 0.8
-
-    def test_statistics_cache_invalidation(self, unit_catalog):
-        stats1 = unit_catalog.statistics("unit")
-        stats2 = unit_catalog.statistics("unit")
-        assert stats1 is stats2
-        unit_catalog.table("unit").insert({"id": 1000, "player": 0, "x": 1, "y": 1, "health": 5, "range": 5})
-        stats3 = unit_catalog.statistics("unit")
-        assert stats3 is not stats1
-        assert stats3.row_count == 101
-
-    def test_empty_table_statistics(self):
-        catalog = Catalog()
-        catalog.create_table("empty", make_table().schema)
-        stats = catalog.statistics("empty")
-        assert stats.row_count == 0
-        assert estimate_selectivity(col("x").gt(lit(0)), stats) == 0.0
-
-    def test_histogram_range_fraction(self, unit_catalog):
-        stats = unit_catalog.statistics("unit")
-        cs = stats.column("x")
-        assert cs.range_selectivity(None, None) >= 0.99
-        assert cs.range_selectivity(200, 300) == 0.0

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from repro.engine import (
     Catalog,
     Column,
@@ -23,6 +25,7 @@ from repro.engine import (
     Join,
     Schema,
     Select,
+    Table,
     TableScan,
     and_all,
     col,
@@ -38,6 +41,7 @@ from repro.engine.operators import (
     ValuesOp,
 )
 from repro.engine.optimizer import Planner
+from repro.engine.optimizer.adaptive import grid_cell_size
 from repro.engine.optimizer.physical import PhysicalPlanner, _extract_range_probe, match_band_index
 from repro.workloads import build_rts_world
 
@@ -175,23 +179,6 @@ class TestIndexProbePlanning:
         # The row path builds the transient grid too.
         row_ops = _join_ops(Executor(catalog, ROW), band_plan())
         assert any(isinstance(op, RangeProbeJoinOp) for op in row_ops)
-
-
-class TestIndexAwareCosting:
-    """The cost model discounts a band join's grid rebuild only where a
-    kernel will probe the index instead: on the compiled target."""
-
-    def test_index_discount_follows_the_target(self):
-        catalog = _make_catalog()
-        join = Planner(catalog, KERNEL).plan(band_plan()).optimized
-        assert isinstance(join, Join)
-        before = {
-            config: Planner(catalog, config).cost_model.cost(join).cost for config in (KERNEL, ROW)
-        }
-        assert before[KERNEL] == before[ROW]
-        catalog.create_index("unit", "xy", GridIndex(["x", "y"], cell_size=5.0))
-        assert Planner(catalog, ROW).cost_model.cost(join).cost == before[ROW]
-        assert Planner(catalog, KERNEL).cost_model.cost(join).cost < before[KERNEL]
 
 
 class TestIndexProbeEquivalence:
@@ -399,6 +386,53 @@ class TestIndexAdvisor:
         (index,) = catalog.table("unit").indexes.values()
         # Ranges are 3/5/8, so probe widths (2r) average ~10-ish.
         assert 5.0 <= index.cell_size <= 20.0
+
+    def _advisor_grid(self, catalog, width_sum: float, width_count: int) -> GridIndex:
+        advisor = IndexAdvisor(catalog, create_after=2, min_table_rows=10)
+        hook = advisor.make_hook("unit", ("u.x", "u.y"))
+        for _ in range(2):
+            hook(10, width_sum, width_count)
+            advisor.end_tick()
+        (index,) = catalog.table("unit").indexes.values()
+        return index
+
+    def test_grid_cell_size_is_the_observed_width(self):
+        assert self._advisor_grid(_make_catalog(), 80.0, 10).cell_size == 8.0
+
+    def test_grid_cell_size_without_observation_spreads_rows_over_the_span(self):
+        catalog = _make_catalog()
+        rows = list(catalog.table("unit").rows())
+        spans = [max(r[c] for r in rows) - min(r[c] for r in rows) for c in ("x", "y")]
+        index = self._advisor_grid(catalog, 0.0, 0)
+        assert index.cell_size == pytest.approx(min(spans) / len(rows) ** 0.5)
+
+    def test_grid_cell_size_default_without_rows_or_span(self):
+        table = Table("unit", _unit_schema())
+        assert grid_cell_size(table, ("x", "y"), None) == 16.0
+        table.insert({"id": 1, "x": 5.0, "y": 5.0})
+        assert grid_cell_size(table, ("x", "y"), None) == 16.0  # one row
+        table.insert({"id": 2, "x": 5.0, "y": None})
+        assert grid_cell_size(table, ("x", "y"), None) == 16.0  # no numeric span
+        assert grid_cell_size(table, ("x", "y"), 0.0) == 16.0  # no observed width
+        table.insert({"id": 3, "x": 9.0, "y": None})
+        assert grid_cell_size(table, ("x", "y"), None) == pytest.approx(4.0 / 3**0.5)
+
+    def test_rts_served_world_grid_cell_size(self):
+        """An ``rts_served``-shaped world (500 units, ranges 6 / 8 / 10 in
+        equal shares, 183 × 183) sizes its auto grid at the mean probe
+        width, 2 × the mean range: 15.992."""
+        world = build_rts_world(0, world_size=183.0, config=KERNEL)
+        rng = random.Random(3)
+        world.spawn_many(
+            "Unit",
+            [
+                {"x": rng.uniform(0, 183.0), "y": rng.uniform(0, 183.0), "range": (6, 8, 10)[k % 3]}
+                for k in range(500)
+            ],
+        )
+        world.run(world.index_advisor.create_after + 1)
+        index = world.catalog.table("Unit").indexes[IndexAdvisor.AUTO_INDEX_PREFIX + "x_y"]
+        assert index.cell_size == pytest.approx(15.992)
 
     def test_small_tables_are_not_indexed(self):
         catalog = _make_catalog(n=32)

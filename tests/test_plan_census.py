@@ -22,11 +22,15 @@ import repro.engine.operators as operators
 from repro import ExecutionMode, GameWorld
 from repro.engine import EngineConfig
 from repro.engine.compile import kernels
+from repro.engine.algebra import Join, explain
 from repro.engine.compile.exprgen import KernelDecline
+from repro.engine.optimizer import Planner, apply_standard_rewrites
 from repro.engine.operators import BatchOperator, DeltaOperator, DeltaUnionOp, PhysicalOperator
 from repro.runtime.pathfinding import GridMap, GridReachability
 from repro.workloads import build_contagion_world, build_rts_world, build_traffic_world
 from repro.workloads.marketplace import build_marketplace_world
+
+from test_fixpoint import TWO_SCRIPTS_SOURCE, build_chain_world
 
 #: The two targets (``fastest()`` is ``EngineConfig()`` under the e2e
 #: harness's name, so it would only run the census twice).
@@ -198,3 +202,52 @@ def test_default_preset_leaves_only_fixpoint_and_union_plans_to_rows(monkeypatch
             assert report["declined_by_reason"]["join-shape"] == 0, (name, declines)
         if name == "contagion":
             assert declines == CONTAGION_DECLINES
+
+
+def _capped_chain_world(config: EngineConfig) -> GameWorld:
+    """The chain world with an ``iterate`` cap on its reach (``max_rounds``)."""
+    source = TWO_SCRIPTS_SOURCE.replace(
+        "on n.idx == cur.next {", "on n.idx == cur.next iterate 2 {"
+    )
+    world = GameWorld(source, config=config)
+    world.spawn_many(
+        "Node", [{"idx": i, "next": i + 1, "origin": 1 if i == 0 else 0} for i in range(6)]
+    )
+    return world
+
+
+#: The census worlds plus the fixpoint chain worlds, whose joins over a
+#: ``Fixpoint`` a cost-based reorder would rearrange.
+JOIN_ORDER_WORLDS = {
+    **CENSUS_WORLDS,
+    "chain": lambda config: build_chain_world(8, ExecutionMode.COMPILED, config=config),
+    "chain_capped": _capped_chain_world,
+}
+
+
+def _cross_joins(plan) -> int:
+    return sum(isinstance(node, Join) and node.how == "cross" for node in plan.walk())
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_ORDER_WORLDS))
+def test_planner_keeps_the_compiled_join_order(name, monkeypatch):
+    """The plan is the rewrites of what the compiler wrote: every tick
+    query's optimized plan reads like ``apply_standard_rewrites`` of its
+    logical plan, and no join becomes a cross product it was not."""
+    planned = []
+    plan = Planner.plan
+
+    def recording(self, logical):
+        result = plan(self, logical)
+        planned.append((self.catalog, result))
+        return result
+
+    monkeypatch.setattr(Planner, "plan", recording)
+    world = JOIN_ORDER_WORLDS[name](EngineConfig())
+    for _ in range(4):  # tick 4 re-plans against the advisor's index
+        world.tick()
+    assert planned
+    for catalog, result in planned:
+        rewritten = apply_standard_rewrites(result.logical, catalog)
+        assert explain(result.optimized) == explain(rewritten)
+        assert _cross_joins(result.optimized) <= _cross_joins(result.logical)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.engine.algebra import Exchange, Select, ShardedScan, TableScan
 from repro.engine.executor import Executor
-from repro.engine.optimizer.cost import CostModel
 from repro.engine.optimizer.rules import apply_standard_rewrites, expand_sharded_scans
 from repro.runtime import EffectStore
 from repro.runtime.debug import TickInspector
@@ -216,16 +215,6 @@ class TestShardAlgebra:
 
         with pytest.raises(PlanError):
             Exchange(TableScan("unit"), "x", (50.0, 25.0))
-
-    def test_cost_model_covers_shard_nodes(self, unit_catalog):
-        model = CostModel(unit_catalog)
-        scan = ShardedScan("unit", "x", 0.0, 50.0)
-        assert 0 < model.cardinality(scan) <= 100
-        assert model.cost(scan).cost > 0
-        exchange = Exchange(TableScan("unit"), "x", (50.0,), exclude_shard=0)
-        # Handoff-style exchanges are estimated as a small fraction moving.
-        assert model.cardinality(exchange) < model.cardinality(TableScan("unit"))
-        assert model.cost(exchange).cost > model.cost(TableScan("unit")).cost
 
 
 # -- effect ownership --------------------------------------------------------------------
