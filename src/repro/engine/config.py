@@ -6,17 +6,18 @@ constructor, says which target plans are lowered for (``config=None``
 means ``EngineConfig()``):
 
 * ``EngineConfig()`` — the compiled engine.  Kernels, tick-wide shared
-  subplans with fused effect sinks, band joins that probe indexes, and the
-  index advisor that creates those indexes.  The engine decides among
-  these paths itself; no switch overrides a single one.
+  subplans with fused effect sinks, band joins that probe indexes, the
+  index advisor that creates those indexes, and semi-naive fixpoints.
+  The engine decides among these paths itself; no switch overrides a
+  single one.
 * :meth:`EngineConfig.reference` — the row-path oracle every equivalence
   test compares against: each query runs its own row-operator plan, with
   no views and the naive fixpoint loop.
 
-``use_incremental`` and ``use_fixpoint`` stay separate because callers
-need them on either target: the fixpoint benchmark's naive / semi-naive /
-warm arms set both ways, and bit-exact float checkpoint replay needs
-``use_incremental=False``.
+``use_incremental`` stays separate because callers need it on the compiled
+target: bit-exact float checkpoint replay needs ``use_incremental=False``
+(an incrementally maintained sum may differ from a fresh fold by
+rounding), and so do the fixpoint benchmark's cold semi-naive arms.
 """
 
 from __future__ import annotations
@@ -29,23 +30,22 @@ __all__ = ["EngineConfig"]
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Immutable choice of execution target plus two maintenance switches.
+    """Immutable choice of execution target plus one maintenance switch.
 
     ``use_batch``       the compiled engine: kernels
                         (:mod:`repro.engine.compile.kernels`), shared
-                        subplans, index-probing band joins and the index
-                        advisor; ``False`` runs every query's own plan on
-                        the row operators.
-    ``use_incremental`` maintain delta-incremental views for standing queries.
-    ``use_fixpoint``    evaluate recursive Fixpoint plans semi-naive (each
-                        round joins only the previous round's delta);
-                        ``False`` runs the naive reference loop over the
-                        full accumulator.
+                        subplans, index-probing band joins, the index
+                        advisor and semi-naive fixpoints (each round joins
+                        only the previous round's delta); ``False`` runs
+                        every query's own plan on the row operators, and
+                        recursive plans in the naive loop over the full
+                        accumulator.
+    ``use_incremental`` maintain delta-incremental views for standing
+                        queries, and warm-restart cached fixpoint closures.
     """
 
     use_batch: bool = True
     use_incremental: bool = True
-    use_fixpoint: bool = True
 
     # -- presets ---------------------------------------------------------------------------
 
@@ -57,7 +57,7 @@ class EngineConfig:
     @classmethod
     def reference(cls) -> "EngineConfig":
         """Row-path-only semantics oracle: no kernels, views, sharing or indexes."""
-        return cls(use_batch=False, use_incremental=False, use_fixpoint=False)
+        return cls(use_batch=False, use_incremental=False)
 
     # -- derivation ------------------------------------------------------------------------
 

@@ -66,14 +66,6 @@ class PhysicalOperator:
             parts.append(child.explain(indent + 1, analyze=analyze))
         return "\n".join(parts)
 
-    def reset_counters(self) -> None:
-        """Zero the runtime counters for this operator and all descendants."""
-        self.rows_produced = 0
-        self.executions = 0
-        self.elapsed = 0.0
-        for child in self.children:
-            child.reset_counters()
-
     def walk(self) -> Iterator["PhysicalOperator"]:
         yield self
         for child in self.children:

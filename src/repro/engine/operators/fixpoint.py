@@ -10,7 +10,7 @@ share one operator:
   delta* only, so per-round work is proportional to the frontier — the
   same delta discipline as the PR-2 incremental operators, applied to
   recursion instead of churn.
-* **naive** (``semi_naive=False``, the ``reference`` preset): each round
+* **naive** (``semi_naive=False``, the row target ``use_batch=False``): each round
   binds the full accumulated relation.  Semantically identical, used as
   the parity oracle and the benchmark baseline.
 * **incremental re-closure**: when only *insertions* hit the step's base
@@ -33,7 +33,7 @@ to the step body like to any other plan.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.engine.errors import ExecutionError
 from repro.engine.expressions import Expression
@@ -465,17 +465,6 @@ class FixpointOp(PhysicalOperator):
         if self.linear_step is not None:
             self.linear_step._hash = None
             self.linear_step._hash_version = None
-
-    def reset_counters(self) -> None:
-        super().reset_counters()
-        self.last_mode = "none"
-        self.last_rounds = 0
-        self.last_round_sizes = []
-        self.last_delta_rows = 0
-        self.total_rounds = 0
-        self.total_delta_rows = 0
-        self.warm_restarts = 0
-        self.cache_hits = 0
 
     def label(self) -> str:
         mode = "semi-naive" if self.semi_naive else "naive"

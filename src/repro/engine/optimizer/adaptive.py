@@ -14,7 +14,7 @@ busy phases — is per-tick too, and lives in the churn guard of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.engine.catalog import Catalog
 from repro.engine.errors import CatalogError, SchemaError
@@ -236,14 +236,3 @@ class IndexAdvisor:
                 entry["mean_width"] = max(entry["mean_width"], obs.mean_width)
             entry["max_width"] = max(entry["max_width"], obs.max_width)
         return out
-
-    def report(self) -> dict[str, Any]:
-        return {
-            "tick": self._tick,
-            "created": self.created_count,
-            "evicted": self.evicted_count,
-            "active": {
-                f"{table}({', '.join(columns)})": self._created.get((table, columns))
-                for table, columns in self._observations
-            },
-        }

@@ -121,13 +121,13 @@ def match_band_index(
 class PhysicalPlanner:
     """Translates optimized logical plans into executable operator trees.
 
-    Reads the three switches of its :class:`~repro.engine.config.EngineConfig`:
-    ``use_batch`` lowers fusable plans to compiled kernels, ``False``
-    forces row-at-a-time plans (the oracle of the equivalence tests);
-    ``use_fixpoint=False`` lowers Fixpoint nodes to the naive reference
-    loop (full accumulator every round); and with ``use_fixpoint`` on,
-    ``use_incremental`` lowers per-table delta variants of fixpoint steps
-    so cached closures warm-restart after insert-only churn.
+    Reads the two switches of its :class:`~repro.engine.config.EngineConfig`:
+    ``use_batch`` lowers fusable plans to compiled kernels and Fixpoint
+    nodes to semi-naive iteration, ``False`` forces row-at-a-time plans and
+    the naive fixpoint loop (full accumulator every round; the oracle of
+    the equivalence tests); and with ``use_batch`` on, ``use_incremental``
+    lowers per-table delta variants of fixpoint steps so cached closures
+    warm-restart after insert-only churn.
 
     ``index_advisor`` (an
     :class:`~repro.engine.optimizer.adaptive.IndexAdvisor`) receives
@@ -367,7 +367,7 @@ class PhysicalPlanner:
             step_op = self.lower(plan.step) if linear is None else None
             variants = (
                 self._lower_delta_variants(plan)
-                if self.config.use_fixpoint and self.config.use_incremental
+                if self.config.use_batch and self.config.use_incremental
                 else []
             )
         finally:
@@ -391,7 +391,7 @@ class PhysicalPlanner:
             accum_cell,
             step_op,
             linear,
-            semi_naive=self.config.use_fixpoint,
+            semi_naive=self.config.use_batch,
             max_rounds=plan.max_rounds,
             distinct_on=plan.distinct_on,
             base_tables=base_tables,
@@ -486,7 +486,7 @@ class PhysicalPlanner:
         from exactly one table scanned exactly once.  Warm restarts then
         append just the inserted rows to the build hash instead of
         re-hashing the whole side (``LinearStep.refresh``)."""
-        if not (self.config.use_fixpoint and self.config.use_incremental):
+        if not (self.config.use_batch and self.config.use_incremental):
             return None
         names = [
             name

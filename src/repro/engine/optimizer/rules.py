@@ -28,7 +28,6 @@ from repro.engine.algebra import (
     Project,
     Select,
     ShardedScan,
-    TableScan,
 )
 from repro.engine.catalog import Catalog
 from repro.engine.errors import EngineError

@@ -1,8 +1,9 @@
 """TickReport → registry collectors: the glue the tick loop calls.
 
 :class:`WorldMetrics` observes one :class:`~repro.runtime.world.TickReport`
-per tick into a :class:`~repro.obs.metrics.MetricsRegistry` — phase-latency
-histograms, cumulative engine counters, last-tick gauges.
+per tick into a :class:`~repro.obs.metrics.MetricsRegistry` — latency
+histograms labelled by the phases of :data:`~repro.runtime.world.PHASE_FIELDS`,
+cumulative engine counters, last-tick gauges.
 :class:`ShardMetrics` does the same for a
 :class:`~repro.shard.coordinator.ShardTickReport`, exporting every
 per-worker counter under a ``shard`` label so a scrape of the coordinator
@@ -21,23 +22,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.world import PHASE_FIELDS, TickReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.runtime.world import TickReport
     from repro.shard.coordinator import ShardTickReport
 
 __all__ = ["PHASE_FIELDS", "WorldMetrics", "ShardMetrics"]
-
-#: Tick phase label → TickReport field, in tick execution order (the tracer
-#: relies on the order to lay spans out sequentially).
-PHASE_FIELDS: tuple[tuple[str, str], ...] = (
-    ("effect", "effect_step_seconds"),
-    ("update", "update_step_seconds"),
-    ("reactive", "reactive_seconds"),
-    ("flush", "flush_seconds"),
-    ("persist", "persist_seconds"),
-    ("advisor", "advisor_seconds"),
-)
 
 #: Cumulative counter metric → TickReport field.
 _COUNTER_FIELDS: tuple[tuple[str, str, str], ...] = (
@@ -108,7 +98,7 @@ class WorldMetrics:
         ]
         self._total_child = self._tick_seconds.labels()
 
-    def observe(self, report: "TickReport") -> None:
+    def observe(self, report: TickReport) -> None:
         """Record one tick (installed as a tick observer by ``attach_metrics``)."""
         for child, field in self._phase_children:
             child.observe(getattr(report, field))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.obs.collector import PHASE_FIELDS
+from repro.runtime.world import PHASE_FIELDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.world import GameWorld, TickReport

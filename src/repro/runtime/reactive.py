@@ -28,7 +28,7 @@ from repro.sgl.ir import EffectAssignment
 __all__ = ["Handler", "FiredHandler", "ReactiveDispatcher"]
 
 #: A condition is either an SGL expression or a Python predicate over the row.
-Condition = "SglExpression | Callable[[Mapping[str, Any]], bool]"
+Condition = SglExpression | Callable[[Mapping[str, Any]], bool]
 #: An action returns effect assignments for the next tick (possibly empty).
 Action = Callable[[Mapping[str, Any]], Iterable[EffectAssignment]]
 

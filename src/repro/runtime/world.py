@@ -16,6 +16,9 @@ executes the paper's state-effect tick (Section 2):
 3. **Reactive dispatch** — handlers are evaluated against the post-update
    state; the effects they produce participate in the *next* tick, and
    interrupts reset multi-tick program counters (Section 3.2).
+
+The subscription flush, the WAL persist and the index advisor follow.
+:attr:`GameWorld.phases`, built from :data:`PHASE_FIELDS`, is the tick.
 """
 
 from __future__ import annotations
@@ -60,7 +63,20 @@ from repro.sgl.parser import parse_program
 from repro.sgl.schema_gen import KEY_COLUMN, GeneratedSchema, SchemaGenerator, SchemaLayout
 from repro.sgl.semantics import AnalyzedProgram, analyze_program
 
-__all__ = ["ExecutionMode", "TickReport", "GameWorld"]
+__all__ = ["ExecutionMode", "PHASE_FIELDS", "TickReport", "GameWorld"]
+
+#: Tick phase label → :class:`TickReport` field, in execution order: the
+#: one list of the tick's phases.  :attr:`GameWorld.phases`,
+#: :attr:`TickReport.total_seconds`, the shard worker's per-phase seconds,
+#: the metrics collector and the tracer are all built from it.
+PHASE_FIELDS: tuple[tuple[str, str], ...] = (
+    ("effect", "effect_step_seconds"),
+    ("update", "update_step_seconds"),
+    ("reactive", "reactive_seconds"),
+    ("flush", "flush_seconds"),
+    ("persist", "persist_seconds"),
+    ("advisor", "advisor_seconds"),
+)
 
 
 class ExecutionMode(enum.Enum):
@@ -154,14 +170,8 @@ class TickReport:
 
     @property
     def total_seconds(self) -> float:
-        return (
-            self.effect_step_seconds
-            + self.update_step_seconds
-            + self.reactive_seconds
-            + self.advisor_seconds
-            + self.flush_seconds
-            + self.persist_seconds
-        )
+        """The timed phases of :data:`PHASE_FIELDS`, summed."""
+        return sum(getattr(self, name) for _, name in PHASE_FIELDS)
 
     def as_dict(self) -> dict[str, Any]:
         """Every field plus ``total_seconds``, schema-stable across ticks.
@@ -174,6 +184,15 @@ class TickReport:
         out = dataclasses.asdict(self)
         out["total_seconds"] = self.total_seconds
         return out
+
+
+@dataclass(slots=True)
+class _Tick:
+    """What the steps of one tick share (see :attr:`GameWorld.phases`)."""
+
+    report: TickReport
+    store: EffectStore
+    transactions: list[TransactionRequest] = dataclasses.field(default_factory=list)
 
 
 class GameWorld:
@@ -232,11 +251,19 @@ class GameWorld:
         self._subscription_manager = None
         #: Durable delta log writer (created by :meth:`attach_wal`).
         self.wal = None
-        #: Shard-worker hook, called between the effect and update steps
-        #: with ``(store, transactions)`` while effects are still raw.  The
-        #: sharded engine uses it to drop ghost rows and non-owned targets;
-        #: ``None`` (the default) is a no-op.
-        self.effect_step_hook: Callable[[EffectStore, list[TransactionRequest]], None] | None = None
+
+        #: Runs the scripts of the effect step, chosen once by *mode*.
+        self._run_scripts: Callable[[_Tick], None] = (
+            self._run_compiled if mode is ExecutionMode.COMPILED else self._run_interpreted
+        )
+        #: The tick: ``(label, TickReport field, step)`` in execution order,
+        #: one ``_<label>_phase`` step per :data:`PHASE_FIELDS` entry.
+        #: :meth:`tick` times each step into its field; a step whose field
+        #: is ``None`` runs untimed.  The shard worker inserts its ghost step
+        #: after ``"effect"``.
+        self.phases: list[tuple[str, str | None, Callable[[_Tick], None]]] = [
+            (label, name, getattr(self, f"_{label}_phase")) for label, name in PHASE_FIELDS
+        ]
 
         #: Observers called with the finished :class:`TickReport` at the end
         #: of every :meth:`tick` (metrics collectors, tracers).  Empty by
@@ -539,8 +566,6 @@ class GameWorld:
         else:
             wal.checkpoint()  # baseline: replay can reach the attach point
         self.wal = wal
-        if self._subscription_manager is not None:
-            self._subscription_manager.attach_wal(wal)
         return wal
 
     def detach_wal(self) -> None:
@@ -598,44 +623,55 @@ class GameWorld:
         return [self.tick() for _ in range(ticks)]
 
     def tick(self) -> TickReport:
+        """Run every step of :attr:`phases` in order, timing each into its field."""
         report = TickReport(tick=self.tick_count)
-        store = EffectStore({decl.name: decl for decl in self.program.classes})
-        transactions: list[TransactionRequest] = []
+        state = _Tick(report, EffectStore({decl.name: decl for decl in self.program.classes}))
         cache_hits = self.executor.plan_cache_hits
         cache_misses = self.executor.plan_cache_misses
         fixpoint_before = self.executor.fixpoint_report()
 
         # Effects queued by reactive handlers at the end of the previous tick.
-        store.add_all(self.reactive.drain_effects())
+        state.store.add_all(self.reactive.drain_effects())
 
-        # -- query + effect step (state read-only) -------------------------------------------
-        started = time.perf_counter()
+        for _, name, step in self.phases:
+            started = time.perf_counter()
+            step(state)
+            if name is not None:
+                setattr(report, name, time.perf_counter() - started)
+
+        report.plan_cache_hits = self.executor.plan_cache_hits - cache_hits
+        report.plan_cache_misses = self.executor.plan_cache_misses - cache_misses
+        # Clamped at zero: an advisor-triggered replan drops cached plans
+        # (and their cumulative counters) before this snapshot.
+        fixpoint_after = self.executor.fixpoint_report()
+        for name, key in (
+            ("fixpoint_rounds", "total_rounds"),
+            ("fixpoint_delta_rows", "total_delta_rows"),
+            ("fixpoint_warm_restarts", "warm_restarts"),
+            ("fixpoint_cache_hits", "cache_hits"),
+        ):
+            setattr(report, name, max(0, fixpoint_after[key] - fixpoint_before[key]))
+        self.tick_count += 1
+        self.reports.append(report)
+        for observer in self.tick_observers:
+            observer(report)
+        return report
+
+    # -- the phases ---------------------------------------------------------------------------------
+
+    def _effect_phase(self, tick: _Tick) -> None:
+        """Query + effect step: every enabled script runs over frozen state."""
         self._freeze(frozen=True)
         try:
-            if self.mode is ExecutionMode.COMPILED:
-                self._run_compiled(store, transactions)
-            else:
-                self._run_interpreted(store, transactions)
+            self._run_scripts(tick)
         finally:
             self._freeze(frozen=False)
-        report.effect_step_seconds = time.perf_counter() - started
-        report.effect_assignments = len(store)
-        report.transactions_submitted = len(transactions)
-        if self.mode is ExecutionMode.COMPILED:
-            stats = self.executor.last_tick_stats
-            report.shared_subplans = stats.get("shared_subplans", 0)
-            report.shared_subplans_evaluated = stats.get("shared_subplans_evaluated", 0)
-            report.shared_evaluations_saved = stats.get("evaluations_saved", 0)
-            report.fused_effect_rows = stats.get("fused_effect_rows", 0)
+        tick.report.effect_assignments = len(tick.store)
+        tick.report.transactions_submitted = len(tick.transactions)
 
-        # Between effect and update step the shard worker removes ghost
-        # replicas and filters the store down to effects on owned targets,
-        # so the update step below only ever sees this shard's rows.
-        if self.effect_step_hook is not None:
-            self.effect_step_hook(store, transactions)
-
-        # -- update step -----------------------------------------------------------------------
-        started = time.perf_counter()
+    def _update_phase(self, tick: _Tick) -> None:
+        """Update step: combine effects, run transactions and update components."""
+        store, transactions, report = tick.store, tick.transactions, tick.report
         if transactions and self._transaction_engine is None:
             # Without a transaction engine atomic blocks degrade to plain
             # effect assignments (documented behaviour).  They are folded
@@ -655,10 +691,9 @@ class GameWorld:
             self.last_transaction_report = self._transaction_engine.last_report
             report.transactions_committed = self.last_transaction_report.commit_count
             report.transactions_aborted = self.last_transaction_report.abort_count
-        report.update_step_seconds = time.perf_counter() - started
 
-        # -- reactive dispatch over the post-update state ---------------------------------------
-        started = time.perf_counter()
+    def _reactive_phase(self, tick: _Tick) -> None:
+        """Reactive dispatch over the post-update state."""
         self.reactive.clear_fired()
         fired: list[FiredHandler] = []
         for class_name in self.class_names():
@@ -672,58 +707,34 @@ class GameWorld:
                     self.scheduler.reset,
                 )
             )
-        report.handlers_fired = len(fired)
-        report.reactive_seconds = time.perf_counter() - started
+        tick.report.handlers_fired = len(fired)
 
-        # -- subscription flush: stream this tick's deltas to subscribers -----------------------
-        started = time.perf_counter()
-        if self._subscription_manager is not None:
-            flush_stats = self._subscription_manager.flush(report.tick)
-            report.subscription_messages = flush_stats.get("messages", 0)
-            report.subscription_delta_rows = flush_stats.get("delta_rows", 0)
-            for name, value in flush_stats.items():
-                if name.startswith("aoi_"):  # the report has a field per counter
-                    setattr(report, name, value)
-        report.flush_seconds = time.perf_counter() - started
+    def _flush_phase(self, tick: _Tick) -> None:
+        """Stream this tick's deltas to subscribers."""
+        if self._subscription_manager is None:
+            return
+        report = tick.report
+        flush_stats = self._subscription_manager.flush(report.tick)
+        report.subscription_messages = flush_stats.get("messages", 0)
+        report.subscription_delta_rows = flush_stats.get("delta_rows", 0)
+        for name, value in flush_stats.items():
+            if name.startswith("aoi_"):  # the report has a field per counter
+                setattr(report, name, value)
 
-        # -- persist phase: append this tick's commit record to the WAL -------------------------
-        started = time.perf_counter()
-        if self.wal is not None:
-            persist_stats = self.wal.commit_tick(report.tick)
-            report.wal_bytes = persist_stats.get("bytes", 0)
-            report.wal_delta_rows = persist_stats.get("delta_rows", 0)
-        report.persist_seconds = time.perf_counter() - started
+    def _persist_phase(self, tick: _Tick) -> None:
+        """Append this tick's commit record to the WAL."""
+        if self.wal is None:
+            return
+        persist_stats = self.wal.commit_tick(tick.report.tick)
+        tick.report.wal_bytes = persist_stats.get("bytes", 0)
+        tick.report.wal_delta_rows = persist_stats.get("delta_rows", 0)
 
-        # -- index advisor: create/evict indexes for hot band joins -----------------------------
-        started = time.perf_counter()
+    def _advisor_phase(self, tick: _Tick) -> None:
+        """Create or evict indexes for hot band joins."""
         if self.index_advisor is not None and self.index_advisor.end_tick():
             # The catalog shape changed; replan so the next tick's queries
             # probe (or stop probing) the adjusted index set.
             self.executor.invalidate_plans()
-        report.advisor_seconds = time.perf_counter() - started
-
-        report.plan_cache_hits = self.executor.plan_cache_hits - cache_hits
-        report.plan_cache_misses = self.executor.plan_cache_misses - cache_misses
-        # Clamped at zero: an advisor-triggered replan above drops cached
-        # plans (and their cumulative counters) before this snapshot.
-        fixpoint_after = self.executor.fixpoint_report()
-        report.fixpoint_rounds = max(
-            0, fixpoint_after["total_rounds"] - fixpoint_before["total_rounds"]
-        )
-        report.fixpoint_delta_rows = max(
-            0, fixpoint_after["total_delta_rows"] - fixpoint_before["total_delta_rows"]
-        )
-        report.fixpoint_warm_restarts = max(
-            0, fixpoint_after["warm_restarts"] - fixpoint_before["warm_restarts"]
-        )
-        report.fixpoint_cache_hits = max(
-            0, fixpoint_after["cache_hits"] - fixpoint_before["cache_hits"]
-        )
-        self.tick_count += 1
-        self.reports.append(report)
-        for observer in self.tick_observers:
-            observer(report)
-        return report
 
     # -- effect-step strategies ---------------------------------------------------------------------
 
@@ -776,9 +787,8 @@ class GameWorld:
             return None
         return combinator
 
-    def _run_compiled(
-        self, store: EffectStore, transactions: list[TransactionRequest]
-    ) -> None:
+    def _run_compiled(self, tick: _Tick) -> None:
+        store, transactions, report = tick.store, tick.transactions, tick.report
         pending: dict[tuple[str, int, Any], list[EffectAssignment]] = {}
         pending_constraints: dict[tuple[str, int, Any], tuple[SglExpression, ...]] = {}
         pending_class: dict[tuple[str, int, Any], str] = {}
@@ -797,6 +807,11 @@ class GameWorld:
             for index, query in enumerate(queries)
         ]
         results = self.executor.execute_tick(specs)
+        stats = self.executor.last_tick_stats
+        report.shared_subplans = stats.get("shared_subplans", 0)
+        report.shared_subplans_evaluated = stats.get("shared_subplans_evaluated", 0)
+        report.shared_evaluations_saved = stats.get("evaluations_saved", 0)
+        report.fused_effect_rows = stats.get("fused_effect_rows", 0)
         for query, result in zip(queries, results):
             for target_id, partial, count in result.partials or ():
                 store.add_partial(
@@ -835,9 +850,7 @@ class GameWorld:
                 )
             )
 
-    def _run_interpreted(
-        self, store: EffectStore, transactions: list[TransactionRequest]
-    ) -> None:
+    def _run_interpreted(self, tick: _Tick) -> None:
         for script_name in self._enabled_scripts:
             script = self.program.script_named(script_name)
             assert script is not None
@@ -846,8 +859,8 @@ class GameWorld:
             for row in self.objects(script.class_name):
                 pc = int(row.get(pc_attr, 0) or 0) if segmented.is_multi_tick else 0
                 result, _ = self.interpreter.run_script(script_name, row, self, pc)
-                store.add_all(result.effects)
-                transactions.extend(result.transactions)
+                tick.store.add_all(result.effects)
+                tick.transactions.extend(result.transactions)
         # Program counters advance in the scheduler update component, which
         # runs for both execution modes.
 

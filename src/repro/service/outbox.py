@@ -20,7 +20,6 @@ chronically slow consumer converges to one snapshot per subscription.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 from repro.service.protocol import Snapshot, SubscriptionMessage
 
@@ -97,17 +96,6 @@ class Outbox:
         self._messages.clear()
         return out
 
-    def take_resyncs(self) -> set[int]:
-        """Subscription ids whose streams are still broken (cleared).
-
-        Normally empty — the manager converts every refused delta into a
-        same-flush snapshot, which clears the mark; a transport can use
-        this as a diagnostic for streams it failed to repair.
-        """
-        out = self.needs_resync
-        self.needs_resync = set()
-        return out
-
 
 class Session:
     """One connected client: an id, a name and an outbox.
@@ -131,13 +119,3 @@ class Session:
     def take(self) -> list[SubscriptionMessage]:
         """Drain this session's outbox (transports call this after flush)."""
         return self.outbox.take()
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "session": self.name,
-            "subscriptions": len(self.subscription_ids),
-            "buffered": len(self.outbox),
-            "pushed": self.outbox.pushed,
-            "dropped": self.outbox.dropped,
-            "overflows": self.outbox.overflows,
-        }

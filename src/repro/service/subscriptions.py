@@ -279,9 +279,6 @@ class SubscriptionManager:
         #: Work done by the flushes a late subscribe runs between two
         #: ``flush()`` calls; the next ``flush()`` reports it with its own.
         self._carried_stats = _zero_stats()
-        #: Durable delta log used for log-offset catch-up (see
-        #: :meth:`attach_wal` / :meth:`resume_table_subscription`).
-        self._wal = None
 
     # -- sessions ---------------------------------------------------------------------
 
@@ -384,33 +381,18 @@ class SubscriptionManager:
 
     # -- log-offset catch-up (restarted nodes) ----------------------------------------
 
-    def attach_wal(self, wal: Any) -> None:
-        """Use *wal* (a ``WorldWal`` or bare ``DeltaLog``) for catch-up.
-
-        A manager created from a world with an attached WAL picks it up
-        automatically; standalone catalog/executor managers (and tests)
-        attach one explicitly.
-        """
-        self._wal = wal
-
-    def _wal_log(self):
-        if self._wal is not None:
-            return getattr(self._wal, "log", self._wal)
-        world_wal = getattr(self.world, "wal", None) if self.world is not None else None
-        return world_wal.log if world_wal is not None else None
-
-    def _table_position_stale(self, table: Table) -> bool:
-        """Whether *table* has mutations the WAL has not committed yet.
+    @staticmethod
+    def _table_position_stale(wal: Any, table: Table) -> bool:
+        """Whether *table* has mutations *wal* has not committed yet.
 
         Catch-up promises "apply this delta and you are current"; if the
         table drifted past the last commit record the promise would be
         broken, so the caller must fall back to a snapshot.
         """
-        wal = self._wal if self._wal is not None else getattr(self.world, "wal", None)
-        positions = getattr(wal, "_positions", None)
-        if positions is None or table.name not in positions:
-            return False  # bare DeltaLog: the caller vouches for alignment
-        epoch, version = positions[table.name]
+        position = wal._positions.get(table.name)
+        if position is None:
+            return False  # not a state table: the log holds no record of it
+        epoch, version = position
         return table.log_epoch != epoch or table.version != version
 
     def resume_table_subscription(
@@ -431,16 +413,19 @@ class SubscriptionManager:
         usual.  When the log cannot serve the range (the offset was trimmed
         away, a full-table fallback record hides pre-images, or the table
         drifted past the last commit) the client is re-anchored with a
-        :class:`Snapshot` carrying reason ``"resync:offset-too-old"``.
+        :class:`Snapshot` carrying reason ``"resync:offset-too-old"``.  With
+        no WAL attached to the world (never, or detached since) the
+        snapshot's reason is ``"subscribe"``.
         """
         resolved = self._resolve_table(table)
         plan: LogicalPlan = TableScan(resolved.name)
         if predicate is not None:
             plan = Select(plan, predicate)
         sub, group = self._register_query_subscriber(session, plan)
-        log = self._wal_log()
+        wal = getattr(self.world, "wal", None)
+        log = wal.log if wal is not None else None
         catchup = None
-        if log is not None and not self._table_position_stale(resolved):
+        if log is not None and not self._table_position_stale(wal, resolved):
             catchup = net_table_changes(log, resolved.name, last_seen_tick)
         if catchup is None:
             rows = group.result_rows()

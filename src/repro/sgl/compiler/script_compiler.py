@@ -51,7 +51,6 @@ from repro.engine.schema import Column, Schema
 from repro.sgl.ast_nodes import (
     AccumLoop,
     AtomicBlock,
-    Block,
     EffectAssign,
     FieldAccess,
     Identifier,

@@ -8,7 +8,7 @@ expressions together.  In other cases it is preferable to construct a
 single table for all of the state variables, and a separate table for each
 individual effect variable."
 
-This module implements those layout strategies:
+This module implements the state layouts:
 
 * :class:`SchemaLayout.SINGLE` — one table per class holding the key and
   every state field (the default).
@@ -16,9 +16,11 @@ This module implements those layout strategies:
   of co-accessed attributes (spatial attributes together, the rest
   together, or caller-provided groups); scans reconstruct the extent by
   joining the partitions on the key.
-* :class:`SchemaLayout.PER_EFFECT` — like SINGLE for state, plus one
-  narrow table per effect variable used to materialize effect assignments
-  before combination (experiment E9 measures the trade-offs).
+
+The per-effect tables are not reproduced: effect assignments are never
+materialized as rows, because effects combine in-engine (fused effect
+sinks and :class:`~repro.runtime.effects.EffectStore`), so such a table
+would be written and read by nothing.
 
 Every generated table carries an implicit ``id`` key column; the SGL
 programmer never sees any of this.
@@ -52,7 +54,6 @@ class SchemaLayout(enum.Enum):
 
     SINGLE = "single"
     VERTICAL = "vertical"
-    PER_EFFECT = "per_effect"
 
 
 def sgl_type_to_engine(type_name: str) -> DataType:
@@ -91,8 +92,6 @@ class GeneratedSchema:
     layout: SchemaLayout
     #: Table name -> schema for the state partitions (in join order).
     state_tables: dict[str, Schema] = field(default_factory=dict)
-    #: Effect name -> (table name, schema); only populated for PER_EFFECT.
-    effect_tables: dict[str, tuple[str, Schema]] = field(default_factory=dict)
 
     @property
     def primary_table(self) -> str:
@@ -127,16 +126,6 @@ class SchemaGenerator:
         else:
             all_fields = [f.name for f in class_decl.state_fields]
             generated.state_tables[class_decl.name] = self._state_schema(class_decl, all_fields)
-        if self.layout is SchemaLayout.PER_EFFECT:
-            for effect in class_decl.effect_fields:
-                table_name = f"{class_decl.name}__effect_{effect.name}"
-                schema = Schema(
-                    [
-                        Column(KEY_COLUMN, DataType.NUMBER, nullable=False),
-                        Column("value", sgl_type_to_engine(effect.type_name)),
-                    ]
-                )
-                generated.effect_tables[effect.name] = (table_name, schema)
         return generated
 
     def _state_schema(self, class_decl: ClassDecl, field_names: Sequence[str]) -> Schema:
@@ -174,8 +163,6 @@ class SchemaGenerator:
         generated = self.generate(class_decl)
         for table_name, schema in generated.state_tables.items():
             catalog.create_table(table_name, schema, key=KEY_COLUMN)
-        for table_name, schema in generated.effect_tables.values():
-            catalog.create_table(table_name, schema)
         return generated
 
     # -- extent plans ------------------------------------------------------------------------------
@@ -183,7 +170,7 @@ class SchemaGenerator:
     def extent_plan(self, generated: GeneratedSchema, alias: str) -> LogicalPlan:
         """A logical plan producing the full extent of the class under *alias*.
 
-        For the SINGLE and PER_EFFECT layouts this is one scan; for the
+        For the SINGLE layout this is one scan; for the
         VERTICAL layout the partitions are joined back together on the key
         and re-qualified under *alias*, so the compiler (and therefore the
         script writer) never notices the physical split.

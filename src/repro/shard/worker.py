@@ -8,13 +8,13 @@ neighbours.  One sharded tick is three phases, driven by the coordinator
 (a bulk-synchronous barrier between each):
 
 1. ``TICK`` — install the ghosts buffered at the end of the previous
-   tick, run ``world.tick()`` (the effect-step hook removes the ghosts
-   between the effect and update steps and drops effects aimed at targets
-   this shard does not own — so every (actor, target) effect is applied
-   exactly once fleet-wide, on the target's owner), then run the cached
-   :class:`~repro.engine.algebra.Exchange` handoff plan and release rows
-   whose updated position left the shard.  Replies with the handoff
-   frames, one per destination shard.
+   tick, run ``world.tick()`` (the worker's ``ghosts`` phase, inserted
+   after the world's ``effect`` phase, removes the ghosts and drops
+   effects aimed at targets this shard does not own — so every (actor,
+   target) effect is applied exactly once fleet-wide, on the target's
+   owner), then run the cached :class:`~repro.engine.algebra.Exchange`
+   handoff plan and release rows whose updated position left the shard.
+   Replies with the handoff frames, one per destination shard.
 2. ``ADOPT`` — adopt handoff rows routed from other shards, then run the
    halo-strip plans over the *post-adoption* owned set (a row that just
    arrived near a boundary must be in the export; a row that just left
@@ -38,7 +38,7 @@ import time
 from bisect import bisect_right
 from typing import Any, Callable
 
-from repro.runtime.world import GameWorld
+from repro.runtime.world import PHASE_FIELDS, GameWorld
 from repro.service.subscriptions import Session
 from repro.sgl.schema_gen import KEY_COLUMN
 from repro.shard.plans import ShardPlanSet
@@ -60,13 +60,14 @@ class ShardWorker:
         self.plans = ShardPlanSet(spec, shard_id, n_shards, spec.halo_width)
         #: Ghost rows received last tick, installed at the next TICK phase.
         self._pending_ghosts: dict[str, list[dict[str, Any]]] = {}
-        #: Ids of ghosts currently installed (removed by the hook mid-tick).
+        #: Ids of ghosts currently installed (removed mid-tick by the ghosts phase).
         self._ghost_ids: dict[str, set[Any]] = {}
         self._sessions: dict[str, Session] = {}
         self._counters: dict[str, Any] = self._fresh_counters(0)
         self._cpu = 0.0
         self._wall = 0.0
-        world.effect_step_hook = self._effect_step_hook
+        effect = [label for label, _, _ in world.phases].index("effect")
+        world.phases.insert(effect + 1, ("ghosts", None, self._drop_ghosts))
 
     # -- bootstrap -----------------------------------------------------------------------
 
@@ -185,14 +186,7 @@ class ShardWorker:
                 # Per-phase seconds ride along so the coordinator's metrics
                 # collector can export shard-labeled phase histograms and
                 # the tracer can render one Perfetto track per worker.
-                phase_seconds={
-                    "effect": report.effect_step_seconds,
-                    "update": report.update_step_seconds,
-                    "reactive": report.reactive_seconds,
-                    "flush": report.flush_seconds,
-                    "persist": report.persist_seconds,
-                    "advisor": report.advisor_seconds,
-                },
+                phase_seconds={label: getattr(report, name) for label, name in PHASE_FIELDS},
             )
         return counters
 
@@ -206,7 +200,7 @@ class ShardWorker:
         ghosts = self._ghost_ids.get(class_name)
         return not ghosts or target_id not in ghosts
 
-    def _effect_step_hook(self, store, transactions) -> None:
+    def _drop_ghosts(self, tick) -> None:
         # Ghosts exist only for the effect step: remove them before the
         # update step, reactive dispatch and the subscription flush, so
         # nothing downstream ever sees a replica.  Their same-tick
@@ -215,7 +209,7 @@ class ShardWorker:
             for object_id in ids:
                 self.world.destroy(class_name, object_id)
         self._ghost_ids = {}
-        store.retain(self._owns_target)
+        tick.store.retain(self._owns_target)
 
     def _install_ghosts(self) -> int:
         installed = 0

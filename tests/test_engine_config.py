@@ -43,8 +43,8 @@ TARGETS = {"default": EngineConfig(), "reference": EngineConfig.reference()}
 class TestPresets:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.use_batch and config.use_incremental and config.use_fixpoint
-        assert list(config.as_dict()) == ["use_batch", "use_incremental", "use_fixpoint"]
+        assert config.use_batch and config.use_incremental
+        assert list(config.as_dict()) == ["use_batch", "use_incremental"]
 
     def test_fastest_enables_compilation(self):
         # Kernels are the batch layer: the default already compiles, and
@@ -56,19 +56,14 @@ class TestPresets:
         config = EngineConfig.reference()
         assert not config.use_batch
         assert not config.use_incremental
-        assert not config.use_fixpoint  # naive reference iteration
-
-    def test_fixpoint_on_by_default(self):
-        assert EngineConfig().use_fixpoint
-        assert EngineConfig.fastest().use_fixpoint
 
     def test_frozen(self):
         with pytest.raises(Exception):
             EngineConfig().use_batch = False
 
     def test_replace_and_as_dict_round_trip(self):
-        config = EngineConfig().replace(use_batch=False, use_fixpoint=False)
-        assert not config.use_batch and not config.use_fixpoint
+        config = EngineConfig().replace(use_batch=False, use_incremental=False)
+        assert config == EngineConfig.reference()
         assert EngineConfig(**config.as_dict()) == config
 
 

@@ -8,10 +8,8 @@ from repro.engine import (
     BinaryOp,
     Conditional,
     FunctionCall,
-    Literal,
     SetLiteral,
     UnaryOp,
-    Variable,
     and_all,
     col,
     lit,

@@ -119,12 +119,27 @@ class TestSemiNaiveEquivalence:
         catalog, _ = edges_catalog(rows)
         plan = closure_plan()
         semi = Executor(catalog, EngineConfig(use_incremental=False))
-        naive = Executor(
-            catalog, EngineConfig(use_incremental=False, use_fixpoint=False)
-        )
+        naive = Executor(catalog, EngineConfig.reference())
         expected = bfs_closure(rows)
         assert nodes(semi.execute(plan)) == expected
         assert nodes(naive.execute(plan)) == expected
+
+    @pytest.mark.parametrize(
+        "config, semi_naive",
+        [
+            (EngineConfig(), True),
+            (EngineConfig(use_incremental=False), True),
+            (EngineConfig(use_batch=False), False),
+            (EngineConfig.reference(), False),
+        ],
+    )
+    def test_iteration_follows_the_target(self, config, semi_naive):
+        """Semi-naive on the compiled target; the row target is the naive oracle."""
+        catalog, _ = edges_catalog([{"src": i, "dst": i + 1} for i in range(5)])
+        executor = Executor(catalog, config)
+        assert nodes(executor.execute(closure_plan())) == set(range(6))
+        (op,) = fixpoint_ops(executor)
+        assert op.semi_naive is semi_naive
 
     def test_iterate_cap_bounds_the_radius(self):
         rows = [{"src": i, "dst": i + 1} for i in range(10)]
@@ -364,7 +379,7 @@ class TestReachFrontend:
     def test_semi_naive_matches_naive_on_workload(self):
         configs = {
             "semi": EngineConfig(),
-            "naive": EngineConfig(use_fixpoint=False),
+            "naive": EngineConfig.reference(),
         }
         outcomes = {}
         for name, config in configs.items():
@@ -384,7 +399,7 @@ class TestReachFrontend:
         counters = TickInspector(world).tick_counters()
         assert counters["fixpoint_rounds"] >= 1
         assert counters["fixpoint_delta_rows"] >= 1
-        assert counters["engine_config"]["use_fixpoint"] is True
+        assert counters["engine_config"]["use_batch"] is True  # semi-naive
 
     def test_identical_reach_closures_share_one_fixpoint(self):
         """Two scripts with the same closure: MQO evaluates one Fixpoint."""

@@ -19,7 +19,6 @@ from repro.runtime import (
     PhysicsComponent,
     PhysicsConfig,
     StateUpdate,
-    TransactionEngine,
     UpdateRule,
     astar,
 )
@@ -346,10 +345,9 @@ class TestWorldTick:
         single = build(SchemaLayout.SINGLE)
         single.tick()
         expected = sorted((o["id"], o["health"]) for o in single.objects("Unit"))
-        for layout in (SchemaLayout.VERTICAL, SchemaLayout.PER_EFFECT):
-            world = build(layout)
-            world.tick()
-            assert sorted((o["id"], o["health"]) for o in world.objects("Unit")) == expected
+        world = build(SchemaLayout.VERTICAL)
+        world.tick()
+        assert sorted((o["id"], o["health"]) for o in world.objects("Unit")) == expected
 
 
 class TestTransactionsEndToEnd:

@@ -13,10 +13,8 @@ from repro.sgl.ast_nodes import (
     Binary,
     EffectAssign,
     FieldAccess,
-    Identifier,
     IfStatement,
     NumberLiteral,
-    SetInsert,
     WaitNextTick,
 )
 from repro.sgl.errors import SGLSemanticError, SGLSyntaxError
@@ -271,11 +269,6 @@ class TestSchemaGeneration:
         assert len(generated.state_tables) == 2
         first = list(generated.state_tables.values())[0]
         assert set(first.names) == {"id", "x", "y"}
-
-    def test_per_effect_layout_creates_effect_tables(self):
-        program = parse_program(FIGURE1)
-        generated = SchemaGenerator(SchemaLayout.PER_EFFECT).generate(program.class_named("Unit"))
-        assert set(generated.effect_tables) == {"vx", "vy", "damage"}
 
     def test_register_and_extent_plan(self):
         program = parse_program(FIGURE1)

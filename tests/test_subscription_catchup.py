@@ -19,6 +19,7 @@ import tempfile
 import pytest
 
 from repro.engine.expressions import BinaryOp, ColumnRef, Literal
+from repro.persistence.replay import iter_log_records, net_table_changes, recover_world, replay_tables
 from repro.service.protocol import Delta, ResultSet, Snapshot
 from repro.workloads.rts import build_rts_world
 
@@ -243,6 +244,74 @@ def test_drifted_table_forces_snapshot():
     assert isinstance(message, Snapshot)
     assert message.reason == "resync:offset-too-old"
     assert rows_key(client.results.rows()) == rows_key(fresh_snapshot_rows(manager))
+
+
+def test_resume_after_detach_serves_plain_snapshot(tmp_path):
+    """A detached WAL serves no catch-up: the manager reads the world's
+    WAL as it is now, so a resume after ``detach_wal`` is a plain
+    subscribe, not a re-anchor against the closed log."""
+    world = build_world()
+    manager = world.subscriptions  # exists before the WAL is attached
+    world.attach_wal(str(tmp_path), checkpoint_interval=4)
+    for _ in range(3):
+        world.tick()
+    world.detach_wal()
+    world.tick()
+    session = manager.connect("client")
+    manager.resume_table_subscription(session, "Unit", last_seen_tick=1)
+    (message,) = session.take()
+    assert isinstance(message, Snapshot)
+    assert message.reason == "subscribe"
+
+
+def live_tables(world):
+    return {
+        name: world.catalog.table(name).snapshot()
+        for generated in world.schemas.values()
+        for name in generated.state_table_names()
+    }
+
+
+def test_full_table_record_after_a_restore(tmp_path):
+    """``world.restore`` resets every change log, so the next commit cannot
+    net a delta and writes the whole table instead.  Replay and recovery
+    read through that record; catch-up across it re-anchors the client."""
+    world = build_world()
+    wal = world.attach_wal(str(tmp_path), checkpoint_interval=100)
+    client = _Client(world.subscriptions)
+    live = {}
+    for _ in range(3):
+        world.tick()
+        live[world.tick_count - 1] = live_tables(world)
+    client.drain()
+    seen = client.results.last_tick
+
+    world.restore(world.snapshot())
+    world.tick()
+    full_tick = world.tick_count - 1
+    live[full_tick] = live_tables(world)
+    assert wal.full_table_records == 1
+    (record,) = [
+        r for r in iter_log_records(wal.log) if r.get("k") == "c" and r["t"] == full_tick
+    ]
+    assert "f" in record["tables"]["Unit"] and "d" not in record["tables"]["Unit"]
+    for _ in range(2):
+        world.tick()
+        live[world.tick_count - 1] = live_tables(world)
+    assert wal.full_table_records == 1  # later commits are deltas again
+
+    for tick, tables in live.items():
+        assert replay_tables(wal.log, tick=tick).tables == tables, tick
+        recovered = build_world()
+        recover_world(recovered, wal.log, tick=tick)
+        assert live_tables(recovered) == tables, tick
+
+    assert net_table_changes(wal.log, "Unit", seen) is None
+    assert net_table_changes(wal.log, "Unit", full_tick) is not None
+    (message,) = client.resume(world.subscriptions)
+    assert isinstance(message, Snapshot)
+    assert message.reason == "resync:offset-too-old"
+    assert rows_key(client.results.rows()) == rows_key(fresh_snapshot_rows(world.subscriptions))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Catalog, Column, DataType, EngineConfig, Schema
+from repro.engine import Column, DataType, EngineConfig, Schema
 from repro.engine.table import Table
 from repro.workloads.rts import build_rts_world
 
