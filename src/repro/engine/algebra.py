@@ -358,11 +358,6 @@ class Fixpoint(LogicalPlan):
     result is the set (duplicates removed) of all rows derivable from the
     base rows by repeatedly applying the step, capped at ``max_rounds``
     rounds (``None`` = iterate to convergence).
-
-    ``distinct_on`` optionally restricts the dedup key to a subset of
-    columns; the *first* derivation of a key wins, so a column carrying the
-    round number becomes a BFS depth / influence radius — exactly what
-    influence maps need.
     """
 
     def __init__(
@@ -370,7 +365,6 @@ class Fixpoint(LogicalPlan):
         base: LogicalPlan,
         step: LogicalPlan,
         max_rounds: int | None = None,
-        distinct_on: Sequence[str] = (),
     ):
         if max_rounds is not None and max_rounds < 0:
             raise PlanError("fixpoint iteration cap must be non-negative")
@@ -383,14 +377,13 @@ class Fixpoint(LogicalPlan):
         self.base = base
         self.step = step
         self.max_rounds = max_rounds
-        self.distinct_on = tuple(distinct_on)
 
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.base, self.step)
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Fixpoint":
         base, step = children
-        return Fixpoint(base, step, self.max_rounds, self.distinct_on)
+        return Fixpoint(base, step, self.max_rounds)
 
     def output_schema(self, catalog: Catalog) -> Schema:
         base_schema = self.base.output_schema(catalog)
@@ -400,15 +393,11 @@ class Fixpoint(LogicalPlan):
                 f"fixpoint base and step schemas differ: "
                 f"{base_schema.names} vs {step_schema.names}"
             )
-        for name in self.distinct_on:
-            if name not in base_schema.names:
-                raise PlanError(f"fixpoint distinct_on column {name!r} not in output")
         return base_schema
 
     def node_label(self) -> str:
         cap = "∞" if self.max_rounds is None else str(self.max_rounds)
-        keys = f", distinct_on=[{', '.join(self.distinct_on)}]" if self.distinct_on else ""
-        return f"Fixpoint(max_rounds={cap}{keys})"
+        return f"Fixpoint(max_rounds={cap})"
 
 
 class ShardedScan(LogicalPlan):

@@ -38,11 +38,6 @@ class Catalog:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise CatalogError(f"no table named {name!r}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]

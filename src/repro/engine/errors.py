@@ -38,17 +38,5 @@ class ExecutionError(EngineError):
     """A runtime failure while executing a physical plan."""
 
 
-class IndexError_(EngineError):
-    """An index operation failed (duplicate key, unknown entry, bad bounds).
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    :class:`IndexError`.
-    """
-
-
 class ConstraintViolation(EngineError):
     """A table- or transaction-level constraint was violated."""
-
-
-class ConcurrencyError(EngineError):
-    """Conflicting writes were detected outside an effect-combination phase."""

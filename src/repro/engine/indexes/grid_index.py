@@ -113,8 +113,5 @@ class GridIndex(TableIndex):
                     out.extend(rowids)
         return out
 
-    def cell_count(self) -> int:
-        return len(self._cells)
-
     def __len__(self) -> int:
         return len(self._positions)

@@ -2,7 +2,7 @@
 
 Physical execution of :class:`~repro.engine.algebra.Fixpoint`: the closure
 of a base relation under a recursive step, the plan shape behind
-reachability, influence maps and contagion spread.  Three evaluation modes
+reachability and contagion spread.  Three evaluation modes
 share one operator:
 
 * **semi-naive** (the default): each round binds the step's
@@ -255,7 +255,6 @@ class FixpointOp(PhysicalOperator):
         *,
         semi_naive: bool = True,
         max_rounds: int | None = None,
-        distinct_on: Sequence[str] = (),
         base_tables: Sequence[Table] = (),
         step_tables: Sequence[Table] = (),
         delta_variants: Sequence[_DeltaVariant] = (),
@@ -276,7 +275,6 @@ class FixpointOp(PhysicalOperator):
         self.accum_cell = accum_cell
         self.semi_naive = semi_naive
         self.max_rounds = max_rounds
-        self.distinct_on = tuple(distinct_on)
         self.base_tables = tuple(base_tables)
         self.step_tables = tuple(step_tables)
         self.delta_variants = tuple(delta_variants)
@@ -306,8 +304,7 @@ class FixpointOp(PhysicalOperator):
     # -- helpers -----------------------------------------------------------------
 
     def _key_of(self, row: Mapping[str, Any]) -> tuple:
-        names = self.distinct_on or self.schema.names
-        return tuple(_hashable(row[n]) for n in names)
+        return tuple(_hashable(row[n]) for n in self.schema.names)
 
     def _versions(self) -> tuple[int, ...]:
         return tuple(t.version for t in self.base_tables) + tuple(
@@ -348,8 +345,7 @@ class FixpointOp(PhysicalOperator):
         if delta and self.max_rounds is None:
             raise ExecutionError(
                 f"fixpoint did not converge within {SAFETY_ROUNDS} rounds; "
-                "the step likely derives an unbounded column (use max_rounds "
-                "or distinct_on)"
+                "the step likely derives an unbounded column (use max_rounds)"
             )
         return rounds
 
@@ -361,7 +357,6 @@ class FixpointOp(PhysicalOperator):
             self._cache is None
             or not self.warm_restart
             or not self.semi_naive
-            or self.distinct_on  # first-derivation-wins is not restartable
             or not self.delta_variants
         ):
             return None

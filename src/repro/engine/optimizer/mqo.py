@@ -249,8 +249,7 @@ def _fingerprint(plan: LogicalPlan, aliases: list[str]) -> str:
         base = _fingerprint(plan.base, aliases)
         step = _fingerprint(plan.step, aliases)
         cap = "∞" if plan.max_rounds is None else str(plan.max_rounds)
-        key = ",".join(plan.distinct_on)
-        return f"μ[{cap}|{key}]({base}, {step})"
+        return f"μ[{cap}]({base}, {step})"
     if isinstance(plan, RecursiveRef):
         # The accumulator reference is positional inside its Fixpoint —
         # its name and schema are the whole identity.

@@ -393,7 +393,6 @@ class PhysicalPlanner:
             linear,
             semi_naive=self.config.use_batch,
             max_rounds=plan.max_rounds,
-            distinct_on=plan.distinct_on,
             base_tables=base_tables,
             step_tables=step_tables,
             delta_variants=variants,

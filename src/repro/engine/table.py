@@ -579,14 +579,6 @@ class Table:
     def indexes(self) -> dict[str, "TableIndex"]:
         return dict(self._indexes)
 
-    def find_index_on(self, columns: Sequence[str]) -> "TableIndex | None":
-        """Return an index whose key columns are exactly *columns*, if any."""
-        wanted = tuple(self.schema.resolve(c) for c in columns)
-        for index in self._indexes.values():
-            if tuple(index.columns) == wanted:
-                return index
-        return None
-
     def find_index_covering(self, columns: Sequence[str]) -> tuple[str, "TableIndex"] | None:
         """The best index whose key columns are all among *columns*.
 

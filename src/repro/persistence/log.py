@@ -28,7 +28,9 @@ Record kinds (JSON payloads):
 ``cp`` (checkpoint)
     A full snapshot of every state table (same columnar row form), written
     every ``checkpoint_interval`` ticks so replay cost is bounded by the
-    interval, not the log length.
+    interval, not the log length.  ``GameWorld.rewind_to`` writes one too:
+    its tick is older than the records before it, and the timeline goes on
+    from there.
 
 :class:`WorldWal` is the writer side: attached to a
 :class:`~repro.runtime.world.GameWorld` (via ``GameWorld.attach_wal``), it
@@ -257,12 +259,6 @@ class DeltaLog:
             if valid < total:
                 return
 
-    def commits_after(self, tick: int) -> Iterator[dict[str, Any]]:
-        """Commit records with tick strictly greater than *tick*, in order."""
-        for record in self.records():
-            if record.get("k") == "c" and record["t"] > tick:
-                yield record
-
     @property
     def byte_size(self) -> int:
         self.flush()
@@ -447,6 +443,20 @@ class WorldWal:
             return None
         self._anchor_positions()
         return state.tick
+
+    def rewind(self, tick: int) -> None:
+        """Restore tick boundary *tick* into the world and checkpoint it.
+
+        The checkpoint is older than the ticks logged before it: replay
+        starts there and the abandoned commits are never read again (see
+        :func:`~repro.persistence.replay.replay_tables`).  Raises
+        ``ReplayError`` when the current timeline does not hold *tick*.
+        """
+        from repro.persistence.replay import recover_world
+
+        recover_world(self.world, self.log, tick)
+        self._anchor_positions()
+        self.checkpoint(tick)
 
     def stats(self) -> dict[str, Any]:
         return {

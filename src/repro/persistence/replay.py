@@ -1,12 +1,15 @@
 """Time-travel replay: reconstruct any tick's world state from the log.
 
 Replay is the read side of the delta log and the heart of both crash
-recovery and time-travel debugging: pick the newest checkpoint at or
-before the target tick, then apply every commit record between the
-checkpoint and the target, in order.  Because a commit record is the
-*exact* netted difference between two tick boundaries, the reconstruction
-is bit-for-bit the state the live world held at that boundary — the
-replay-determinism suite asserts precisely that.
+recovery and time-travel debugging: pick the last checkpoint in log order
+at or before the target tick, then apply the commit records after it up
+to the target, in order.  Log order, not tick order, is what makes a
+rewind stick: ``GameWorld.rewind_to`` appends a checkpoint older than the
+ticks before it, and the commits after it are the timeline the world went
+on with.  Because a commit record is the *exact* netted difference
+between two tick boundaries, the reconstruction is bit-for-bit the state
+the live world held at that boundary — the replay-determinism suite
+asserts precisely that.
 
 Reading is deliberately side-effect free: :func:`replay_tables` accepts a
 log *directory path* and never repairs or mutates files, so the
@@ -38,8 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "ReplayError",
     "RecoveredState",
-    "available_from_tick",
-    "committed_ticks",
     "iter_log_records",
     "net_table_changes",
     "recover_world",
@@ -100,13 +101,13 @@ def iter_log_records(source: str | DeltaLog) -> Iterator[dict[str, Any]]:
 
 
 def replay_tables(source: str | DeltaLog, tick: int | None = None) -> RecoveredState:
-    """Reconstruct the state at tick boundary *tick* (default: last durable).
+    """Reconstruct the state at tick boundary *tick* (default: the last record).
 
-    Loads the newest valid checkpoint at or before the target and applies
-    the commits after it, in order.  Raises :class:`ReplayError` when the
-    log's valid prefix holds no usable checkpoint (a virgin log, or one
-    whose head was corrupted away) or when the target tick is not covered
-    by the surviving records.
+    Loads the last checkpoint in log order at or before the target and
+    applies the commits after it, in order.  Raises :class:`ReplayError`
+    when the log's valid prefix holds no usable checkpoint (a virgin log,
+    or one whose head was corrupted away) or when the current timeline
+    does not reach the target tick (cut off, or abandoned by a rewind).
     """
     records = list(iter_log_records(source))
     epoch = next(
@@ -115,14 +116,14 @@ def replay_tables(source: str | DeltaLog, tick: int | None = None) -> RecoveredS
     boundary_ticks = [r["t"] for r in records if r.get("k") in ("c", "cp")]
     if not boundary_ticks:
         raise ReplayError("log holds no durable tick (no valid commit or checkpoint)")
-    target = max(boundary_ticks) if tick is None else tick
-    checkpoint: dict[str, Any] | None = None
-    for record in records:
+    target = boundary_ticks[-1] if tick is None else tick
+    start = None
+    for index, record in enumerate(records):
         if record.get("k") == "cp" and record["t"] <= target:
-            if checkpoint is None or record["t"] >= checkpoint["t"]:
-                checkpoint = record
-    if checkpoint is None:
+            start = index
+    if start is None:
         raise ReplayError(f"no checkpoint at or before tick {target}")
+    checkpoint = records[start]
 
     state = RecoveredState(
         tick=checkpoint["t"],
@@ -137,9 +138,11 @@ def replay_tables(source: str | DeltaLog, tick: int | None = None) -> RecoveredS
         }
         state.next_rowids[name] = int(entry["nr"])
 
-    for record in records:
-        if record.get("k") != "c" or not checkpoint["t"] < record["t"] <= target:
+    for record in records[start + 1 :]:
+        if record.get("k") != "c":
             continue
+        if record["t"] > target:
+            break
         for name, entry in record["tables"].items():
             cols = entry.get("cols", ())
             if "f" in entry:
@@ -158,7 +161,7 @@ def replay_tables(source: str | DeltaLog, tick: int | None = None) -> RecoveredS
         state.tick = record["t"]
         state.commits_applied += 1
 
-    if state.tick != target and tick is not None:
+    if state.tick != target:
         raise ReplayError(
             f"log cannot reach tick {target}: replay stopped at tick {state.tick}"
         )
@@ -191,6 +194,33 @@ def recover_world(
     return state
 
 
+def _current_timeline(
+    records: list[dict[str, Any]],
+) -> tuple[int | None, dict[int, dict[str, Any]], list[tuple[int, int]]]:
+    """The last boundary tick, the commits of the current timeline by tick,
+    and the ``(rewind tick, abandoned tick)`` span of every rewind.
+
+    A checkpoint older than the boundary before it is a rewind: the
+    commits past its tick are abandoned, and a reader that was at a tick
+    inside the span may hold either timeline's state there.
+    """
+    last: int | None = None
+    commits: dict[int, dict[str, Any]] = {}
+    rewinds: list[tuple[int, int]] = []
+    for record in records:
+        kind = record.get("k")
+        if kind not in ("c", "cp"):
+            continue
+        tick = record["t"]
+        if kind == "c":
+            commits[tick] = record
+        elif last is not None and tick < last:
+            rewinds.append((tick, last))
+            commits = {t: c for t, c in commits.items() if t <= tick}
+        last = tick
+    return last, commits, rewinds
+
+
 def net_table_changes(
     source: str | DeltaLog,
     table_name: str,
@@ -199,11 +229,14 @@ def net_table_changes(
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]] | None:
     """Netted ``(added, removed)`` rows of one table across a tick range.
 
-    Covers commits with ``after_tick < t <= upto_tick`` (default: through
-    the last commit present).  Returns ``None`` when the log cannot serve
-    the range exactly — a commit in the range is missing (trimmed away, or
-    past the log's tail), or a full-table fallback record hides the old
-    row values — in which case the caller must fall back to a snapshot.
+    Covers the current timeline's commits with ``after_tick < t <=
+    upto_tick`` (default: through the last record).  Returns ``None`` when
+    the log cannot serve the range exactly, in which case the caller must
+    fall back to a snapshot: the current timeline does not hold position
+    *after_tick* (it is past the last record, or inside a span a rewind
+    abandoned), a commit in the range is missing (trimmed away, or past
+    the log's tail), or a full-table fallback record hides the old row
+    values.
 
     The netting mirrors :meth:`repro.engine.table.Table.changes_since`:
     per row, the *oldest* pre-image and the *newest* post-image in the
@@ -212,24 +245,18 @@ def net_table_changes(
     so the pair applies cleanly to a client-side
     :class:`~repro.service.protocol.ResultSet`.
     """
-    records = list(iter_log_records(source))
-    commits = [r for r in records if r.get("k") == "c"]
-    # "Now" is the last durable boundary of any kind: a trimmed log may
-    # hold a checkpoint newer than every surviving commit, and treating
-    # that as "no changes" would silently skip the trimmed-away history.
-    last_boundary = max(
-        (r["t"] for r in records if r.get("k") in ("c", "cp")), default=None
-    )
+    last, commits, rewinds = _current_timeline(list(iter_log_records(source)))
+    if last is None or after_tick > last:
+        return None
+    if any(rewind < after_tick <= abandoned for rewind, abandoned in rewinds):
+        return None
     if upto_tick is None:
-        if last_boundary is None:
-            return None
-        upto_tick = last_boundary
+        upto_tick = last
     if upto_tick <= after_tick:
         return [], []
-    in_range = [c for c in commits if after_tick < c["t"] <= upto_tick]
-    # One commit per tick: any gap means part of the history is gone.
-    if len(in_range) != upto_tick - after_tick:
-        return None
+    in_range = [commits.get(t) for t in range(after_tick + 1, upto_tick + 1)]
+    if None in in_range:
+        return None  # part of the history is gone
     first_old: dict[int, Any] = {}
     last_new: dict[int, Any] = {}
     for commit in in_range:
@@ -255,17 +282,3 @@ def net_table_changes(
         if new is not None:
             added.append(new)
     return added, removed
-
-
-def committed_ticks(source: str | DeltaLog) -> list[int]:
-    """Every commit tick in the valid prefix, in append order (tooling)."""
-    return [r["t"] for r in iter_log_records(source) if r.get("k") == "c"]
-
-
-def available_from_tick(source: str | DeltaLog) -> int | None:
-    """The earliest ``after_tick`` :func:`net_table_changes` can serve, i.e.
-    ``first commit tick - 1``; ``None`` when the log holds no commits."""
-    for record in iter_log_records(source):
-        if record.get("k") == "c":
-            return record["t"] - 1
-    return None

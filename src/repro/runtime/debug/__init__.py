@@ -1,6 +1,5 @@
 """Debugging support for SGL games (Section 3.3)."""
 
 from repro.runtime.debug.inspector import EffectTrace, TickInspector, explain_script_plans
-from repro.runtime.debug.logger import Checkpoint, TickLogger
 
-__all__ = ["EffectTrace", "TickInspector", "explain_script_plans", "Checkpoint", "TickLogger"]
+__all__ = ["EffectTrace", "TickInspector", "explain_script_plans"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.engine.aggregates import AGGREGATE_NAMES, Accumulator, make_accumulator
+from repro.engine.aggregates import Accumulator, make_accumulator
 from repro.engine.errors import ExecutionError
 from repro.sgl.ast_nodes import ClassDecl
 from repro.sgl.ir import EffectAssignment
@@ -55,9 +55,6 @@ class CombinedEffects:
 
     def objects_with_effects(self, class_name: str) -> list[Any]:
         return [oid for (cls, oid) in self.values if cls == class_name]
-
-    def total_assignments(self) -> int:
-        return sum(sum(counts.values()) for counts in self.assignment_counts.values())
 
 
 class EffectStore:
@@ -179,7 +176,3 @@ class EffectStore:
 
     def __len__(self) -> int:
         return len(self._accumulators)
-
-    @staticmethod
-    def known_combinators() -> tuple[str, ...]:
-        return AGGREGATE_NAMES

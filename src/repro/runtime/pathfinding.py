@@ -8,18 +8,17 @@ goal (state attributes ``goal_x``/``goal_y`` by default, or ``move_to_x``/
 static obstacles on a uniform grid with A*, and advances the object by at
 most ``speed`` cells along it.
 
-Two classes of grid queries are expressed differently:
+Two kinds of grid queries are expressed differently:
 
 * **Point-to-point paths** stay on :func:`astar` — a goal-directed search
   with a heuristic is the right tool and nothing here beats it.
-* **Set-valued queries** — "which cells can this unit reach at all?",
-  "how strong is the influence of these sources on every cell?" — are
-  *transitive closures*, and those are declarative :class:`~repro.engine.
-  algebra.Fixpoint` plans over an edges table derived from the grid
-  (:func:`grid_edges_table`).  Running them through the engine buys
-  semi-naive iteration, version-vector caching across repeated calls, and
-  warm restarts when obstacles are cleared (insert-only edge churn).
-  :class:`GridReachability` packages the catalog/executor plumbing.
+* **"Which cells can this unit reach at all?"** is a *transitive
+  closure*, a declarative :class:`~repro.engine.algebra.Fixpoint` plan
+  over an edges table derived from the grid (:func:`grid_edges_table`).
+  Running it through the engine buys semi-naive iteration and
+  version-vector caching across repeated calls.
+  :class:`GridReachability` packages the catalog/executor plumbing, and
+  the component uses it to reject unreachable goals before A* runs.
 
 The module also exposes :func:`astar` directly so tests and examples can
 exercise the planner in isolation.
@@ -35,7 +34,7 @@ from repro.engine.algebra import Fixpoint, Join, LogicalPlan, Project, Recursive
 from repro.engine.catalog import Catalog
 from repro.engine.config import EngineConfig
 from repro.engine.executor import Executor
-from repro.engine.expressions import BinaryOp, ColumnRef, Literal
+from repro.engine.expressions import BinaryOp, ColumnRef
 from repro.engine.schema import Column, Schema
 from repro.engine.table import Table
 from repro.runtime.effects import CombinedEffects
@@ -46,7 +45,6 @@ __all__ = [
     "astar",
     "grid_edges_table",
     "reachability_plan",
-    "influence_plan",
     "GridReachability",
     "PathfindingConfig",
     "PathfindingComponent",
@@ -92,32 +90,15 @@ class GridMap:
         """Inverse of :meth:`cell_id`."""
         return (cell_id % self.width, cell_id // self.width)
 
-    def edge_rows(self, cells: Iterable[tuple[int, int]] | None = None) -> list[dict[str, int]]:
-        """The grid's passable 4-adjacency as directed ``{src, dst}`` rows.
-
-        With *cells* given, only edges incident to those cells are emitted
-        (both directions) — the insert set for unblocking exactly those
-        cells.
-        """
-        if cells is None:
-            sources: Iterable[tuple[int, int]] = (
-                (x, y) for y in range(self.height) for x in range(self.width)
-            )
-            rows = [
-                {"src": self.cell_id(cell), "dst": self.cell_id(neighbour)}
-                for cell in sources
-                if self.passable(cell)
-                for neighbour in self.neighbours(cell)
-            ]
-            return rows
-        pairs: set[tuple[int, int]] = set()
-        for cell in cells:
-            if not self.passable(cell):
-                continue
-            for neighbour in self.neighbours(cell):
-                pairs.add((self.cell_id(cell), self.cell_id(neighbour)))
-                pairs.add((self.cell_id(neighbour), self.cell_id(cell)))
-        return [{"src": src, "dst": dst} for src, dst in sorted(pairs)]
+    def edge_rows(self) -> list[dict[str, int]]:
+        """The grid's passable 4-adjacency as directed ``{src, dst}`` rows."""
+        return [
+            {"src": self.cell_id((x, y)), "dst": self.cell_id(neighbour)}
+            for y in range(self.height)
+            for x in range(self.width)
+            if self.passable((x, y))
+            for neighbour in self.neighbours((x, y))
+        ]
 
 
 def astar(
@@ -172,36 +153,16 @@ def grid_edges_table(grid: GridMap, name: str = "grid_edges") -> Table:
 
 
 def reachability_plan(
-    start_id: int,
-    edges: str = "grid_edges",
-    max_rounds: int | None = None,
-    *,
-    with_distance: bool = False,
+    start_id: int, edges: str = "grid_edges", max_rounds: int | None = None
 ) -> LogicalPlan:
     """All cells reachable from *start_id*: the transitive closure of the
     edges table seeded with one row, as a semi-naive Fixpoint plan.
 
-    The default shape is one ``{node}`` row per reachable cell — plain set
-    semantics, which terminates on cyclic grids and stays warm-restartable
-    under insert-only edge churn.  With ``with_distance=True`` the rows
-    carry a ``dist`` hop count and ``distinct_on=("node",)`` keeps the
-    first (breadth-first = shortest) derivation; that variant trades warm
-    restarts for distances.  ``max_rounds`` bounds the radius (``None`` =
+    One ``{node}`` row per reachable cell — plain set semantics, which
+    terminates on cyclic grids and stays warm-restartable under
+    insert-only edge churn.  ``max_rounds`` bounds the radius (``None`` =
     close fully).
     """
-    if with_distance:
-        schema = Schema([Column("node"), Column("dist")])
-        base = Values(schema, [{"node": start_id, "dist": 0}])
-        step = Project(
-            Join(
-                RecursiveRef(schema),
-                TableScan(edges),
-                BinaryOp("==", ColumnRef("node"), ColumnRef("src")),
-                how="inner",
-            ),
-            {"node": ColumnRef("dst"), "dist": BinaryOp("+", ColumnRef("dist"), Literal(1))},
-        )
-        return Fixpoint(base, step, max_rounds=max_rounds, distinct_on=("node",))
     schema = Schema([Column("node")])
     base = Values(schema, [{"node": start_id}])
     step = Project(
@@ -216,47 +177,14 @@ def reachability_plan(
     return Fixpoint(base, step, max_rounds=max_rounds)
 
 
-def influence_plan(
-    seeds: Iterable[tuple[int, float]], radius: int, edges: str = "grid_edges"
-) -> LogicalPlan:
-    """A multi-source influence map as a bounded Fixpoint plan.
-
-    *seeds* are ``(cell_id, strength)`` sources; influence decays by one
-    per hop and propagation stops after *radius* rounds.  First-derivation
-    wins per cell, so each cell ends up with the strength contributed by
-    its nearest source (ties broken by round order) — the standard
-    influence-map shape used for threat/control overlays.
-    """
-    schema = Schema([Column("node"), Column("strength")])
-    base = Values(schema, [{"node": node, "strength": strength} for node, strength in seeds])
-    step = Project(
-        Join(
-            RecursiveRef(schema),
-            TableScan(edges),
-            BinaryOp("==", ColumnRef("node"), ColumnRef("src")),
-            how="inner",
-        ),
-        {
-            "node": ColumnRef("dst"),
-            "strength": BinaryOp("-", ColumnRef("strength"), Literal(1)),
-        },
-    )
-    return Fixpoint(base, step, max_rounds=radius, distinct_on=("node",))
-
-
 class GridReachability:
-    """Set-valued grid queries as cached engine plans over one edges table.
+    """Reachable-set queries as cached engine plans over one edges table.
 
     Owns a private catalog + executor holding the grid's adjacency.  Plan
     objects are cached per query signature so repeated calls hit the
     executor's plan cache and the FixpointOp's version-vector result cache
     — a reachability query re-asked on an unchanged grid costs a cache
     probe, not a traversal (the win over re-running A*/BFS imperatively).
-
-    Obstacle *clearing* is incremental: :meth:`clear_obstacles` inserts
-    only the new edges, so the next query warm-restarts from the cached
-    closure.  Arbitrary edits (adding obstacles) call :meth:`refresh`,
-    which rebuilds the edge rows and forces full recomputation.
     """
 
     def __init__(self, grid: GridMap, config: EngineConfig | None = None):
@@ -265,89 +193,19 @@ class GridReachability:
         self.edges = grid_edges_table(grid)
         self.catalog.register_table(self.edges)
         self.executor = Executor(self.catalog, config or EngineConfig())
-        self._plans: dict[tuple, LogicalPlan] = {}
+        #: One plan per start cell.
+        self._plans: dict[int, LogicalPlan] = {}
 
-    def _plan_for(self, key: tuple, build) -> LogicalPlan:
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = build()
-            self._plans[key] = plan
-        return plan
-
-    def reachable_set(
-        self, start: tuple[int, int], max_rounds: int | None = None
-    ) -> set[tuple[int, int]]:
+    def reachable_set(self, start: tuple[int, int]) -> set[tuple[int, int]]:
         """Every cell reachable from *start* (including itself, if passable)."""
         if not self.grid.passable(start):
             return set()
         start_id = self.grid.cell_id(start)
-        plan = self._plan_for(
-            ("reach", start_id, max_rounds),
-            lambda: reachability_plan(start_id, max_rounds=max_rounds),
-        )
+        plan = self._plans.get(start_id)
+        if plan is None:
+            plan = self._plans[start_id] = reachability_plan(start_id)
         result = self.executor.execute(plan)
         return {self.grid.cell_at(row["node"]) for row in result.rows}
-
-    def distance_map(self, start: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """Hop distance from *start* to every reachable cell."""
-        if not self.grid.passable(start):
-            return {}
-        start_id = self.grid.cell_id(start)
-        plan = self._plan_for(
-            ("dist", start_id), lambda: reachability_plan(start_id, with_distance=True)
-        )
-        result = self.executor.execute(plan)
-        return {self.grid.cell_at(row["node"]): row["dist"] for row in result.rows}
-
-    def influence_map(
-        self, seeds: Mapping[tuple[int, int], float], radius: int
-    ) -> dict[tuple[int, int], float]:
-        """Decayed multi-source influence over the grid, zero-clipped."""
-        sources = tuple(
-            sorted(
-                (self.grid.cell_id(cell), strength)
-                for cell, strength in seeds.items()
-                if self.grid.passable(cell)
-            )
-        )
-        if not sources:
-            return {}
-        plan = self._plan_for(
-            ("influence", sources, radius), lambda: influence_plan(sources, radius)
-        )
-        result = self.executor.execute(plan)
-        return {
-            self.grid.cell_at(row["node"]): row["strength"]
-            for row in result.rows
-            if row["strength"] > 0
-        }
-
-    def clear_obstacles(self, cells: Iterable[tuple[int, int]]) -> int:
-        """Unblock *cells* and insert just the edges they open up.
-
-        Insert-only churn: cached closures warm-restart instead of
-        recomputing from scratch.  Returns the number of edges added.
-        """
-        cells = list(cells)
-        for cell in cells:
-            self.grid.obstacles.discard(cell)
-        rows = self.grid.edge_rows(cells)
-        if rows:
-            self.edges.insert_many(rows)
-        return len(rows)
-
-    def refresh(self) -> None:
-        """Rebuild the edges table after arbitrary grid edits."""
-        self.edges.clear()
-        self.edges.insert_many(self.grid.edge_rows())
-
-    def fixpoint_counters(self) -> dict[str, int]:
-        """Aggregated FixpointOp counters for benchmarks and tests."""
-        return {
-            key: value
-            for key, value in self.executor.fixpoint_report().items()
-            if key != "operators"
-        }
 
 
 @dataclass(frozen=True)

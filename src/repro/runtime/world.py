@@ -176,9 +176,8 @@ class TickReport:
     def as_dict(self) -> dict[str, Any]:
         """Every field plus ``total_seconds``, schema-stable across ticks.
 
-        The one counters payload shared by ``TickInspector.tick_counters``,
-        the structured :class:`~repro.runtime.debug.logger.TickLogger`
-        records and the metrics collector — a zero report serializes with
+        The one counters payload shared by ``TickInspector.tick_counters``
+        and the metrics collector — a zero report serializes with
         the identical key set, so scrapers never special-case startup.
         """
         out = dataclasses.asdict(self)
@@ -281,7 +280,8 @@ class GameWorld:
         self.last_effects: CombinedEffects = CombinedEffects()
         #: Transaction report of the most recent tick.
         self.last_transaction_report: TransactionReport = TransactionReport()
-        #: Reports of every tick executed so far.
+        #: Reports of every tick executed so far: the structured per-tick log
+        #: (:meth:`TickReport.as_dict`); :meth:`rewind_to` drops abandoned ones.
         self.reports: list[TickReport] = []
 
     # ------------------------------------------------------------------------------------------
@@ -526,7 +526,6 @@ class GameWorld:
         *,
         fsync: bool = False,
         auto_trim: bool = False,
-        recover: bool = True,
     ):
         """Attach a durable write-ahead delta log at directory *path*.
 
@@ -537,11 +536,10 @@ class GameWorld:
         snapshot checkpoint bounds replay cost (and, with ``auto_trim``,
         lets old segments be dropped).
 
-        When *path* already holds a log and ``recover`` is true, the world
-        is first **recovered**: torn tails are truncated, the last fully
-        committed tick is replayed into the state tables (the world must
-        have been built from the same program), and the log resumes
-        appending where it left off.  A fresh log starts with a baseline
+        When *path* already holds a log, the world is first **recovered**:
+        torn tails are truncated, the last fully committed tick is replayed
+        into the state tables (the world must have been built from the same
+        program), and the log resumes appending where it left off.  A fresh log starts with a baseline
         checkpoint of the current state, so replay can always reach back to
         the attach point.  Returns the :class:`~repro.persistence.log.WorldWal`.
         """
@@ -559,7 +557,7 @@ class GameWorld:
         wal = WorldWal(
             self, log, checkpoint_interval=checkpoint_interval, auto_trim=auto_trim
         )
-        if log.last_tick is not None and recover:
+        if log.last_tick is not None:
             recovered = wal.recover()
             if recovered is None:
                 raise WalError(f"log at {path!r} exists but holds no recoverable state")
@@ -573,6 +571,26 @@ class GameWorld:
         if self.wal is not None:
             self.wal.close()
             self.wal = None
+
+    def rewind_to(self, tick: int) -> None:
+        """Put the world back at the start of *tick*, read from the WAL.
+
+        The tables, id counters and tick counter become the log's exact
+        record of tick boundary ``tick - 1``: no tick is re-run.  The WAL
+        then checkpoints the restored state, so replay, recovery and
+        catch-up follow the new timeline and never the abandoned ticks,
+        whose reports are dropped.  Raises :class:`ExecutionError` without
+        an attached WAL, and ``ReplayError`` when the log no longer holds
+        that boundary.
+        """
+        if self.wal is None:
+            raise ExecutionError("rewind_to reads the WAL: call attach_wal first")
+        if tick > self.tick_count:
+            raise ExecutionError(
+                f"cannot rewind forward (currently at tick {self.tick_count})"
+            )
+        self.wal.rewind(tick - 1)
+        self.reports = [report for report in self.reports if report.tick < tick]
 
     # ------------------------------------------------------------------------------------------
     # observability
@@ -944,10 +962,10 @@ class GameWorld:
             return bool(condition(row))
         return bool(self.interpreter.evaluate_expression(condition, class_name, row, self))
 
-    # -- snapshots (used by the debugger's checkpoints) ------------------------------------------------------
+    # -- snapshots ------------------------------------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        """A restorable snapshot of all state tables plus counters."""
+        """All state tables plus counters (what state checks compare)."""
         tables = {}
         for generated in self.schemas.values():
             for table_name in generated.state_table_names():
@@ -957,10 +975,3 @@ class GameWorld:
             "tables": tables,
             "next_ids": dict(self._next_ids),
         }
-
-    def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`snapshot`."""
-        for table_name, table_snapshot in snapshot["tables"].items():
-            self.catalog.table(table_name).restore(table_snapshot)
-        self.tick_count = snapshot["tick"]
-        self._next_ids = dict(snapshot["next_ids"])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sgl.ast_nodes import Block, ScriptDecl, Statement, WaitNextTick
+from repro.sgl.ast_nodes import ScriptDecl, Statement, WaitNextTick
 
 __all__ = ["ScriptSegment", "SegmentedScript", "segment_script", "pc_variable_name"]
 
@@ -38,9 +38,6 @@ class ScriptSegment:
     statements: tuple[Statement, ...]
     #: Whether a waitNextTick follows this segment (False only for the last).
     waits_after: bool
-
-    def as_block(self) -> Block:
-        return Block(self.statements)
 
 
 @dataclass(frozen=True)

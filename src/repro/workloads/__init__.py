@@ -9,7 +9,6 @@ from repro.workloads.contagion import (
     site_rows,
 )
 from repro.workloads.marketplace import MARKET_SOURCE, build_marketplace_world
-from repro.workloads.particles import PARTICLES_SOURCE, build_particle_world, particle_rows
 from repro.workloads.rts import RTS_SOURCE, build_rts_world, unit_rows
 from repro.workloads.traffic import TRAFFIC_SOURCE, build_traffic_world, vehicle_rows
 
@@ -22,9 +21,6 @@ __all__ = [
     "site_rows",
     "MARKET_SOURCE",
     "build_marketplace_world",
-    "PARTICLES_SOURCE",
-    "build_particle_world",
-    "particle_rows",
     "RTS_SOURCE",
     "build_rts_world",
     "unit_rows",

@@ -594,15 +594,15 @@ class TestWholeWorld:
         assert world.executor.kernel_report()["errors"] == 0
 
     @pytest.mark.parametrize("workload", sorted(REPLAY_WORKLOADS))
-    def test_replay_determinism_holds_compiled(self, workload):
+    def test_replay_determinism_holds_compiled(self, tmp_path, workload):
         """The replay guarantee re-run under kernel compilation: the
         compiled run's WAL produces the same commits as the row path's,
         and replay reconstructs every boundary exactly."""
         path, states, records = run_with_wal(
-            workload, churn_seed=42, config=EngineConfig.fastest()
+            tmp_path, workload, churn_seed=42, config=EngineConfig.fastest()
         )
         _, interp_states, interp_records = run_with_wal(
-            workload, churn_seed=42, config=EngineConfig(use_batch=False)
+            tmp_path, workload, churn_seed=42, config=EngineConfig(use_batch=False)
         )
         assert states == interp_states
         assert records == interp_records

@@ -20,7 +20,6 @@ from repro.engine.optimizer.adaptive import IndexAdvisor
 from repro.runtime.debug.inspector import TickInspector
 from repro.workloads import (
     build_contagion_world,
-    build_particle_world,
     build_rts_world,
     build_traffic_world,
 )
@@ -34,7 +33,6 @@ BUILDERS = {
         8, mode=ExecutionMode.COMPILED, **config
     ),
     "contagion": lambda **config: build_contagion_world(6, **config),
-    "particles": lambda **config: build_particle_world(5, **config),
 }
 
 TARGETS = {"default": EngineConfig(), "reference": EngineConfig.reference()}

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro import ExecutionMode, GameWorld
 from repro.workloads import (
     build_marketplace_world,
-    build_particle_world,
     build_rts_world,
     build_traffic_world,
 )
@@ -53,17 +52,6 @@ class TestCompiledInterpretedEquivalence:
                 world.tick()
         assert state_fingerprint(worlds[0], "Vehicle", ["position", "velocity"]) == state_fingerprint(
             worlds[1], "Vehicle", ["position", "velocity"]
-        )
-
-    def test_particles_equivalence(self):
-        worlds = [
-            build_particle_world(60, mode=mode)
-            for mode in (ExecutionMode.COMPILED, ExecutionMode.INTERPRETED)
-        ]
-        for world in worlds:
-            world.tick()
-        assert state_fingerprint(worlds[0], "Particle", ["x", "y"]) == state_fingerprint(
-            worlds[1], "Particle", ["x", "y"]
         )
 
     def test_marketplace_equivalence(self):
@@ -144,16 +132,6 @@ class TestWorkloads:
         world.set_state("Vehicle", 1, position=12.0, velocity=0.5)
         world.tick()
         assert world.get_object("Vehicle", 0)["velocity"] == 0
-
-    def test_particles_fall_without_attractors(self):
-        world = build_particle_world(10, seed=2)
-        # Remove attractor status so gravity default (-1 on vy) applies.
-        for particle in world.objects("Particle"):
-            world.set_state("Particle", particle["id"], attractor=0)
-        before = [p["y"] for p in world.objects("Particle")]
-        world.tick()
-        after = [p["y"] for p in world.objects("Particle")]
-        assert all(a <= b for a, b in zip(after, before))
 
     def test_marketplace_buyers_stop_when_broke(self):
         world = build_marketplace_world(4, buyers_per_item=1, seller_stock=100, buyer_gold=25.0, price=10.0)

@@ -251,40 +251,12 @@ class TestGridReachability:
         assert reach.reachable_set(start) == expected
         assert (astar(grid, start, goal) is not None) == (goal in expected)
 
-    def test_distance_map_is_bfs_depth(self):
-        grid = GridMap(5, 5)
-        grid.add_obstacle_rect(2, 0, 2, 3)  # wall with a gap at the bottom
-        distances = GridReachability(grid).distance_map((0, 0))
-        assert distances[(0, 0)] == 0
-        assert distances[(1, 0)] == 1
-        # Around the wall: down to (1,4), across, back up.
-        assert distances[(3, 0)] == abs(4 - 0) * 2 + 3
-        assert (2, 1) not in distances
-
-    def test_influence_map_decays_and_takes_nearest_source(self):
-        grid = GridMap(7, 1)
-        influence = GridReachability(grid).influence_map(
-            {(0, 0): 3.0, (6, 0): 2.0}, radius=6
-        )
-        assert influence[(0, 0)] == 3.0
-        assert influence[(1, 0)] == 2.0
-        assert influence[(6, 0)] == 2.0
-        assert (3, 0) not in influence  # both sources decayed to zero there
-
-    def test_clearing_obstacles_is_insert_only_churn(self):
-        grid = GridMap(6, 1, obstacles={(3, 0)})
-        reach = GridReachability(grid)
-        assert reach.reachable_set((0, 0)) == {(0, 0), (1, 0), (2, 0)}
-        assert reach.clear_obstacles([(3, 0)]) > 0
-        assert reach.reachable_set((0, 0)) == {(x, 0) for x in range(6)}
-        assert reach.fixpoint_counters()["warm_restarts"] == 1
-
     def test_repeat_queries_hit_the_result_cache(self):
         grid = GridMap(4, 4)
         reach = GridReachability(grid)
         first = reach.reachable_set((0, 0))
         assert reach.reachable_set((0, 0)) == first
-        assert reach.fixpoint_counters()["cache_hits"] == 1
+        assert reach.executor.fixpoint_report()["cache_hits"] == 1
 
     def test_reachability_plan_cap_matches_bounded_bfs(self):
         grid = GridMap(5, 5)

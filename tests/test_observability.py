@@ -33,7 +33,7 @@ from repro.obs import (
     scrape,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.runtime.debug import TickInspector, TickLogger
+from repro.runtime.debug import TickInspector
 from repro.service.server import SubscriptionServer
 from repro.shard import ShardSpec, ShardedWorld
 from repro.workloads.rts import build_rts_world, unit_rows
@@ -273,21 +273,17 @@ def test_inspector_tick_counters_zeroed_before_first_tick():
         assert field in before
 
 
-def test_tick_logger_structured_records():
+def test_tick_reports_are_the_structured_log(tmp_path):
     world = build_rts_world(10)
-    logger = TickLogger(world, checkpoint_every=2)
-    logger.run(3)
-    assert len(logger.log_records) == len(logger.log_lines) == 3
-    record = logger.log_records[-1]
-    assert record["tick"] == 2
+    world.attach_wal(str(tmp_path))
+    world.run(3)
+    records = [report.as_dict() for report in world.reports]
+    assert [record["tick"] for record in records] == [0, 1, 2]
     for _, field in PHASE_FIELDS:
-        assert field in record
-    assert record["engine_config"] == world.config.as_dict()
-    parsed = [json.loads(line) for line in logger.json_lines()]
-    assert parsed == logger.log_records
-    logger.rewind_to(1)
-    assert len(logger.log_records) == len(logger.log_lines) == 1
-    assert logger.log_records[0]["tick"] == 0
+        assert field in records[-1]
+    assert json.loads(json.dumps(records)) == records
+    world.rewind_to(1)
+    assert [report.tick for report in world.reports] == [0]
 
 
 # -- tracer -----------------------------------------------------------------------------

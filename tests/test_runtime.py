@@ -7,7 +7,8 @@ from __future__ import annotations
 import pytest
 
 from repro import ExecutionMode, GameWorld
-from repro.engine.errors import ConstraintViolation
+from repro.engine.errors import ConstraintViolation, ExecutionError
+from repro.persistence.replay import ReplayError, recover_world, replay_tables
 from repro.runtime import (
     EffectStore,
     ExpressionUpdater,
@@ -22,7 +23,9 @@ from repro.runtime import (
     UpdateRule,
     astar,
 )
-from repro.runtime.debug import TickInspector, TickLogger, explain_script_plans
+from repro.runtime.debug import TickInspector, explain_script_plans
+from repro.runtime.pathfinding import GridReachability
+from repro.service.protocol import Delta, Snapshot
 from repro.sgl import parse_program
 from repro.sgl.ir import EffectAssignment
 from repro.workloads import build_marketplace_world
@@ -177,6 +180,21 @@ class TestPathfinding:
         updates = {u.attribute: u.value for u in component.compute_updates(view, EffectStore(unit_classes()).combine())}
         assert updates["x"] == 2.0
         assert component.plans_computed == 1
+
+    def test_reachability_oracle_turns_down_unreachable_goals(self):
+        grid = GridMap(6, 3)
+        grid.add_obstacle_rect(3, 0, 3, 2)  # a wall cutting the map in two
+        component = PathfindingComponent(grid, reachability=GridReachability(grid))
+        view = TestUpdateComponents().make_view(
+            [
+                {"id": 1, "x": 0.0, "y": 0.0, "goal_x": 5.0, "goal_y": 0.0},
+                {"id": 2, "x": 0.0, "y": 2.0, "goal_x": 2.0, "goal_y": 2.0},
+            ]
+        )
+        updates = component.compute_updates(view, EffectStore(unit_classes()).combine())
+        assert {(u.object_id, u.attribute): u.value for u in updates} == {(2, "x"): 1.0, (2, "y"): 2.0}
+        assert component.unreachable_pruned == 1
+        assert component.plans_computed == 1  # A* ran only for the reachable goal
 
 
 class TestWorldTick:
@@ -401,17 +419,59 @@ class TestDebugTools:
         assert "Unit.damage" in text
         assert "TableScan" in text
 
-    def test_logger_checkpoints_and_rewind(self, simple_game_source):
-        world = GameWorld(simple_game_source, mode=ExecutionMode.INTERPRETED)
-        world.add_update_rule("Unit", "health", lambda s, e: s["health"] - e.get("damage", 0))
-        world.spawn("Unit", player=0, x=0, y=0)
-        world.spawn("Unit", player=1, x=1, y=1)
-        logger = TickLogger(world, checkpoint_every=2)
-        logger.run(5)
-        health_at_5 = world.get_object("Unit", 0)["health"]
-        logger.rewind_to(3)
+    def test_rewind_to_makes_the_wal_follow_the_new_timeline(self, simple_game_source, tmp_path):
+        """Rewind reads the WAL, and replay, recovery and catch-up then
+        follow the rewound timeline, never the abandoned ticks."""
+
+        def build():
+            world = GameWorld(simple_game_source, mode=ExecutionMode.INTERPRETED)
+            world.add_update_rule("Unit", "health", lambda s, e: s["health"] - e.get("damage", 0))
+            world.spawn("Unit", player=0, x=0, y=0)
+            world.spawn("Unit", player=1, x=1, y=1)
+            return world
+
+        with pytest.raises(ExecutionError):
+            build().rewind_to(0)  # no WAL to read
+
+        path = str(tmp_path)
+        world = build()
+        world.attach_wal(path, checkpoint_interval=4)
+        first = {}
+        for _ in range(10):
+            world.tick()
+            first[world.tick_count - 1] = world.snapshot()["tables"]
+        world.rewind_to(3)
         assert world.tick_count == 3
-        assert world.get_object("Unit", 0)["health"] == 100 - 3
-        # Re-running forward reproduces the same trajectory.
-        world.run(2)
-        assert world.get_object("Unit", 0)["health"] == health_at_5
+        assert [report.tick for report in world.reports] == [0, 1, 2]
+        assert world.snapshot()["tables"] == first[2]
+
+        second = {}
+        for _ in range(2):
+            world.tick()
+            second[world.tick_count - 1] = world.snapshot()["tables"]
+        assert world.get_object("Unit", 0)["health"] == 95
+        latest = replay_tables(path)
+        assert latest.tick == 4 and latest.tables == second[4]
+        for tick in (3, 4):
+            assert replay_tables(path, tick).tables == second[tick]
+        with pytest.raises(ReplayError):
+            replay_tables(path, 9)  # abandoned
+        fresh = build()
+        recover_world(fresh, path)
+        assert fresh.snapshot() == world.snapshot()
+
+        manager = world.subscriptions
+        for last_seen, resync in ((9, True), (3, True), (2, False)):
+            session = manager.connect(f"seen-{last_seen}")
+            manager.resume_table_subscription(session, "Unit", last_seen_tick=last_seen)
+            (message,) = session.take()
+            # Past the log's end, or inside the abandoned span: resync.
+            if resync:
+                assert isinstance(message, Snapshot), last_seen
+                assert message.reason == "resync:offset-too-old"
+            else:
+                assert isinstance(message, Delta)
+
+        while world.tick_count < 10:
+            world.tick()
+            assert world.snapshot()["tables"] == first[world.tick_count - 1]

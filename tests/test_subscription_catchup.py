@@ -14,7 +14,6 @@ never wrong.
 from __future__ import annotations
 
 import dataclasses
-import tempfile
 
 import pytest
 
@@ -81,8 +80,8 @@ def crash_and_restart(path, **wal_kwargs):
     return world, world.subscriptions
 
 
-def test_catchup_delta_matches_fresh_snapshot():
-    path = tempfile.mkdtemp(prefix="catchup-")
+def test_catchup_delta_matches_fresh_snapshot(tmp_path):
+    path = str(tmp_path)
     world = build_world()
     world.attach_wal(path, checkpoint_interval=4)
     client = _Client(world.subscriptions)
@@ -107,9 +106,9 @@ def test_catchup_delta_matches_fresh_snapshot():
     assert client.results.last_tick == delta.tick
 
 
-def test_catchup_is_cheaper_than_snapshot_when_little_changed():
+def test_catchup_is_cheaper_than_snapshot_when_little_changed(tmp_path):
     """The point of offsets: a nearly-current client gets a tiny delta."""
-    path = tempfile.mkdtemp(prefix="cheap-")
+    path = str(tmp_path)
     world = build_world()
     world.attach_wal(path, checkpoint_interval=100)
     client = _Client(world.subscriptions)
@@ -128,8 +127,8 @@ def test_catchup_is_cheaper_than_snapshot_when_little_changed():
     assert rows_key(client.results.rows()) == rows_key(fresh_snapshot_rows(manager))
 
 
-def test_current_client_gets_empty_delta():
-    path = tempfile.mkdtemp(prefix="empty-")
+def test_current_client_gets_empty_delta(tmp_path):
+    path = str(tmp_path)
     world = build_world()
     world.attach_wal(path)
     client = _Client(world.subscriptions)
@@ -145,10 +144,10 @@ def test_current_client_gets_empty_delta():
     assert rows_key(client.results.rows()) == rows_key(fresh_snapshot_rows(manager))
 
 
-def test_offset_too_old_falls_back_to_snapshot_resync():
+def test_offset_too_old_falls_back_to_snapshot_resync(tmp_path):
     """Trimmed history: the log cannot reach back to the client's offset,
     so the client is re-anchored with a full snapshot, reason-tagged."""
-    path = tempfile.mkdtemp(prefix="tooold-")
+    path = str(tmp_path)
     world = build_world()
     # Tiny segments + auto_trim: checkpoints rapidly obsolete old segments.
     world.attach_wal(path, checkpoint_interval=3, segment_max_bytes=1024, auto_trim=True)
@@ -169,11 +168,11 @@ def test_offset_too_old_falls_back_to_snapshot_resync():
     assert rows_key(client.results.rows()) == rows_key(fresh_snapshot_rows(manager))
 
 
-def test_predicate_filtered_catchup():
+def test_predicate_filtered_catchup(tmp_path):
     """Catch-up deltas respect the subscription's filter, exactly like the
     live stream does."""
     predicate = BinaryOp("==", ColumnRef("player"), Literal(0))
-    path = tempfile.mkdtemp(prefix="pred-")
+    path = str(tmp_path)
     world = build_world()
     world.attach_wal(path, checkpoint_interval=4)
     client = _Client(world.subscriptions, predicate=predicate)
@@ -194,9 +193,9 @@ def test_predicate_filtered_catchup():
     )
 
 
-def test_catchup_then_live_stream_continues():
+def test_catchup_then_live_stream_continues(tmp_path):
     """After the catch-up delta the subscription is a normal live one."""
-    path = tempfile.mkdtemp(prefix="cont-")
+    path = str(tmp_path)
     world = build_world()
     world.attach_wal(path, checkpoint_interval=4)
     client = _Client(world.subscriptions)
@@ -225,11 +224,11 @@ def test_resume_without_any_wal_serves_plain_snapshot():
     assert message.reason == "subscribe"
 
 
-def test_drifted_table_forces_snapshot():
+def test_drifted_table_forces_snapshot(tmp_path):
     """Mutations after the last commit (e.g. out-of-tick set_state on the
     restarted node) make offset catch-up unsound: delta through the last
     commit plus a drifted live table would desynchronize the client."""
-    path = tempfile.mkdtemp(prefix="drift-")
+    path = str(tmp_path)
     world = build_world()
     world.attach_wal(path, checkpoint_interval=4)
     client = _Client(world.subscriptions)
@@ -273,9 +272,10 @@ def live_tables(world):
 
 
 def test_full_table_record_after_a_restore(tmp_path):
-    """``world.restore`` resets every change log, so the next commit cannot
-    net a delta and writes the whole table instead.  Replay and recovery
-    read through that record; catch-up across it re-anchors the client."""
+    """An out-of-tick ``Table.restore`` resets the table's change log, so
+    the next commit cannot net a delta and writes the whole table instead.
+    Replay and recovery read through that record; catch-up across it
+    re-anchors the client."""
     world = build_world()
     wal = world.attach_wal(str(tmp_path), checkpoint_interval=100)
     client = _Client(world.subscriptions)
@@ -286,7 +286,8 @@ def test_full_table_record_after_a_restore(tmp_path):
     client.drain()
     seen = client.results.last_tick
 
-    world.restore(world.snapshot())
+    units = world.catalog.table("Unit")
+    units.restore(units.snapshot())
     world.tick()
     full_tick = world.tick_count - 1
     live[full_tick] = live_tables(world)
@@ -312,6 +313,40 @@ def test_full_table_record_after_a_restore(tmp_path):
     assert isinstance(message, Snapshot)
     assert message.reason == "resync:offset-too-old"
     assert rows_key(client.results.rows()) == rows_key(fresh_snapshot_rows(world.subscriptions))
+
+
+
+def test_catchup_across_a_rewind(tmp_path):
+    """A client at or before the rewind point holds the new timeline's
+    state and catches up with a delta; one that was past it may hold the
+    abandoned ticks, and one past the log's end certainly does: both
+    resync."""
+    world = build_world()
+    wal = world.attach_wal(str(tmp_path), checkpoint_interval=4)
+    behind = _Client(world.subscriptions)
+    for _ in range(3):
+        world.tick()
+    behind.drain()
+    ahead = _Client(world.subscriptions)
+    for _ in range(5):
+        world.tick()
+    ahead.drain()
+    assert (behind.results.last_tick, ahead.results.last_tick) == (2, 7)
+
+    world.rewind_to(4)
+    for _ in range(2):
+        world.tick()
+    assert net_table_changes(wal.log, "Unit", 3) is not None
+    assert net_table_changes(wal.log, "Unit", 4) is None  # abandoned span
+    assert net_table_changes(wal.log, "Unit", 9) is None  # past the end
+
+    manager = world.subscriptions
+    assert [type(m) for m in behind.resume(manager)] == [Delta]
+    (message,) = ahead.resume(manager)
+    assert isinstance(message, Snapshot)
+    assert message.reason == "resync:offset-too-old"
+    for client in (behind, ahead):
+        assert rows_key(client.results.rows()) == rows_key(fresh_snapshot_rows(manager))
 
 
 if __name__ == "__main__":

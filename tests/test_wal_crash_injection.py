@@ -57,9 +57,9 @@ SEGMENT_BYTES = {"rts": 1 << 20, "traffic": 2048, "marketplace": 1 << 20}
 class _Recorded:
     """One live run: per-tick states, per-tick log byte layouts, raw bytes."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, path: Path):
         self.name = name
-        self.path = tempfile.mkdtemp(prefix=f"wal-{name}-")
+        self.path = str(path)
         world = BUILDERS[name]()
         self.wal = world.attach_wal(
             self.path,
@@ -141,13 +141,17 @@ class _Recorded:
         return tmpdir
 
 
-_RUNS: dict[str, _Recorded] = {}
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """``recorded(name)``: the module's one live run of workload *name*."""
+    runs: dict[str, _Recorded] = {}
 
+    def run(name: str) -> _Recorded:
+        if name not in runs:
+            runs[name] = _Recorded(name, tmp_path_factory.mktemp(f"wal-{name}"))
+        return runs[name]
 
-def recorded(name: str) -> _Recorded:
-    if name not in _RUNS:
-        _RUNS[name] = _Recorded(name)
-    return _RUNS[name]
+    return run
 
 
 def check_recovery(run: _Recorded, directory: str, expected: int | None) -> None:
@@ -172,7 +176,7 @@ def check_recovery(run: _Recorded, directory: str, expected: int | None) -> None
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 @pytest.mark.parametrize("workload", sorted(BUILDERS))
-def test_truncation_recovers_last_committed_tick(workload, data):
+def test_truncation_recovers_last_committed_tick(recorded, workload, data):
     run = recorded(workload)
     cut = data.draw(st.integers(min_value=0, max_value=run.total_bytes - 1))
     segment, local = run.locate(cut)
@@ -188,7 +192,7 @@ def test_truncation_recovers_last_committed_tick(workload, data):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 @pytest.mark.parametrize("workload", sorted(BUILDERS))
-def test_bit_flip_recovers_last_committed_tick(workload, data):
+def test_bit_flip_recovers_last_committed_tick(recorded, workload, data):
     run = recorded(workload)
     at = data.draw(st.integers(min_value=0, max_value=run.total_bytes - 1))
     segment, local = run.locate(at)
@@ -205,7 +209,7 @@ def test_bit_flip_recovers_last_committed_tick(workload, data):
 
 
 @pytest.mark.parametrize("workload", sorted(BUILDERS))
-def test_untouched_log_recovers_final_tick(workload):
+def test_untouched_log_recovers_final_tick(recorded, workload):
     run = recorded(workload)
     state = replay_tables(run.path)
     assert state.tick == TICKS - 1
@@ -224,7 +228,7 @@ def test_untouched_log_recovers_final_tick(workload):
 
 
 @pytest.mark.parametrize("workload", sorted(BUILDERS))
-def test_truncation_inside_record_header(workload):
+def test_truncation_inside_record_header(recorded, workload):
     """A crash can leave just a few header bytes of the next record."""
     run = recorded(workload)
     last = sorted(run.segments)[-1]
@@ -238,7 +242,7 @@ def test_truncation_inside_record_header(workload):
         shutil.rmtree(tmpdir)
 
 
-def test_missing_middle_segment_stops_the_prefix():
+def test_missing_middle_segment_stops_the_prefix(recorded):
     """A gap in the segment chain must end the valid prefix — splicing two
     disjoint histories would be silent corruption."""
     run = recorded("traffic")  # small segments: several files
@@ -261,7 +265,7 @@ def test_missing_middle_segment_stops_the_prefix():
         shutil.rmtree(tmpdir)
 
 
-def test_reattach_repairs_and_resumes():
+def test_reattach_repairs_and_resumes(recorded):
     """The full crash-restart loop: corrupt, re-attach (repairing), tick on."""
     run = recorded("rts")
     tmpdir = tempfile.mkdtemp(prefix="resume-")
@@ -285,7 +289,7 @@ def test_reattach_repairs_and_resumes():
         shutil.rmtree(tmpdir)
 
 
-def test_double_corruption_only_first_counts():
+def test_double_corruption_only_first_counts(recorded):
     run = recorded("rts")
     tmpdir = tempfile.mkdtemp(prefix="double-")
     try:
@@ -305,7 +309,7 @@ def test_double_corruption_only_first_counts():
         shutil.rmtree(tmpdir)
 
 
-def test_repair_truncates_in_place():
+def test_repair_truncates_in_place(recorded):
     """DeltaLog(repair=True) physically truncates the torn tail so the next
     writer appends to a clean file."""
     run = recorded("rts")
